@@ -23,6 +23,16 @@
 //! the µs-scale warm-cache path — and concurrent callers share one set of
 //! workers instead of each spawning their own scope.
 //!
+//! ## Digest memo
+//!
+//! "Its own tracer" does not mean "its own hash": every query runs under
+//! `Tracer<NullSink>`; one whose public shape the engine has traced before
+//! is served the memoised digest, a new shape is run again under
+//! `HashingSink`, and every 512th repeat of a shape is traced again and
+//! compared — see [`digest_memo`](crate::digest_memo).  Workers only read
+//! the memo; its update is committed with the rest of a batch's
+//! finalisation.
+//!
 //! ## Result cache
 //!
 //! Executing the same plan against the same catalog contents always
@@ -51,9 +61,10 @@ use obliv_telemetry::{
     synthetic_span, AuditRecord, Counter, Gauge, Histogram, LeakageAudit, MetricClass,
     MetricsRegistry, PhaseBreakdown, SlowQueryLog, SlowQueryRecord, SpanNode, SpanRecorder,
 };
-use obliv_trace::{HashingSink, OpCounters, Tracer};
+use obliv_trace::{OpCounters, TraceSink, Tracer};
 
 use crate::catalog::{Catalog, TableMeta};
+use crate::digest_memo::{DigestMemo, MemoUpdate, TracedWork};
 use crate::error::EngineError;
 use crate::frontend::parse_query;
 use crate::planner::ResolvedPlan;
@@ -288,6 +299,8 @@ struct Executed {
     trace: SpanNode,
     trace_digest: String,
     trace_events: u64,
+    /// Digest-memo bookkeeping, applied when the batch is finalised.
+    memo_update: MemoUpdate,
     counters: OpCounters,
     carry_words: usize,
     execute: Duration,
@@ -300,6 +313,49 @@ struct Executed {
     /// When execution (and digest extraction) finished on the worker; the
     /// collector derives the publish span from it.
     finished: Instant,
+}
+
+/// One resolved plan as the digest memo's unit of [`TracedWork`]: the
+/// single execution code path, generic over the sink it is traced into.
+struct PlanWork<'a> {
+    plan: &'a ResolvedPlan,
+    queue_wait: Duration,
+    par: Option<ParCtx>,
+}
+
+impl TracedWork for PlanWork<'_> {
+    type Output = Rows;
+
+    fn run<S: TraceSink>(&self, tracer: &Tracer<S>) -> (Rows, SpanNode) {
+        let mut recorder = SpanRecorder::new("query", tracer.counters());
+        // Resolution already validated the whole plan, so execution cannot
+        // fail — pair-lowered plans run the legacy kernel, everything else
+        // the wide operators.  With a parallelism context installed the
+        // plan's partitionable passes fan out over the pool; the folded
+        // trace (and therefore the digest) is bit-identical either way.
+        // Span recording observes operator boundaries without touching the
+        // tracer, so digests are unchanged by it too.
+        let rows = match &self.par {
+            Some(ctx) => with_parallelism(ctx.clone(), || {
+                self.plan.execute_traced(tracer, &mut recorder)
+            }),
+            None => self.plan.execute_traced(tracer, &mut recorder),
+        };
+        // The wait on the pool's injector queue happened before this span
+        // opened; surface it as a synthetic first child so the tree tells
+        // the whole story (its duration is Timing-classed like any other).
+        recorder.attach_first(synthetic_span(
+            "queue_wait",
+            self.queue_wait.as_nanos() as u64,
+        ));
+        let trace = recorder.finish(
+            Vec::new(),
+            rows.len() as u64,
+            rows.schema().row_width() as u64,
+            tracer.counters(),
+        );
+        (rows, trace)
+    }
 }
 
 /// [`ParExecutor`] backed by the engine's resident pool: partition tasks
@@ -456,6 +512,8 @@ pub struct Engine {
     /// cleared on every catalog mutation.  `None` when caching is disabled.
     result_cache: Option<Mutex<ResultCache>>,
     result_cache_cap: usize,
+    /// Shape-keyed trace-digest memo, shared with pooled jobs.
+    digest_memo: Arc<DigestMemo>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
@@ -518,6 +576,7 @@ impl Engine {
                 .result_cache
                 .then(|| Mutex::new(ResultCache::default())),
             result_cache_cap: config.result_cache_cap,
+            digest_memo: Arc::new(DigestMemo::new(&registry, "engine")),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
@@ -658,50 +717,39 @@ impl Engine {
     /// Execute one resolved plan with its own tracer, producing the result
     /// table and the query's leakage accounting.  This is the single code
     /// path used by serial and concurrent execution alike; the caller
-    /// closes the publish span and assembles the [`QuerySummary`].
-    fn run_plan(plan: &ResolvedPlan, queue_wait: Duration, par: Option<ParCtx>) -> Executed {
+    /// closes the publish span, commits the memo update and assembles the
+    /// [`QuerySummary`].  `shape` is the plan's public description for the
+    /// digest memo.
+    fn run_plan(
+        plan: &ResolvedPlan,
+        shape: &str,
+        memo: &DigestMemo,
+        queue_wait: Duration,
+        par: Option<ParCtx>,
+    ) -> Executed {
         let start = Instant::now();
-        let tracer = Tracer::new(HashingSink::new());
-        let mut recorder = SpanRecorder::new("query", tracer.counters());
-        // Resolution already validated the whole plan, so execution cannot
-        // fail — pair-lowered plans run the legacy kernel, everything else
-        // the wide operators.  With a parallelism context installed the
-        // plan's partitionable passes fan out over the pool; the folded
-        // trace (and therefore the digest) is bit-identical either way.
-        // Span recording observes operator boundaries without touching the
-        // tracer, so digests are unchanged by it too.
-        let (rows, parallel_chunks, barrier_ns) = match par {
-            Some(ctx) => {
-                let stats = ctx.stats();
-                let rows = with_parallelism(ctx, || plan.execute_traced(&tracer, &mut recorder));
-                (rows, stats.chunks(), stats.barrier_ns())
-            }
-            None => (plan.execute_traced(&tracer, &mut recorder), 0, 0),
-        };
-        let execute = start.elapsed();
-        let counters = tracer.counters();
-        let (trace_digest, trace_events) = tracer.with_sink(|s| (s.digest_hex(), s.events()));
-        // The wait on the pool's injector queue happened before this span
-        // opened; surface it as a synthetic first child so the tree tells
-        // the whole story (its duration is Timing-classed like any other).
-        recorder.attach_first(synthetic_span("queue_wait", queue_wait.as_nanos() as u64));
-        let trace = recorder.finish(
-            Vec::new(),
-            rows.len() as u64,
-            rows.schema().row_width() as u64,
-            counters,
-        );
-        Executed {
-            rows,
-            trace,
-            trace_digest,
-            trace_events,
-            counters,
-            carry_words: plan.carry_words(),
-            execute,
+        let stats = par.as_ref().map(ParCtx::stats);
+        let work = PlanWork {
+            plan,
             queue_wait,
-            parallel_chunks,
-            barrier_ns,
+            par,
+        };
+        let traced = memo.trace(shape, &work);
+        Executed {
+            rows: traced.output,
+            counters: traced.trace.counters,
+            trace: traced.trace,
+            trace_digest: traced.digest,
+            trace_events: traced.events,
+            memo_update: traced.update,
+            carry_words: plan.carry_words(),
+            // Includes a miss's or re-audit's re-trace (its own
+            // `trace_audit` span in the tree): it is worker time the query
+            // waited for.
+            execute: start.elapsed(),
+            queue_wait,
+            parallel_chunks: stats.as_ref().map_or(0, |s| s.chunks()),
+            barrier_ns: stats.as_ref().map_or(0, |s| s.barrier_ns()),
             finished: Instant::now(),
         }
     }
@@ -802,11 +850,19 @@ impl Engine {
             resolve: Duration,
             inputs: Vec<(String, u64)>,
         }
+        /// A resolved plan plus its public description for the digest
+        /// memo: canonical text and every input's schema, i.e. all the
+        /// lowering consumed besides the (span-recorded) sizes.
+        struct FreshJob {
+            slot: usize,
+            plan: ResolvedPlan,
+            shape: String,
+        }
         let mut payload: Vec<Option<Arc<CachedQuery>>> = Vec::new();
         payload.resize_with(representative.len(), || None);
         let mut aux: Vec<Option<FreshAux>> = Vec::new();
         aux.resize_with(representative.len(), || None);
-        let mut jobs: Vec<(usize, ResolvedPlan)> = Vec::new();
+        let mut jobs: Vec<FreshJob> = Vec::new();
         let epoch = {
             let catalog = self.catalog.read().expect("catalog lock poisoned");
             let epoch = catalog.epoch();
@@ -825,17 +881,20 @@ impl Engine {
                     let sw = Instant::now();
                     let plan = requests[req].plan().resolve(&catalog)?;
                     let resolve = sw.elapsed();
+                    let mut shape = canon[req].to_string();
                     let inputs = requests[req]
                         .plan()
                         .referenced_tables()
                         .into_iter()
                         .map(|name| {
-                            let rows = catalog.meta(name).map(|m| m.rows as u64).unwrap_or(0);
-                            (name.to_string(), rows)
+                            let meta = catalog.meta(name);
+                            let schema = meta.as_ref().map(|m| &m.schema);
+                            shape.push_str(&format!("\n{name}: {schema:?}"));
+                            (name.to_string(), meta.map_or(0, |m| m.rows as u64))
                         })
                         .collect();
                     aux[slot] = Some(FreshAux { resolve, inputs });
-                    jobs.push((slot, plan));
+                    jobs.push(FreshJob { slot, plan, shape });
                 }
             }
             epoch
@@ -845,13 +904,13 @@ impl Engine {
         // asked and worthwhile, inline otherwise.  Each completed job is
         // stamped on collection so the publish span (worker hand-off and
         // finalisation) is measurable.
-        let fresh_slots: Vec<usize> = jobs.iter().map(|(slot, _)| *slot).collect();
+        let fresh_slots: Vec<usize> = jobs.iter().map(|job| job.slot).collect();
         let mut executed: Vec<Option<(Executed, Instant)>> = Vec::new();
         executed.resize_with(representative.len(), || None);
         if parallel && self.pool.workers() > 0 && jobs.len() > 1 {
             let (reply_tx, reply_rx) = mpsc::channel();
             self.pool.submit(
-                jobs.into_iter().map(|(slot, plan)| {
+                jobs.into_iter().map(|FreshJob { slot, plan, shape }| {
                     // The worker-start deadline check uses the slot's
                     // representative request; admission already covered
                     // every duplicate individually.
@@ -860,12 +919,13 @@ impl Engine {
                     let deadline = rep.deadline();
                     let faults = self.faults.clone();
                     let par = self.par_ctx();
+                    let memo = self.digest_memo.clone();
                     let task: PoolTask<Result<Executed, String>> = Box::new(move |wait| {
                         consult_worker_faults(&faults);
                         if deadline.is_some_and(|d| Instant::now() >= d) {
                             return Err(label);
                         }
-                        Ok(Engine::run_plan(&plan, wait, par))
+                        Ok(Engine::run_plan(&plan, &shape, &memo, wait, par))
                     });
                     (slot, task)
                 }),
@@ -897,7 +957,7 @@ impl Engine {
                 return Err(EngineError::DeadlineExceeded { label });
             }
         } else {
-            for (slot, plan) in jobs {
+            for FreshJob { slot, plan, shape } in jobs {
                 consult_worker_faults(&self.faults);
                 let rep = &requests[representative[slot]];
                 if rep.deadline().is_some_and(|d| Instant::now() >= d) {
@@ -906,14 +966,20 @@ impl Engine {
                         label: rep.label.clone(),
                     });
                 }
-                let entry = Engine::run_plan(&plan, Duration::ZERO, self.par_ctx());
+                let entry = Engine::run_plan(
+                    &plan,
+                    &shape,
+                    &self.digest_memo,
+                    Duration::ZERO,
+                    self.par_ctx(),
+                );
                 executed[slot] = Some((entry, Instant::now()));
             }
         }
 
         // Finalise each fresh execution: close its publish span, assemble
         // the summary with the full phase breakdown, deposit the leakage
-        // audit record and the content metrics.
+        // audit record, the digest-memo update and the content metrics.
         for &slot in &fresh_slots {
             let (run, collected) = executed[slot].take().expect("fresh slot was executed");
             let FreshAux { resolve, inputs } = aux[slot].take().expect("fresh slot was resolved");
@@ -930,6 +996,7 @@ impl Engine {
             // construction (asserted by the engine's unit tests).
             let wall = collected.saturating_duration_since(batch_start);
             self.metrics.trace_events.add(run.trace_events);
+            self.digest_memo.commit(&run.memo_update);
             let ops = [
                 run.counters.comparisons,
                 run.counters.compare_exchanges,
@@ -1204,15 +1271,11 @@ mod tests {
 
     #[test]
     fn concurrent_matches_serial_bit_for_bit() {
-        // Cache off so the second run genuinely re-executes on the pool
-        // instead of replaying the first run's cached payloads.
-        let engine = engine_with(EngineConfig {
-            workers: 4,
-            result_cache: false,
-            ..Default::default()
-        });
-        let serial = engine.execute_serial(&requests()).unwrap();
-        let concurrent = engine.execute_batch(&requests()).unwrap();
+        // One engine per run, so each is cold: the concurrent run really
+        // executes and really traces on the pool instead of replaying the
+        // serial run's cached payloads or memoised digests.
+        let serial = engine(4).execute_serial(&requests()).unwrap();
+        let concurrent = engine(4).execute_batch(&requests()).unwrap();
         assert_eq!(serial.len(), concurrent.len());
         for (s, c) in serial.iter().zip(&concurrent) {
             assert_eq!(s.label, c.label);

@@ -14,7 +14,7 @@
 //! accesses of one program run.  The engine gives every query its own
 //! [`Tracer`](obliv_trace::Tracer) and its own buffers; queries share no
 //! mutable state, so each query's access stream is byte-for-byte the stream
-//! a serial run would produce, and its chained-SHA-256 digest (reported in
+//! a serial run would produce, and its SHA-256 trace digest (reported in
 //! [`QuerySummary`]) is independent of whatever else the pool is running.
 //! Scheduling affects throughput, never traces.  The integration tests
 //! assert both properties: bit-identical results and digests between
@@ -39,7 +39,7 @@
 //!     .unwrap();
 //! assert_eq!(responses.len(), 2);
 //! for r in &responses {
-//!     // 64 hex chars of chained SHA-256: the query's whole access pattern.
+//!     // 64 hex chars of SHA-256: the query's whole access pattern.
 //!     assert_eq!(r.summary.trace_digest.len(), 64);
 //! }
 //! ```
@@ -53,6 +53,7 @@
 //! | [`planner`] | [`ResolvedPlan`] — type-checking, carry selection, pair lowering |
 //! | [`frontend`] | [`parse_query`], [`parse_statement`] — the pipeline text language and the `EXPLAIN ANALYZE` verb |
 //! | [`executor`] | [`Engine`], [`EngineConfig`], [`CacheStats`] — worker-pool batch execution and the result cache |
+//! | [`digest_memo`] | [`DigestMemo`] — trace digests once per public shape, with periodic re-audits |
 //! | [`session`] | [`Session`], [`SessionStats`] — per-tenant queues and accounting |
 //! | [`shardable`] | [`Shardability`], [`MergeOp`] — can a plan decompose into per-shard subplans? |
 
@@ -60,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
+pub mod digest_memo;
 pub mod error;
 pub mod executor;
 pub mod frontend;
@@ -70,6 +72,7 @@ pub mod session;
 pub mod shardable;
 
 pub use catalog::{Catalog, TableMeta};
+pub use digest_memo::DigestMemo;
 pub use error::EngineError;
 pub use executor::{CacheStats, Engine, EngineConfig, QueryExecutor};
 pub use frontend::{parse_query, parse_statement, Statement};

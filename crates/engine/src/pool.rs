@@ -21,9 +21,12 @@
 //! split one oblivious pass into partitions and fan them out to its sibling
 //! workers, waiting on a latch until every partition has finished.  The
 //! submitting thread runs one partition itself and *help-steals* queued
-//! work while it waits, so intra-query parallelism composes with
+//! partitions while it waits, so intra-query parallelism composes with
 //! inter-query parallelism on the same resident threads instead of
-//! spawning a nested pool.
+//! spawning a nested pool.  Partitions and whole-query jobs wait in two
+//! separate queues: a stealing submitter only ever takes partitions, so a
+//! query's fork-join barrier can absorb at most other queries' (bounded,
+//! pass-sized) partitions — never a stranger's whole runtime.
 //!
 //! The pool is instrumented through [`PoolMetrics`]: queue depth (work
 //! submitted but not yet picked up), jobs executed, cumulative worker busy
@@ -31,8 +34,9 @@
 //! submission and query jobs receive the measured queue wait, which the
 //! executor folds into the query's phase breakdown.
 
+use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -41,10 +45,9 @@ use obliv_telemetry::{Counter, Gauge, Histogram};
 /// Acquire `mutex`, recovering from poisoning.
 ///
 /// Every mutex in this module guards state that a panicking holder cannot
-/// leave logically torn: the injector mutex wraps an `Option<Sender>` (the
-/// send either happened or it didn't), the worker-side mutex wraps a
-/// channel receiver held only across one `recv` call, and the scope latch
-/// wraps a counter updated in one step.  Poison here would mean some
+/// leave logically torn: the queue mutex is held only across one push or
+/// pop, and the scope latch wraps a counter updated in one step.  Poison
+/// here would mean some
 /// *other* job panicked — which the pool already contains via
 /// `catch_unwind` — so aborting the whole process (the `unwrap` default)
 /// would turn one contained query panic into a wedged engine.
@@ -97,20 +100,29 @@ pub(crate) struct Job<T: Send + 'static> {
     pub reply: mpsc::Sender<(usize, JobOutput<T>)>,
 }
 
-/// Everything that flows through the injector queue.
-pub(crate) enum Work<T: Send + 'static> {
-    /// A whole-query job with its own reply channel.
-    Query(Job<T>),
-    /// One partition of a scoped fork-join pass; completion is reported
-    /// through the latch captured inside the closure, not a channel.
-    Scoped(ScopedTask),
+/// A queued unit of work plus its submission stamp (the thread that picks
+/// it up derives the queue wait from it).
+struct Queued<W> {
+    submitted: Instant,
+    work: W,
 }
 
-/// A queued unit of work plus its submission stamp (the worker derives the
-/// queue wait from it).
-pub(crate) struct Queued<T: Send + 'static> {
-    submitted: Instant,
-    work: Work<T>,
+/// The two injector queues.  Whole-query jobs and scoped partitions are
+/// kept apart so help-stealing submitters can take partitions only.
+struct Queues<T: Send + 'static> {
+    /// Whole-query jobs, each with its own reply channel.
+    queries: VecDeque<Queued<Job<T>>>,
+    /// Partitions of scoped fork-join passes; completion is reported
+    /// through the latch captured inside the closure, not a channel.
+    scoped: VecDeque<Queued<ScopedTask>>,
+    /// Set once at shutdown: workers drain what is queued, then exit.
+    shutdown: bool,
+}
+
+/// What a resident worker pulled from the queues.
+enum Pulled<T: Send + 'static> {
+    Query(Queued<Job<T>>),
+    Scoped(Queued<ScopedTask>),
 }
 
 /// Completion latch for one [`PoolShared::run_scoped`] scope: remaining
@@ -126,90 +138,120 @@ struct ScopeLatch {
 /// Split out of [`WorkerPool`] (which additionally owns the join handles)
 /// so long-lived `Arc` holders — the engine's intra-query
 /// [`ParExecutor`](obliv_primitives::ParExecutor) — never keep the worker
-/// threads themselves alive: shutdown is still "close injector, join".
+/// threads themselves alive: shutdown is still "raise the flag, join".
 pub(crate) struct PoolShared<T: Send + 'static> {
-    /// The submit side of the queue.  `None` only during shutdown: dropping
-    /// the sender is what tells idle workers to exit.
-    injector: Mutex<Option<mpsc::Sender<Queued<T>>>>,
-    /// The pull side, shared by every worker (and by help-stealing scoped
-    /// submitters).  Held only while *pulling* work, never while running
-    /// it — except that an idle worker parks inside `recv` holding it,
-    /// which is why stealing uses `try_lock` and never blocks.
-    queue: Mutex<mpsc::Receiver<Queued<T>>>,
+    /// Both injector queues behind one mutex, held only while pushing or
+    /// pulling work — never while running it.
+    queues: Mutex<Queues<T>>,
+    /// Signalled on every push and at shutdown; idle workers park here.
+    available: Condvar,
     /// Submission-side handles (queue depth is incremented on submit,
-    /// decremented by the worker that picks the work up).
+    /// decremented by the thread that picks the work up).
     metrics: Option<PoolMetrics>,
     /// Number of resident worker threads (0 = everything runs inline).
     workers: usize,
 }
 
 impl<T: Send + 'static> PoolShared<T> {
-    /// Run one unit of work, with metrics.  Called from worker threads and
-    /// from help-stealing scoped submitters alike.
-    fn run_work(&self, queued: Queued<T>) {
+    /// Account for one unit of work leaving the queue; returns its queue
+    /// wait.
+    fn picked_up<W>(&self, queued: &Queued<W>) -> Duration {
         let wait = queued.submitted.elapsed();
         if let Some(m) = &self.metrics {
             m.queue_depth.dec();
             m.jobs.inc();
             m.queue_wait_us.observe_duration_us(wait);
         }
-        let busy = Instant::now();
-        match queued.work {
-            Work::Query(Job { slot, task, reply }) => {
-                // A panicking task must not kill a resident worker (the
-                // pool would silently shrink for the engine's lifetime).
-                // Contain it and ship the payload back: the submitter
-                // re-raises it with the original message.
-                let output =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || task(wait)));
-                // Busy time is recorded *before* the reply ships: once the
-                // submitter has drained every reply, the counters it
-                // snapshots already include every job it waited for.
-                if let Some(m) = &self.metrics {
-                    m.busy_ns.add(busy.elapsed().as_nanos() as u64);
-                }
-                let _ = reply.send((slot, output));
-            }
-            // Scoped tasks carry their own catch_unwind + latch wrapper.
-            Work::Scoped(task) => {
-                task();
-                if let Some(m) = &self.metrics {
-                    m.busy_ns.add(busy.elapsed().as_nanos() as u64);
-                }
-            }
+        wait
+    }
+
+    fn add_busy(&self, since: Instant) {
+        if let Some(m) = &self.metrics {
+            m.busy_ns.add(since.elapsed().as_nanos() as u64);
         }
     }
 
-    /// Enqueue `work`, stamping it for queue-wait accounting.
+    /// Run one whole-query job, with metrics.  Worker threads only.
+    fn run_query(&self, queued: Queued<Job<T>>) {
+        let wait = self.picked_up(&queued);
+        let busy = Instant::now();
+        let Job { slot, task, reply } = queued.work;
+        // A panicking task must not kill a resident worker (the pool would
+        // silently shrink for the engine's lifetime).  Contain it and ship
+        // the payload back: the submitter re-raises it with the original
+        // message.
+        let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || task(wait)));
+        // Busy time is recorded *before* the reply ships: once the
+        // submitter has drained every reply, the counters it snapshots
+        // already include every job it waited for.
+        self.add_busy(busy);
+        let _ = reply.send((slot, output));
+    }
+
+    /// Run one scoped partition, with metrics.  Called from worker threads
+    /// and from help-stealing scoped submitters alike; the task carries its
+    /// own `catch_unwind` + latch wrapper.
+    fn run_partition(&self, queued: Queued<ScopedTask>) {
+        self.picked_up(&queued);
+        let busy = Instant::now();
+        (queued.work)();
+        self.add_busy(busy);
+    }
+
+    /// Push one unit of work (stamped for queue-wait accounting) and wake
+    /// a parked worker.
     ///
     /// # Panics
     ///
     /// Panics if called during/after shutdown (the engine drops the pool
     /// only when the engine itself is dropped, so a live `&Engine` can
     /// always submit).
-    fn enqueue(&self, work: Work<T>) {
-        let injector = lock_recover(&self.injector);
-        let tx = injector.as_ref().expect("worker pool is shut down");
+    fn enqueue<W>(&self, work: W, queue: impl FnOnce(&mut Queues<T>) -> &mut VecDeque<Queued<W>>) {
+        let mut queues = lock_recover(&self.queues);
+        assert!(!queues.shutdown, "worker pool is shut down");
         if let Some(m) = &self.metrics {
             m.queue_depth.inc();
         }
-        tx.send(Queued {
+        queue(&mut queues).push_back(Queued {
             submitted: Instant::now(),
             work,
-        })
-        .expect("resident workers outlive the injector");
+        });
+        drop(queues);
+        self.available.notify_one();
+    }
+
+    /// Block until work is available and take it — partitions first, since
+    /// each one holds up a query that is already running — or return `None`
+    /// once the pool is shut down and drained.
+    fn pull(&self) -> Option<Pulled<T>> {
+        let mut queues = lock_recover(&self.queues);
+        loop {
+            if let Some(partition) = queues.scoped.pop_front() {
+                return Some(Pulled::Scoped(partition));
+            }
+            if let Some(job) = queues.queries.pop_front() {
+                return Some(Pulled::Query(job));
+            }
+            if queues.shutdown {
+                return None;
+            }
+            queues = self
+                .available
+                .wait(queues)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
     }
 
     /// Execute `tasks` as one fork-join scope and wait for all of them.
     ///
     /// The calling thread runs one task itself; the rest go through the
-    /// injector queue so sibling workers pick them up.  While waiting, the
-    /// caller *help-steals*: it opportunistically pulls queued work (scoped
-    /// or whole-query) and runs it inline, so a pool saturated with scoped
-    /// scopes cannot deadlock — every submitter is also a worker.  Stealing
-    /// uses `try_lock` only, because an idle worker parks inside `recv`
-    /// *holding* the queue mutex; a blocking lock would wait on a thread
-    /// that wakes only when new work arrives.
+    /// scoped queue so sibling workers pick them up.  While waiting, the
+    /// caller *help-steals*: it pulls queued partitions — its own scope's or
+    /// another's — and runs them inline, so a pool saturated with scopes
+    /// cannot deadlock: every submitter is also a worker for exactly the
+    /// work a barrier can be waiting on.  It never takes a whole-query job:
+    /// that would run a stranger's entire query inside this query's
+    /// barrier, and nobody's barrier waits on an unstarted query.
     ///
     /// Every task runs to completion even if one of them panics (a failed
     /// partition must not leave the pool's workers occupied or the latch
@@ -251,31 +293,24 @@ impl<T: Send + 'static> PoolShared<T> {
         } else {
             let run_here = tasks.next_back().expect("scope has at least one task");
             for task in tasks {
-                self.enqueue(Work::Scoped(wrap(task, Arc::clone(&latch))));
+                self.enqueue(wrap(task, Arc::clone(&latch)), |q| &mut q.scoped);
             }
             wrap(run_here, Arc::clone(&latch))();
             loop {
                 if lock_recover(&latch.state).0 == 0 {
                     break;
                 }
-                // Steal queued work while the scope drains.  The stolen
-                // unit may belong to a different scope or be a whole
-                // query; both are self-contained.
-                let stolen = match self.queue.try_lock() {
-                    Ok(queue) => queue.try_recv().ok(),
-                    Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner().try_recv().ok(),
-                    Err(TryLockError::WouldBlock) => None,
-                };
-                if let Some(queued) = stolen {
-                    self.run_work(queued);
+                let stolen = lock_recover(&self.queues).scoped.pop_front();
+                if let Some(partition) = stolen {
+                    self.run_partition(partition);
                     continue;
                 }
                 let state = lock_recover(&latch.state);
                 if state.0 == 0 {
                     break;
                 }
-                // Short timeout so newly queued work becomes stealable
-                // even if the notify raced with the check above.
+                // Short timeout so partitions queued by other scopes
+                // become stealable while this one's are still running.
                 let _ = latch
                     .done
                     .wait_timeout(state, Duration::from_millis(1))
@@ -290,12 +325,10 @@ impl<T: Send + 'static> PoolShared<T> {
     }
 }
 
-/// A fixed-size pool of long-lived worker threads fed by one injector
-/// queue.
-///
-/// The queue is an `mpsc` channel whose receiver is shared behind a mutex:
-/// every worker pulls the next unit of work as soon as it finishes the
-/// last, which gives work-stealing behaviour without per-worker deques.
+/// A fixed-size pool of long-lived worker threads fed by one pair of
+/// shared queues: every worker pulls the next unit of work as soon as it
+/// finishes the last, which gives work-stealing behaviour without
+/// per-worker deques.
 pub(crate) struct WorkerPool<T: Send + 'static> {
     shared: Arc<PoolShared<T>>,
     /// Worker handles, joined on drop.
@@ -306,10 +339,13 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// Spawn a pool of `workers` resident threads (zero is allowed and
     /// spawns nothing — useful for a serial engine that never submits).
     pub(crate) fn new(workers: usize, metrics: Option<PoolMetrics>) -> Self {
-        let (tx, rx) = mpsc::channel::<Queued<T>>();
         let shared = Arc::new(PoolShared {
-            injector: Mutex::new(Some(tx)),
-            queue: Mutex::new(rx),
+            queues: Mutex::new(Queues {
+                queries: VecDeque::new(),
+                scoped: VecDeque::new(),
+                shutdown: false,
+            }),
+            available: Condvar::new(),
             metrics,
             workers,
         });
@@ -318,13 +354,12 @@ impl<T: Send + 'static> WorkerPool<T> {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("obliv-engine-worker-{i}"))
-                    .spawn(move || loop {
-                        // Hold the queue lock only while pulling work.
-                        let queued = lock_recover(&shared.queue).recv();
-                        match queued {
-                            Ok(queued) => shared.run_work(queued),
-                            // Channel closed: the pool is shutting down.
-                            Err(_) => return,
+                    .spawn(move || {
+                        while let Some(pulled) = shared.pull() {
+                            match pulled {
+                                Pulled::Query(job) => shared.run_query(job),
+                                Pulled::Scoped(partition) => shared.run_partition(partition),
+                            }
                         }
                     })
                     .expect("spawning an engine worker thread failed")
@@ -359,21 +394,25 @@ impl<T: Send + 'static> WorkerPool<T> {
         reply: &mpsc::Sender<(usize, JobOutput<T>)>,
     ) {
         for (slot, task) in jobs {
-            self.shared.enqueue(Work::Query(Job {
-                slot,
-                task,
-                reply: reply.clone(),
-            }));
+            self.shared.enqueue(
+                Job {
+                    slot,
+                    task,
+                    reply: reply.clone(),
+                },
+                |q| &mut q.queries,
+            );
         }
     }
 }
 
 impl<T: Send + 'static> Drop for WorkerPool<T> {
-    /// Graceful shutdown: close the injector (workers finish whatever is
-    /// queued, then see the closed channel and exit), then join every
-    /// worker so no thread outlives the engine.
+    /// Graceful shutdown: raise the shutdown flag (workers finish whatever
+    /// is queued, then exit), then join every worker so no thread outlives
+    /// the engine.
     fn drop(&mut self) {
-        lock_recover(&self.shared.injector).take();
+        lock_recover(&self.shared.queues).shutdown = true;
+        self.shared.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -620,18 +659,41 @@ mod tests {
 
     #[test]
     fn scoped_submitters_help_steal_when_workers_are_busy() {
-        // One worker, parked on a slow job: the scope's queued partitions
-        // can only finish because the submitting thread steals them.
-        let pool: WorkerPool<()> = WorkerPool::new(1, None);
+        // One worker, held inside a whole-query job until the test releases
+        // it, with a second whole-query job (the "stranger") queued behind
+        // it: the scope's queued partitions can only finish because the
+        // submitting thread steals them — and it must steal *only* them.
+        let pool: WorkerPool<&'static str> = WorkerPool::new(1, None);
         let (tx, rx) = mpsc::channel();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let stranger_thread = Arc::new(Mutex::new(None::<String>));
+        let ran_on = Arc::clone(&stranger_thread);
         pool.submit(
-            std::iter::once((
-                0usize,
-                Box::new(move |_wait: Duration| thread::sleep(Duration::from_millis(50)))
-                    as PoolTask<()>,
-            )),
+            [
+                (
+                    0usize,
+                    Box::new(move |_wait: Duration| {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        "blocker"
+                    }) as PoolTask<&'static str>,
+                ),
+                (
+                    1usize,
+                    Box::new(move |_wait: Duration| {
+                        *ran_on.lock().unwrap() = thread::current().name().map(String::from);
+                        "stranger"
+                    }) as PoolTask<&'static str>,
+                ),
+            ],
             &tx,
         );
+        drop(tx);
+        // The only worker is now inside the blocker, so nothing but this
+        // thread can run the scope's partitions.
+        started_rx.recv().unwrap();
+
         let hits = Arc::new(AtomicUsize::new(0));
         let tasks: Vec<ScopedTask> = (0..8)
             .map(|_| {
@@ -641,14 +703,22 @@ mod tests {
                 }) as ScopedTask
             })
             .collect();
-        let start = Instant::now();
         pool.shared().run_scoped(tasks);
         assert_eq!(hits.load(Ordering::Relaxed), 8);
-        // The scope must not have waited for the 50 ms job (stealing would
-        // be broken if it did and the test would also just be slow).
-        assert!(start.elapsed() < Duration::from_millis(50));
-        drop(tx);
-        assert_eq!(rx.iter().count(), 1);
+        // The barrier closed without running (or waiting for) either
+        // whole-query job: the stranger is still queued, no reply exists.
+        assert_eq!(*stranger_thread.lock().unwrap(), None);
+        assert!(rx.try_recv().is_err());
+
+        release_tx.send(()).unwrap();
+        let mut replies: Vec<(usize, &str)> = rx.iter().map(|(s, r)| (s, r.unwrap())).collect();
+        replies.sort_unstable();
+        assert_eq!(replies, vec![(0, "blocker"), (1, "stranger")]);
+        // ... and the stranger ran where whole queries belong.
+        assert_eq!(
+            stranger_thread.lock().unwrap().as_deref(),
+            Some("obliv-engine-worker-0")
+        );
     }
 
     #[test]

@@ -512,15 +512,17 @@ impl Rows {
 
 /// What one executed query revealed and spent.
 ///
-/// The digest is the paper's chained-SHA-256 fingerprint of the query's
-/// whole public-memory access stream; two queries with the same digest are
-/// indistinguishable to the §3.1 adversary.  Because every query runs on its
-/// own tracer, the digest is a function of the query's public parameters
-/// only — co-scheduled queries cannot perturb it (the engine's integration
-/// tests assert this).
+/// The digest is the SHA-256 fingerprint of the query's whole
+/// public-memory access stream (the role of the paper's §6.1 chained hash);
+/// two queries with the same digest are indistinguishable to the §3.1
+/// adversary.  Because every query runs on its own tracer, the digest is a
+/// function of the query's public parameters only — co-scheduled queries
+/// cannot perturb it (the engine's integration tests assert this) — which
+/// is also why the engine's [digest memo](crate::digest_memo) may serve it
+/// for a public shape it has traced before instead of hashing again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySummary {
-    /// Hex rendering of the chained SHA-256 trace fingerprint.
+    /// Hex rendering of the SHA-256 trace fingerprint.
     pub trace_digest: String,
     /// Number of trace events (allocations + accesses) the query emitted.
     pub trace_events: u64,

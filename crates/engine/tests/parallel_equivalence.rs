@@ -29,6 +29,9 @@ fn customers() -> Table {
     (0..64u64).map(|i| (i % 16, (i * 13) % 51)).collect()
 }
 
+/// A fresh engine over the fixtures.  Its digest memo is cold, so the
+/// first execution of each plan is a real trace; the differential tests
+/// below build one engine per compared run for exactly that reason.
 fn engine(workers: usize, intra: usize, cache: bool) -> Engine {
     let engine = Engine::new(EngineConfig {
         workers,
@@ -41,6 +44,21 @@ fn engine(workers: usize, intra: usize, cache: bool) -> Engine {
     engine.register_table("orders", orders()).unwrap();
     engine.register_table("customers", customers()).unwrap();
     engine
+}
+
+/// Re-register both fixtures in reverse row order: different contents at
+/// every position, the same public shape (sizes, key multiplicities,
+/// filter survivors) for every plan.
+fn reverse_tables(engine: &Engine) {
+    let reversed = |t: Table| -> Table {
+        let mut pairs: Vec<(u64, u64)> = t.iter().map(|e| (e.key, e.value)).collect();
+        pairs.reverse();
+        Table::from_pairs(pairs)
+    };
+    engine.register_table("orders", reversed(orders())).unwrap();
+    engine
+        .register_table("customers", reversed(customers()))
+        .unwrap();
 }
 
 /// One plan per operator family: filter/project mark passes, join
@@ -131,10 +149,45 @@ fn every_operator_is_bit_identical_at_every_chunk_count() {
         let par = engine(2, intra, false);
         let batch = par.execute_batch(&operator_requests()).unwrap();
         assert_bit_identical(&serial, &batch, &format!("intra={intra} batch"));
-        // The inline (serial-scheduling) path of the same engine must
-        // agree too: partitioning is orthogonal to job scheduling.
-        let inline = par.execute_serial(&operator_requests()).unwrap();
+        // The inline (serial-scheduling) path of the same configuration
+        // must agree too: partitioning is orthogonal to job scheduling.
+        let inline = engine(2, intra, false)
+            .execute_serial(&operator_requests())
+            .unwrap();
         assert_bit_identical(&serial, &inline, &format!("intra={intra} inline"));
+    }
+}
+
+#[test]
+fn digest_memo_serves_exactly_what_tracing_would_at_every_chunk_count() {
+    let plans = operator_requests().len() as u64;
+    let memo_counts = |engine: &Engine| {
+        let snap = engine.metrics().snapshot();
+        [
+            snap.counter("engine_digest_memo_hits_total", &[]),
+            snap.counter("engine_digest_memo_misses_total", &[]),
+            snap.counter("engine_digest_mismatch_total", &[]),
+        ]
+    };
+    // The reference for the memo-hit round: a cold serial engine really
+    // tracing every plan over the reversed tables.
+    let reference = engine(1, 1, false);
+    reverse_tables(&reference);
+    let real = reference.execute_serial(&operator_requests()).unwrap();
+    assert_eq!(memo_counts(&reference), [0, plans, 0]);
+
+    for intra in [1usize, 2, 4] {
+        let memo = engine(2, intra, false);
+        let cold = memo.execute_batch(&operator_requests()).unwrap();
+        assert_eq!(memo_counts(&memo), [0, plans, 0], "cold: all traced");
+        // Same public shapes, contents the memo has never traced: every
+        // plan is served from the memo, and what it serves is exactly what
+        // tracing these contents yields.
+        reverse_tables(&memo);
+        let served = memo.execute_batch(&operator_requests()).unwrap();
+        assert_eq!(memo_counts(&memo), [plans, plans, 0], "all served");
+        assert_bit_identical(&real, &served, &format!("intra={intra} memo hit"));
+        assert!(cold.iter().zip(&served).any(|(c, s)| c.rows != s.rows));
     }
 }
 

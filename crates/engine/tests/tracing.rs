@@ -65,7 +65,9 @@ fn span_tree_mirrors_the_plan() {
         .unwrap();
     let trace = &response.trace;
     // Root `query` span, synthetic `queue_wait` first, then one span per
-    // plan operator, nested exactly like the plan.
+    // plan operator, nested exactly like the plan; a shape this engine has
+    // not traced before ends with the synthetic `trace_audit` (the hashed
+    // re-run that fills the digest memo).
     assert_eq!(
         shape(trace),
         vec![
@@ -74,6 +76,7 @@ fn span_tree_mirrors_the_plan() {
             (1, "group_aggregate".into()),
             (2, "filter".into()),
             (3, "scan".into()),
+            (1, "trace_audit".into()),
         ]
     );
     // The scan reveals the public table size; the root reveals the output.
@@ -120,8 +123,8 @@ fn span_timing_is_consistent_and_bounded_by_phases() {
             trace.total_ns,
             response.summary.wall
         );
-        // Operator spans (everything but the synthetic queue_wait child)
-        // ran inside the execute phase.
+        // Operator spans and the digest-memo re-trace (everything but the
+        // synthetic queue_wait child) ran inside the execute phase.
         let operators: u64 = trace
             .children
             .iter()
@@ -156,6 +159,7 @@ fn wide_plans_record_operator_details() {
             (2, "join".into()),
             (3, "scan".into()),
             (3, "scan".into()),
+            (1, "trace_audit".into()),
         ]
     );
     let join = &trace.children[1].children[0];
@@ -363,9 +367,10 @@ fn chrome_trace_export_matches_golden_shape() {
     let json = chrome_trace_json(&response.trace);
 
     let events = chrome_events(&json);
-    // One complete event per span: root + queue_wait + 3 operators.
+    // One complete event per span: root + queue_wait + 3 operators + the
+    // first execution's trace_audit.
     assert_eq!(events.len(), response.trace.span_count());
-    assert_eq!(events.len(), 5);
+    assert_eq!(events.len(), 6);
     for event in &events {
         for field in [
             "\"name\":",

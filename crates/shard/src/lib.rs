@@ -35,7 +35,7 @@
 //! are reported explicitly, as [`QuerySummary::shard_partitions`] entries
 //! and in the coordinator's own leakage [`audit`](Coordinator::audit)
 //! ring, rather than hidden in the runtime.  The combined trace digest is
-//! a chained SHA-256 over the per-shard digests plus the merge digest:
+//! a SHA-256 over the per-shard digests plus the merge digest:
 //! still a pure function of public parameters, and deterministic for a
 //! fixed `(plan, table sizes, shard count)`.
 //!
@@ -78,6 +78,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obliv_chaos::{points, Fault, Faults};
+use obliv_engine::digest_memo::{DigestMemo, TracedWork};
 use obliv_engine::shardable::{self, MergeOp, Shardability};
 use obliv_engine::{
     CacheStats, Engine, EngineConfig, EngineError, Plan, QueryExecutor, QueryRequest,
@@ -94,7 +95,7 @@ use obliv_telemetry::{
     SpanNode, SpanRecorder,
 };
 use obliv_trace::sha256::Sha256;
-use obliv_trace::{HashingSink, OpCounters, Tracer};
+use obliv_trace::{OpCounters, TraceSink, Tracer};
 
 /// Coordinator construction options.
 #[derive(Debug, Clone)]
@@ -203,6 +204,68 @@ struct Merged {
     counters: OpCounters,
 }
 
+/// The oblivious merge of one scattered query's partials, as the digest
+/// memo's unit of [`TracedWork`]: the same fold for every sink.
+struct MergeWork<'a> {
+    op: MergeOp,
+    partials: Vec<&'a WideTable>,
+}
+
+impl MergeWork<'_> {
+    /// Every path starts from the oblivious concatenation (a
+    /// [`wide_union_all`] fold, which routes through the shared
+    /// [`union_output_schema`] validator), then applies the
+    /// analysis-chosen finishing operator.
+    fn fold<S: TraceSink>(&self, tracer: &Tracer<S>) -> Result<WideTable, EngineError> {
+        let mut concat: WideTable = self.partials[0].clone();
+        for partial in &self.partials[1..] {
+            concat = wide_union_all(tracer, &concat, partial)?;
+        }
+        Ok(match self.op {
+            // Order-preserving spines: the partials are contiguous slices
+            // of the serial output, so their concatenation *is* it.
+            MergeOp::Concat => concat,
+            MergeOp::SortedConcat => wide_sort(tracer, &concat)?,
+            MergeOp::MergeDistinct => wide_distinct(tracer, &concat)?,
+            MergeOp::Reaggregate { combine } => {
+                let schema = concat.schema_handle();
+                let key = schema.columns()[0].name().to_string();
+                let value = schema.columns()[1].name().to_string();
+                let merged =
+                    wide_group_aggregate(tracer, &concat, &key, combine, Some(value.as_str()))?;
+                // Re-aggregation renames the value column (`count` becomes
+                // `sum_count`, …) but keeps the byte layout: rewrap the
+                // merged rows under the partials' schema so the response
+                // wears the same column names a single engine reports.
+                let mut bytes = Vec::with_capacity(merged.len() * merged.schema().row_width());
+                for i in 0..merged.len() {
+                    bytes.extend_from_slice(merged.row_bytes(i));
+                }
+                WideTable::from_encoded(schema, bytes)
+            }
+        })
+    }
+}
+
+impl TracedWork for MergeWork<'_> {
+    type Output = Result<WideTable, EngineError>;
+
+    fn run<S: TraceSink>(&self, tracer: &Tracer<S>) -> (Self::Output, SpanNode) {
+        let recorder = SpanRecorder::new("merge", tracer.counters());
+        let table = self.fold(tracer);
+        let (rows, width) = table
+            .as_ref()
+            .map_or((0, 0), |t| (t.len(), t.schema().row_width()));
+        let span = recorder.finish(
+            self.partials.iter().map(|p| p.len() as u64).collect(),
+            rows as u64,
+            width as u64,
+            tracer.counters(),
+        );
+        (table, span)
+    }
+}
+
 /// A sharded oblivious query coordinator: `N` shard [`Engine`]s plus a
 /// full-copy gather engine behind one [`QueryExecutor`] surface.
 ///
@@ -224,6 +287,9 @@ pub struct Coordinator {
     /// inputs.  Local and gather routes are audited by the engine that
     /// ran them.
     audit: LeakageAudit,
+    /// Digest memo for the merge step; the shard engines each keep their
+    /// own.
+    merge_memo: DigestMemo,
     faults: Faults,
 }
 
@@ -241,6 +307,7 @@ impl Coordinator {
                 .map(|_| Engine::new(config.engine.clone()))
                 .collect(),
             full: Engine::new(config.engine.clone()),
+            merge_memo: DigestMemo::new(&registry, "shard_merge"),
             registry,
             metrics,
             audit: LeakageAudit::new(config.engine.audit_capacity),
@@ -627,14 +694,13 @@ impl Coordinator {
         })
     }
 
-    /// Combine per-shard partials under a fresh tracer.  Every path starts
-    /// from the oblivious concatenation (a [`wide_union_all`] fold, which
-    /// routes through the shared [`union_output_schema`] validator), then
-    /// applies the analysis-chosen finishing operator.
+    /// Combine per-shard partials with one oblivious merge, through the
+    /// merge digest memo: a merge shape seen before (operator, partial
+    /// schema, partial and output sizes) runs untraced.
     fn merge(&self, op: MergeOp, subs: &[QueryResponse]) -> Result<Merged, EngineError> {
         let partials: Vec<&WideTable> = subs.iter().map(|s| s.rows.table()).collect();
         // Validate up front with the shared schema validators, so the
-        // traced fold below cannot fail mid-merge (the same
+        // traced fold cannot fail mid-merge (the same
         // validated-cannot-fail split the engine uses).
         for pair in partials.windows(2) {
             union_output_schema(pair[0].schema(), pair[1].schema())?;
@@ -646,49 +712,17 @@ impl Coordinator {
             group_aggregate_output_schema(schema, key, combine, Some(value))?;
         }
 
-        let tracer = Tracer::new(HashingSink::new());
-        let recorder = SpanRecorder::new("merge", tracer.counters());
-        let mut concat: WideTable = partials[0].clone();
-        for partial in &partials[1..] {
-            concat = wide_union_all(&tracer, &concat, partial)?;
-        }
-        let table = match op {
-            // Order-preserving spines: the partials are contiguous slices
-            // of the serial output, so their concatenation *is* it.
-            MergeOp::Concat => concat,
-            MergeOp::SortedConcat => wide_sort(&tracer, &concat)?,
-            MergeOp::MergeDistinct => wide_distinct(&tracer, &concat)?,
-            MergeOp::Reaggregate { combine } => {
-                let schema = concat.schema_handle();
-                let key = schema.columns()[0].name().to_string();
-                let value = schema.columns()[1].name().to_string();
-                let merged =
-                    wide_group_aggregate(&tracer, &concat, &key, combine, Some(value.as_str()))?;
-                // Re-aggregation renames the value column (`count` becomes
-                // `sum_count`, …) but keeps the byte layout: rewrap the
-                // merged rows under the partials' schema so the response
-                // wears the same column names a single engine reports.
-                let mut bytes = Vec::with_capacity(merged.len() * merged.schema().row_width());
-                for i in 0..merged.len() {
-                    bytes.extend_from_slice(merged.row_bytes(i));
-                }
-                WideTable::from_encoded(schema, bytes)
-            }
-        };
-        let counters = tracer.counters();
-        let (digest, events) = tracer.with_sink(|s| (s.digest_hex(), s.events()));
-        let span = recorder.finish(
-            subs.iter().map(|s| s.rows.len() as u64).collect(),
-            table.len() as u64,
-            table.schema().row_width() as u64,
-            counters,
-        );
+        let shape = format!("merge {op:?} over {:?}", partials[0].schema());
+        let work = MergeWork { op, partials };
+        let traced = self.merge_memo.trace(&shape, &work);
+        let table = traced.output?;
+        self.merge_memo.commit(&traced.update);
         Ok(Merged {
             rows: Rows::from_wide(table),
-            span,
-            digest,
-            events,
-            counters,
+            counters: traced.trace.counters,
+            span: traced.trace,
+            digest: traced.digest,
+            events: traced.events,
         })
     }
 

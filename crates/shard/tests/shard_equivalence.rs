@@ -61,10 +61,44 @@ fn register_all(c: &Coordinator) {
     c.register_wide_table("lineitem", lineitem).unwrap();
 }
 
+/// Re-register every fixture with different contents of the same public
+/// shape: row `i` keeps its key (so partitions, join sizes and group
+/// counts are unchanged) and stays on its side of every filter threshold
+/// in [`plan_matrix`], while every other column value changes.
+fn register_twisted(c: &Coordinator) {
+    let pairs = |t: Table| Table::from_pairs(t.iter().map(|e| (e.key, e.value ^ 1)));
+    c.register_table("facts", pairs(facts())).unwrap();
+    c.register_table("dims", pairs(dims())).unwrap();
+    let (orders, lineitem) = wide_fixtures();
+    let rewrite = |t: &WideTable, twist: &dyn Fn(&mut Vec<Value>)| {
+        let rows = (0..t.len()).map(|i| {
+            let mut row = t.row_values(i);
+            twist(&mut row);
+            row
+        });
+        WideTable::from_rows(t.schema().clone(), rows).unwrap()
+    };
+    // orders: {o_key, price, priority, urgent, region} — new prices.
+    let orders = rewrite(&orders, &|row| row[1] = Value::U64(7));
+    // lineitem: {o_key, qty, tax, part} — `qty` is filtered on, keep it.
+    let lineitem = rewrite(&lineitem, &|row| row[2] = Value::I64(-1));
+    c.register_wide_table("orders", orders).unwrap();
+    c.register_wide_table("lineitem", lineitem).unwrap();
+}
+
 fn coordinator(shards: usize) -> Coordinator {
+    coordinator_with(shards, true)
+}
+
+fn coordinator_with(shards: usize, result_cache: bool) -> Coordinator {
     let c = Coordinator::new(ShardConfig {
         shards,
         partitioned: vec!["facts".into(), "lineitem".into()],
+        engine: EngineConfig {
+            workers: 1,
+            result_cache,
+            ..EngineConfig::default()
+        },
         ..ShardConfig::default()
     });
     register_all(&c);
@@ -208,6 +242,62 @@ fn every_operator_matches_the_oracle_at_1_2_and_4_shards() {
         for ((plan, got), want) in plans.iter().zip(&got).zip(&want) {
             assert_equivalent(&c, plan, got, want);
         }
+    }
+}
+
+#[test]
+fn digest_memo_serves_exactly_what_tracing_would_at_1_2_and_4_shards() {
+    let requests: Vec<QueryRequest> = plan_matrix()
+        .iter()
+        .enumerate()
+        .map(|(i, p)| QueryRequest::new(format!("q{i}"), p.clone()))
+        .collect();
+    /// `(hits, misses)` of the merge memo and of shard 0's engine memo.
+    fn memo_counts(c: &Coordinator) -> [(u64, u64); 2] {
+        let merge = c.metrics().snapshot();
+        let shard0 = c.shard_engine(0).metrics().snapshot();
+        [
+            (
+                merge.counter("shard_merge_digest_memo_hits_total", &[]),
+                merge.counter("shard_merge_digest_memo_misses_total", &[]),
+            ),
+            (
+                shard0.counter("engine_digest_memo_hits_total", &[]),
+                shard0.counter("engine_digest_memo_misses_total", &[]),
+            ),
+        ]
+    }
+    for shards in [1, 2, 4] {
+        // Result caches off, so the second round re-executes everywhere.
+        let memo = coordinator_with(shards, false);
+        memo.execute_batch(&requests).unwrap();
+        let [cold_merge, cold_shard0] = memo_counts(&memo);
+        // Same public shapes, contents no memo has traced: shard engines
+        // and the merge all serve from their memos (no new miss anywhere) …
+        register_twisted(&memo);
+        let served = memo.execute_batch(&requests).unwrap();
+        let [merge, shard0] = memo_counts(&memo);
+        assert_eq!((merge.1, shard0.1), (cold_merge.1, cold_shard0.1));
+        assert!(merge.0 > cold_merge.0 && shard0.0 > cold_shard0.0);
+        let scattered = memo.metrics().snapshot().counter("shard_merges_total", &[]);
+        assert_eq!(merge.0 + merge.1, scattered, "every merge used the memo");
+        // … and what they serve is what a cold coordinator, really tracing
+        // those contents, reports.
+        let reference = coordinator_with(shards, false);
+        register_twisted(&reference);
+        let real = reference.execute_batch(&requests).unwrap();
+        for (s, r) in served.iter().zip(&real) {
+            let context = format!("{} at {shards} shards", s.label);
+            assert_eq!(s.rows, r.rows, "{context}");
+            assert_eq!(s.summary.trace_digest, r.summary.trace_digest, "{context}");
+            assert_eq!(s.summary.trace_events, r.summary.trace_events, "{context}");
+            assert_eq!(s.summary.counters, r.summary.counters, "{context}");
+            assert_eq!(s.summary.shard_partitions, r.summary.shard_partitions);
+        }
+        let snap = memo.metrics().snapshot();
+        assert_eq!(snap.counter("shard_merge_digest_mismatch_total", &[]), 0);
+        let shard0 = memo.shard_engine(0).metrics().snapshot();
+        assert_eq!(shard0.counter("engine_digest_mismatch_total", &[]), 0);
     }
 }
 

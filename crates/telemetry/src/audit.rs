@@ -3,7 +3,7 @@
 //! JODES-style leakage accounting: alongside its result, every executed
 //! query deposits a record of **exactly what the execution revealed** — the
 //! public input sizes, the padded output bound, operation counts of the
-//! data-independent pipeline, carry widths and the chained trace digest.
+//! data-independent pipeline, carry widths and the trace digest.
 //! Everything in a record is a function of public parameters; there are no
 //! timestamps and no data values, so the audit stream itself is
 //! content-independent (and the test suites compare exports across runs

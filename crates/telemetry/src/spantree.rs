@@ -82,6 +82,15 @@ impl SpanNode {
         }
     }
 
+    /// Append a [`synthetic_span`] as the last child, for work measured
+    /// after this span closed (e.g. the engine's `trace_audit` re-trace):
+    /// `total_ns` grows by the same amount, so `self_ns` and the timing
+    /// invariants are untouched.
+    pub fn append_synthetic(&mut self, name: impl Into<String>, total_ns: u64) {
+        self.total_ns += total_ns;
+        self.children.push(synthetic_span(name, total_ns));
+    }
+
     /// Number of spans in the tree (this node included).
     pub fn span_count(&self) -> usize {
         1 + self
@@ -448,6 +457,16 @@ mod tests {
         assert_eq!(tree.children[0].name, "queue_wait");
         assert_eq!(tree.children[0].total_ns, 1234);
         assert_eq!(tree.children[1].name, "scan");
+        assert!(tree.timing_is_consistent());
+    }
+
+    #[test]
+    fn appended_synthetic_spans_extend_the_parent() {
+        let mut tree = sample_tree();
+        let (total, own) = (tree.total_ns, tree.self_ns);
+        tree.append_synthetic("trace_audit", 500);
+        assert_eq!(tree.children.last().unwrap().name, "trace_audit");
+        assert_eq!((tree.total_ns, tree.self_ns), (total + 500, own));
         assert!(tree.timing_is_consistent());
     }
 

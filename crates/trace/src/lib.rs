@@ -16,7 +16,7 @@
 //! |------|-----|
 //! | [`NullSink`] | timing runs — zero recording overhead |
 //! | [`CollectingSink`] | full logs for Figure 7 and small-`n` trace-equality tests |
-//! | [`HashingSink`] | the paper's chained SHA-256 trace fingerprint for large `n` |
+//! | [`HashingSink`] | streamed SHA-256 trace fingerprint for large `n` (the paper's §6.1 experiment) |
 //! | [`CountingSink`] | read/write totals per array |
 //! | [`TeeSink`] | fan out to two sinks at once |
 //!

@@ -9,9 +9,13 @@
 //!   nothing after inlining),
 //! * [`CollectingSink`] — keep the full log (Figure 7, small-`n` trace
 //!   equality tests),
-//! * [`HashingSink`] — keep only a chained SHA-256 fingerprint of the log
-//!   (the paper's large-`n` obliviousness experiment),
+//! * [`HashingSink`] — keep only a SHA-256 fingerprint of the log (the
+//!   paper's large-`n` obliviousness experiment),
 //! * [`CountingSink`] — keep per-array read/write totals (cost accounting).
+//!
+//! [`HashingSink`] does not chain a hash per event: it serialises each sink
+//! call as one fixed-layout record and streams the records through a
+//! single running SHA-256 (format and rationale on the type).
 
 use crate::access::{Access, AccessKind, ArrayId, TraceEvent};
 use crate::sha256::Sha256;
@@ -109,16 +113,39 @@ impl TraceSink for CollectingSink {
     }
 }
 
-/// Maintains the chained hash `H ← SHA-256(H ‖ r ‖ t ‖ i)` over the access
-/// stream, exactly as in the paper's §6.1 experiment, so traces of arbitrary
-/// length can be compared in constant space.
+/// Streams the access log through one running SHA-256, so traces of
+/// arbitrary length can be compared in constant space — the role the
+/// chained hash `H ← SHA-256(H ‖ r ‖ t ‖ i)` plays in the paper's §6.1
+/// experiment.
 ///
-/// Allocation events are folded in as well (with a distinguishing tag byte)
-/// so that two programs allocating different-shaped scratch space cannot
-/// collide by accident.
+/// Every sink call becomes one fixed-layout little-endian record, fed to
+/// the hasher in program order:
+///
+/// | call | bytes | layout |
+/// |------|-------|--------|
+/// | read / write | 13 | `array:u32 ‖ tag:u8 (0 read, 1 write) ‖ index:u64` |
+/// | alloc | 13 | `array:u32 ‖ tag:u8 (2) ‖ len:u64` |
+/// | read / write run | 21 | `array:u32 ‖ tag:u8 (3 read, 4 write) ‖ start:u64 ‖ count:u64` |
+///
+/// The tag byte sits at offset 4 of every record and fixes the record's
+/// length, so the concatenation parses back into exactly one event
+/// sequence: two different sequences are two different messages, and equal
+/// digests mean equal traces up to a SHA-256 collision.  That is the only
+/// property the paper uses its per-event chain for — comparing the traces
+/// of two runs — so the streamed digest is interchangeable with the chain
+/// *for comparison*, while costing one compression per 64 bytes of records
+/// (about five events) instead of one compression, one 32-byte state
+/// re-absorb and one padding pass per event.  Digest *values* differ from
+/// the chained form; nothing compares digests across the two.
+///
+/// Allocation events are folded in (tag 2) so that two programs allocating
+/// different-shaped scratch space cannot collide by accident.
+/// [`events`](HashingSink::events) counts *accesses represented* — one per
+/// single event, `count` per coalesced run — so event totals stay
+/// comparable between batched and per-element emission.
 #[derive(Debug, Clone)]
 pub struct HashingSink {
-    state: [u8; 32],
+    hasher: Sha256,
     events: u64,
 }
 
@@ -129,66 +156,61 @@ impl Default for HashingSink {
 }
 
 impl HashingSink {
-    /// Start from the all-zero state `H = 0`, as the paper does.
+    /// Start from the empty record stream.
     pub fn new() -> Self {
         HashingSink {
-            state: [0u8; 32],
+            hasher: Sha256::new(),
             events: 0,
         }
     }
 
-    /// The current chained digest.
+    /// The digest of the record stream so far.  Finalises a copy of the
+    /// running hasher, so recording can continue afterwards.
     pub fn digest(&self) -> [u8; 32] {
-        self.state
+        self.hasher.clone().finalize()
     }
 
-    /// The current chained digest rendered as hex.
+    /// The current digest rendered as hex.
     pub fn digest_hex(&self) -> String {
-        Sha256::hex(&self.state)
+        Sha256::hex(&self.digest())
     }
 
     /// How many events have been folded into the digest.
     pub fn events(&self) -> u64 {
         self.events
     }
+
+    /// Absorb one record: `array ‖ tag ‖ words…`, tag byte at offset 4.
+    #[inline]
+    fn absorb<const N: usize>(&mut self, array: ArrayId, tag: u8, words: &[u64]) {
+        let mut record = [0u8; N];
+        record[..4].copy_from_slice(&array.0.to_le_bytes());
+        record[4] = tag;
+        for (slot, word) in record[5..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
+        self.hasher.update(&record);
+    }
 }
 
 impl TraceSink for HashingSink {
     fn record(&mut self, event: TraceEvent) {
-        let mut h = Sha256::new();
-        h.update(&self.state);
         match event {
-            TraceEvent::Access(a) => {
-                h.update(&a.array.0.to_le_bytes());
-                h.update(&[a.kind.as_byte()]);
-                h.update(&a.index.to_le_bytes());
-            }
-            TraceEvent::Alloc { array, len } => {
-                h.update(&array.0.to_le_bytes());
-                // Tag byte 2 distinguishes allocations from reads (0) and
-                // writes (1).
-                h.update(&[2u8]);
-                h.update(&len.to_le_bytes());
-            }
+            TraceEvent::Access(a) => self.absorb::<13>(a.array, a.kind.as_byte(), &[a.index]),
+            // Tag byte 2 distinguishes allocations from reads (0) and
+            // writes (1).
+            TraceEvent::Alloc { array, len } => self.absorb::<13>(array, 2, &[len]),
         }
-        self.state = h.finalize();
         self.events += 1;
     }
 
-    /// Batched absorption: one chained SHA-256 update per coalesced run
-    /// instead of one per access.  The run is hashed as
-    /// `H ← SHA-256(H ‖ r ‖ tag ‖ start ‖ count)` with tag bytes 3 (read
-    /// run) / 4 (write run), domain-separated from single accesses (0/1)
-    /// and allocations (2).  Since run boundaries are a function of public
+    /// Batched absorption: one 21-byte record per coalesced run instead of
+    /// one 13-byte record per access, with tag bytes 3 (read run) / 4
+    /// (write run), domain-separated from single accesses (0/1) and
+    /// allocations (2).  Since run boundaries are a function of public
     /// parameters only, the batched digest remains one too.
     fn record_run(&mut self, kind: AccessKind, array: ArrayId, start: u64, count: u64) {
-        let mut h = Sha256::new();
-        h.update(&self.state);
-        h.update(&array.0.to_le_bytes());
-        h.update(&[3 + kind.as_byte()]);
-        h.update(&start.to_le_bytes());
-        h.update(&count.to_le_bytes());
-        self.state = h.finalize();
+        self.absorb::<21>(array, 3 + kind.as_byte(), &[start, count]);
         // `events` keeps counting *accesses represented*, so event totals
         // stay comparable between batched and per-element emission.
         self.events += count;
@@ -483,6 +505,33 @@ mod tests {
         let mut single = HashingSink::new();
         single.record(TraceEvent::Access(Access::read(ArrayId(0), 4)));
         assert_ne!(run(AccessKind::Read, 4, 1).0, single.digest());
+    }
+
+    #[test]
+    fn hashing_sink_digest_is_sha256_of_the_documented_record_stream() {
+        let mut sink = HashingSink::new();
+        assert_eq!(sink.digest(), Sha256::digest(b""));
+        sink.record(TraceEvent::Alloc {
+            array: ArrayId(7),
+            len: 9,
+        });
+        sink.record(TraceEvent::Access(Access::write(ArrayId(7), 3)));
+        // Reading the digest mid-run finalises a copy: recording continues.
+        let midway = sink.digest();
+        sink.record_run(AccessKind::Read, ArrayId(7), 2, 6);
+
+        let mut stream = Vec::new();
+        for (tag, words) in [(2u8, vec![9u64]), (1, vec![3]), (3, vec![2, 6])] {
+            stream.extend_from_slice(&7u32.to_le_bytes());
+            stream.push(tag);
+            for word in words {
+                stream.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        assert_eq!(stream.len(), 13 + 13 + 21);
+        assert_eq!(midway, Sha256::digest(&stream[..26]));
+        assert_eq!(sink.digest(), Sha256::digest(&stream));
+        assert_eq!(sink.events(), 1 + 1 + 6);
     }
 
     #[test]

@@ -17,7 +17,9 @@ fn loaded_engine(workers: usize) -> Engine {
 
 /// Like [`loaded_engine`], with the result cache off — used by the tests
 /// whose point is that *re-execution* is bit-identical (a cache hit would
-/// trivially compare a payload with itself).
+/// trivially compare a payload with itself).  For the same reason those
+/// tests build one engine per compared run: a repeated shape on one engine
+/// is served its digest from the memo, a fresh engine really traces it.
 fn loaded_engine_uncached(workers: usize) -> Engine {
     loaded_engine_with(EngineConfig {
         workers,
@@ -69,16 +71,16 @@ const MIXED_QUERIES: [&str; 9] = [
 /// path agrees too.
 #[test]
 fn concurrent_batch_matches_direct_resolved_execution() {
-    // Cache off: the batch and the serial run must both genuinely
-    // execute for the bit-for-bit comparison to mean anything.
-    let engine = loaded_engine_uncached(4);
+    // One cold engine per run: the batch and the serial run must both
+    // genuinely execute and trace for the bit-for-bit comparison to mean
+    // anything.
     let requests: Vec<QueryRequest> = MIXED_QUERIES
         .iter()
         .map(|q| QueryRequest::new(*q, parse_query(q).unwrap()))
         .collect();
 
-    let concurrent = engine.execute_batch(&requests).unwrap();
-    let serial = engine.execute_serial(&requests).unwrap();
+    let concurrent = loaded_engine_uncached(4).execute_batch(&requests).unwrap();
+    let serial = loaded_engine_uncached(4).execute_serial(&requests).unwrap();
     assert_eq!(concurrent.len(), MIXED_QUERIES.len());
 
     // Reference: resolve each plan by hand against an identical catalog and
@@ -277,17 +279,21 @@ fn results_are_independent_of_worker_count() {
 /// same whether it runs alone or co-scheduled with seven other queries.
 #[test]
 fn trace_digest_is_independent_of_coscheduled_queries() {
-    // Cache off: the co-scheduled run must re-execute the probe, not
-    // replay the alone run's cached payload.
-    let engine = loaded_engine_uncached(4);
+    // One cold engine per run: the co-scheduled run must re-execute and
+    // re-trace the probe, not replay the alone run's cached payload or
+    // memoised digest.
     let probe = "JOIN orders lineitem | FILTER v>=500 | AGG sum";
 
-    let alone = engine.execute_text_batch(&[probe]).unwrap();
+    let alone = loaded_engine_uncached(4)
+        .execute_text_batch(&[probe])
+        .unwrap();
     let alone_digest = &alone[0].summary.trace_digest;
 
     let mut crowded_queries = vec![probe];
     crowded_queries.extend(&MIXED_QUERIES[..7]);
-    let crowded = engine.execute_text_batch(&crowded_queries).unwrap();
+    let crowded = loaded_engine_uncached(4)
+        .execute_text_batch(&crowded_queries)
+        .unwrap();
 
     assert_eq!(
         &crowded[0].summary.trace_digest, alone_digest,
@@ -332,6 +338,10 @@ fn engine_digests_depend_only_on_public_parameters() {
         "digest should be a function of (n1, n2, m) only"
     );
     assert_ne!(responses[0].rows, responses[1].rows);
+    // The plans name different tables, so neither was served the other's
+    // memoised digest: both are real traces.
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.counter("engine_digest_memo_misses_total", &[]), 2);
 }
 
 /// The observability contract at the engine level: every content-classed

@@ -5,8 +5,8 @@
 //! * `power_law` — skewed group sizes (the paper's hard case),
 //! * `wide` — the typed multi-column workload through the column-level
 //!   frontend (`JOIN … ON …`, `FILTER col…`, `AGG agg(col)`); comparing its
-//!   rows against `orders_lineitem` measures the overhead of the schema
-//!   layer over the legacy pair shape,
+//!   rows against `orders_lineitem` measures what wider rows cost over
+//!   the two-column `{key, value}` schema,
 //! * `unified_plan` — the unified-IR operator surface (multi-column join
 //!   carries, `PROJECT`, wide `DISTINCT`/`UNION`, column-keyed semi/anti
 //!   joins, range filters) over the same wide catalog; its cold/warm rows
@@ -148,7 +148,7 @@ const UNIFIED_BATCH_QUERIES: [&str; 16] = [
 
 fn unified_engine_for(workers: usize, result_cache: bool) -> Engine {
     let engine = wide_engine_for(workers, result_cache);
-    // A pair table for the degenerate-schema UNION row.
+    // A `{key, value}` table for the degenerate-schema UNION row.
     let workload = orders_lineitem(64, 8);
     engine.register_table("pairs", workload.left).unwrap();
     engine

@@ -21,7 +21,7 @@
 use std::time::{Duration, Instant};
 
 use obliv_enclave_sim::{EnclaveReport, EnclaveSimulator, EpcConfig};
-use obliv_join::{oblivious_join, oblivious_join_with_tracer, JoinResult};
+use obliv_join::{oblivious_join, oblivious_join_with_tracer};
 use obliv_trace::Tracer;
 use obliv_workloads::{balanced_unique_keys, WorkloadSpec};
 
@@ -106,17 +106,6 @@ pub fn enclave_report(workload: &WorkloadSpec, config: EpcConfig) -> EnclaveRepo
     let tracer = Tracer::new(EnclaveSimulator::new(config));
     let _ = oblivious_join_with_tracer(&tracer, &workload.left, &workload.right);
     tracer.with_sink(|sim| sim.report())
-}
-
-/// Join a workload without tracing and return the result (helper shared by
-/// several binaries).
-pub fn run_plain(workload: &WorkloadSpec) -> JoinResult {
-    oblivious_join(&workload.left, &workload.right)
-}
-
-/// Format a duration in seconds with millisecond resolution.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:8.3}", d.as_secs_f64())
 }
 
 /// Fit the exponent `b` of a power law `y ≈ a·x^b` through two measured

@@ -13,22 +13,6 @@ use obliv_join::Table;
 
 use crate::error::EngineError;
 
-/// One registered table: the legacy pair shape, or a typed wide table.
-#[derive(Debug, Clone)]
-enum Registered {
-    Pair(Table),
-    Wide(WideTable),
-}
-
-impl Registered {
-    fn rows(&self) -> usize {
-        match self {
-            Registered::Pair(t) => t.len(),
-            Registered::Wide(t) => t.len(),
-        }
-    }
-}
-
 /// Public metadata of one registered table.
 ///
 /// Everything here is information the paper's adversary already observes
@@ -41,18 +25,18 @@ pub struct TableMeta {
     /// Number of rows — public by the paper's definition of the input sizes
     /// `n₁`, `n₂`.
     pub rows: usize,
-    /// The table's schema, for wide tables; `None` for legacy pair-shaped
-    /// tables (whose implicit schema is `{key: u64, value: u64}`).
-    pub schema: Option<Arc<Schema>>,
+    /// The table's schema (`{key: u64, value: u64}` for a table registered
+    /// from a pair-shaped [`Table`]).
+    pub schema: Arc<Schema>,
 }
 
 /// A registry of named tables that query plans reference by name.
 ///
-/// Tables come in two shapes: the legacy `(u64, u64)` pair shape
-/// ([`register`](Catalog::register)) and typed wide tables
-/// ([`register_wide`](Catalog::register_wide)).  Wide plans can read both
-/// (a pair table is the degenerate `{key, value}` schema); pair plans can
-/// only read pair tables.
+/// The catalog stores one kind of table, the typed [`WideTable`].
+/// [`register`](Catalog::register) is constructor sugar for the paper's
+/// `(key, value)` shape: it encodes the [`Table`] once, under the
+/// degenerate [`Schema::pair`] schema, and stores the result like any
+/// other wide table.
 ///
 /// ```
 /// use obliv_engine::Catalog;
@@ -65,13 +49,12 @@ pub struct TableMeta {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Registered>,
+    tables: BTreeMap<String, WideTable>,
     /// Monotone content-version counter: bumped by every mutation that
-    /// changes the registered tables ([`register`](Catalog::register) and
-    /// every successful [`deregister`](Catalog::deregister)).  Result
-    /// caches key on `(plan, epoch)`, so any catalog change invalidates
-    /// every cached result at once — coarse, but cheap and obviously
-    /// correct.
+    /// changes the registered tables (every registration and every
+    /// successful [`deregister`](Catalog::deregister)).  Result caches key
+    /// on `(plan, epoch)`, so any catalog change invalidates every cached
+    /// result at once — coarse, but cheap and obviously correct.
     epoch: u64,
 }
 
@@ -88,38 +71,25 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a pair-shaped `table` under `name`, replacing any previous
-    /// table of that name (the previous table is returned if it was also
-    /// pair-shaped).
+    /// Register a pair-shaped `table` under `name` (encoded once, here,
+    /// under [`Schema::pair`]), replacing and returning any previous table
+    /// of that name.
     pub fn register(
         &mut self,
         name: impl Into<String>,
         table: Table,
-    ) -> Result<Option<Table>, EngineError> {
-        Ok(match self.insert(name.into(), Registered::Pair(table))? {
-            Some(Registered::Pair(t)) => Some(t),
-            _ => None,
-        })
+    ) -> Result<Option<WideTable>, EngineError> {
+        self.register_wide(name, WideTable::from_pair(&table))
     }
 
-    /// Register a wide `table` under `name`, replacing any previous table
-    /// of that name (the previous table is returned if it was also wide).
+    /// Register `table` under `name`, replacing and returning any previous
+    /// table of that name.
     pub fn register_wide(
         &mut self,
         name: impl Into<String>,
         table: WideTable,
     ) -> Result<Option<WideTable>, EngineError> {
-        Ok(match self.insert(name.into(), Registered::Wide(table))? {
-            Some(Registered::Wide(t)) => Some(t),
-            _ => None,
-        })
-    }
-
-    fn insert(
-        &mut self,
-        name: String,
-        table: Registered,
-    ) -> Result<Option<Registered>, EngineError> {
+        let name = name.into();
         if !name_is_valid(&name) {
             return Err(EngineError::InvalidTableName { name });
         }
@@ -127,19 +97,14 @@ impl Catalog {
         Ok(self.tables.insert(name, table))
     }
 
-    /// Remove the table registered under `name`, whatever its shape.  The
-    /// removed table is returned when it was pair-shaped (use
-    /// [`get_wide`](Catalog::get_wide) before deregistering to recover a
-    /// wide table's contents).
-    pub fn deregister(&mut self, name: &str) -> Option<Table> {
+    /// Remove and return the table registered under `name`; `None` (and no
+    /// epoch bump) iff no such table was registered.
+    pub fn deregister(&mut self, name: &str) -> Option<WideTable> {
         let removed = self.tables.remove(name);
         if removed.is_some() {
             self.epoch += 1;
         }
-        match removed {
-            Some(Registered::Pair(t)) => Some(t),
-            _ => None,
-        }
+        removed
     }
 
     /// The catalog's current epoch: a counter bumped by every content
@@ -149,71 +114,25 @@ impl Catalog {
         self.epoch
     }
 
-    /// `true` iff a table of either shape is registered under `name` —
-    /// the shape-agnostic existence check (a pair-typed
-    /// [`deregister`](Catalog::deregister) returning `None` does *not*
-    /// mean the name was unknown; it may have removed a wide table).
-    pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
+    /// The table registered under `name`, if any.
+    pub fn get(&self, name: &str) -> Option<&WideTable> {
+        self.tables.get(name)
     }
 
-    /// The pair-shaped table registered under `name`, if any (`None` for
-    /// wide tables).
-    pub fn get(&self, name: &str) -> Option<&Table> {
-        match self.tables.get(name) {
-            Some(Registered::Pair(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The wide table registered under `name`, if any (`None` for pair
-    /// tables — use [`resolve_wide`](Catalog::resolve_wide) to read a pair
-    /// table through its degenerate wide schema).
-    pub fn get_wide(&self, name: &str) -> Option<&WideTable> {
-        match self.tables.get(name) {
-            Some(Registered::Wide(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Like [`get`](Catalog::get), but returning the engine's resolution
-    /// errors: unknown tables and wide tables referenced by pair plans are
-    /// both reported.
-    pub fn resolve(&self, name: &str) -> Result<&Table, EngineError> {
-        match self.tables.get(name) {
-            Some(Registered::Pair(t)) => Ok(t),
-            Some(Registered::Wide(_)) => Err(EngineError::WideTableInScalarPlan {
-                name: name.to_string(),
-            }),
-            None => Err(EngineError::UnknownTable {
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    /// Resolve `name` for a wide plan.  Wide tables resolve to a cheap
-    /// clone (an `Arc` bump); pair tables are wrapped on the fly in the
-    /// degenerate `{key: u64, value: u64}` schema, so wide queries can read
-    /// legacy tables too.
-    pub fn resolve_wide(&self, name: &str) -> Result<WideTable, EngineError> {
-        match self.tables.get(name) {
-            Some(Registered::Wide(t)) => Ok(t.clone()),
-            Some(Registered::Pair(t)) => Ok(WideTable::from_pair(t)),
-            None => Err(EngineError::UnknownTable {
-                name: name.to_string(),
-            }),
-        }
+    /// Like [`get`](Catalog::get), but an unknown name is the engine's
+    /// typed [`EngineError::UnknownTable`].
+    pub fn resolve(&self, name: &str) -> Result<&WideTable, EngineError> {
+        self.get(name).ok_or_else(|| EngineError::UnknownTable {
+            name: name.to_string(),
+        })
     }
 
     /// Public metadata for `name`, if registered.
     pub fn meta(&self, name: &str) -> Option<TableMeta> {
         self.tables.get(name).map(|t| TableMeta {
             name: name.to_string(),
-            rows: t.rows(),
-            schema: match t {
-                Registered::Pair(_) => None,
-                Registered::Wide(w) => Some(w.schema_handle()),
-            },
+            rows: t.len(),
+            schema: t.schema_handle(),
         })
     }
 
@@ -256,7 +175,7 @@ mod tests {
             Some(TableMeta {
                 name: "orders".into(),
                 rows: 3,
-                schema: None
+                schema: Arc::new(Schema::pair()),
             })
         );
         assert_eq!(c.meta("lineitem"), None);
@@ -313,31 +232,19 @@ mod tests {
         c.register_wide("orders", wide(3)).unwrap();
         let meta = c.meta("orders").unwrap();
         assert_eq!(meta.rows, 3);
-        assert_eq!(
-            meta.schema.as_ref().unwrap().column_names(),
-            vec!["id", "p"]
-        );
-        // Pair accessors refuse the wide entry with a typed error.
-        assert!(c.get("orders").is_none());
-        assert_eq!(
-            c.resolve("orders").unwrap_err(),
-            EngineError::WideTableInScalarPlan {
-                name: "orders".into()
-            }
-        );
-        // Wide accessors see it.
-        assert_eq!(c.get_wide("orders").unwrap().len(), 3);
-        assert_eq!(c.resolve_wide("orders").unwrap().len(), 3);
+        assert_eq!(meta.schema.column_names(), vec!["id", "p"]);
+        assert_eq!(c.get("orders").unwrap().len(), 3);
+        assert_eq!(c.resolve("orders").unwrap().len(), 3);
     }
 
     #[test]
     fn pair_tables_resolve_wide_through_degenerate_schema() {
         let mut c = Catalog::new();
         c.register("orders", t(2)).unwrap();
-        let as_wide = c.resolve_wide("orders").unwrap();
-        assert_eq!(as_wide.schema().column_names(), vec!["key", "value"]);
-        assert_eq!(as_wide.len(), 2);
-        assert!(c.get_wide("orders").is_none(), "get_wide is shape-strict");
+        let stored = c.resolve("orders").unwrap();
+        assert_eq!(stored, &WideTable::from_pair(&t(2)));
+        assert_eq!(stored.schema().column_names(), vec!["key", "value"]);
+        assert_eq!(c.meta("orders").unwrap().schema.row_width(), 16);
     }
 
     #[test]
@@ -345,18 +252,14 @@ mod tests {
         let mut c = Catalog::new();
         c.register("x", t(2)).unwrap();
         let epoch = c.epoch();
-        // Pair → wide replacement: previous pair table is not returned
-        // through the wide-typed slot.
-        assert_eq!(c.register_wide("x", wide(4)).unwrap(), None);
+        // A pair-registered table replaced by a wider one: the previous
+        // table comes back, whichever way it was registered.
+        let previous = c.register_wide("x", wide(4)).unwrap();
+        assert_eq!(previous, Some(WideTable::from_pair(&t(2))));
         assert_eq!(c.epoch(), epoch + 1);
+        assert_eq!(c.get("x").unwrap().schema().column_names(), vec!["id", "p"]);
+        assert_eq!(c.deregister("x"), Some(wide(4)));
         assert!(c.get("x").is_none());
-        assert_eq!(c.get_wide("x").unwrap().len(), 4);
-        // Wide removal returns None from the pair-typed deregister but
-        // still removes and bumps; `contains` is the shape-agnostic check.
-        assert!(c.contains("x"));
-        assert!(c.deregister("x").is_none());
-        assert!(!c.contains("x"));
-        assert!(c.get_wide("x").is_none());
         assert_eq!(c.epoch(), epoch + 2);
     }
 

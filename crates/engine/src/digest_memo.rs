@@ -202,7 +202,7 @@ impl DigestMemo {
     /// Execute `work` and produce its trace digest as the [module
     /// docs](self) describe.  `plan` is the public description of what
     /// `work` computes (canonical plan text plus whatever else public the
-    /// lowering consumed); the revealed sizes come from the span tree.
+    /// resolution consumed); the revealed sizes come from the span tree.
     ///
     /// Reads the memo but never changes it: the returned
     /// [`Traced::update`] does that, through [`commit`](DigestMemo::commit).

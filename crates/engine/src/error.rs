@@ -36,12 +36,6 @@ pub enum EngineError {
         /// What went wrong, with enough context to fix the query.
         message: String,
     },
-    /// A pair-shaped accessor ([`Catalog::resolve`](crate::Catalog::resolve))
-    /// was pointed at a table registered with a wide schema.
-    WideTableInScalarPlan {
-        /// The wide table's name.
-        name: String,
-    },
     /// A plan failed schema validation (unknown column, type mismatch,
     /// non-aggregatable column, carry overflow, …).
     Wide(WideError),
@@ -104,11 +98,6 @@ impl fmt::Display for EngineError {
             EngineError::Parse { query, message } => {
                 write!(f, "cannot parse query `{query}`: {message}")
             }
-            EngineError::WideTableInScalarPlan { name } => write!(
-                f,
-                "table `{name}` has a wide schema; query it with column syntax \
-                 (e.g. `JOIN a b ON key`, `FILTER col>=N`, `AGG sum(col)`)"
-            ),
             EngineError::Wide(e) => write!(f, "{e}"),
             EngineError::DeadlineExceeded { label } => {
                 write!(f, "query `{label}` exceeded its deadline before completing")

@@ -329,8 +329,7 @@ impl TracedWork for PlanWork<'_> {
     fn run<S: TraceSink>(&self, tracer: &Tracer<S>) -> (Rows, SpanNode) {
         let mut recorder = SpanRecorder::new("query", tracer.counters());
         // Resolution already validated the whole plan, so execution cannot
-        // fail — pair-lowered plans run the legacy kernel, everything else
-        // the wide operators.  With a parallelism context installed the
+        // fail.  With a parallelism context installed the
         // plan's partitionable passes fan out over the pool; the folded
         // trace (and therefore the digest) is bit-identical either way.
         // Span recording observes operator boundaries without touching the
@@ -644,26 +643,21 @@ impl Engine {
         }
     }
 
-    /// Register `table` under `name`, replacing (and returning) any
-    /// previous table of that name.  Bumps the catalog epoch, invalidating
-    /// every cached result.
+    /// Register a pair-shaped `table` under `name` — constructor sugar for
+    /// [`register_wide_table`](Engine::register_wide_table): the table is
+    /// encoded once, here, under the degenerate `{key: u64, value: u64}`
+    /// schema.  Replaces (and returns) any previous table of that name.
     pub fn register_table(
         &self,
         name: impl Into<String>,
         table: Table,
-    ) -> Result<Option<Table>, EngineError> {
-        let replaced = self
-            .catalog
-            .write()
-            .expect("catalog lock poisoned")
-            .register(name, table)?;
-        self.clear_result_cache();
-        Ok(replaced)
+    ) -> Result<Option<WideTable>, EngineError> {
+        self.register_wide_table(name, WideTable::from_pair(&table))
     }
 
-    /// Register a wide (typed, multi-column) `table` under `name`,
-    /// replacing (and returning) any previous wide table of that name.
-    /// Bumps the catalog epoch, invalidating every cached result.
+    /// Register `table` under `name`, replacing (and returning) any
+    /// previous table of that name.  Bumps the catalog epoch, invalidating
+    /// every cached result.
     pub fn register_wide_table(
         &self,
         name: impl Into<String>,
@@ -678,19 +672,16 @@ impl Engine {
         Ok(replaced)
     }
 
-    /// Remove the table registered under `name`, whatever its shape, and
-    /// return it if it was pair-shaped (a removed *wide* table still
-    /// bumps the epoch and invalidates the cache, but yields `None` —
-    /// read it with the catalog's `get_wide` before deregistering if its
-    /// contents matter).
-    pub fn deregister_table(&self, name: &str) -> Option<Table> {
-        let (removed, changed) = {
-            let mut catalog = self.catalog.write().expect("catalog lock poisoned");
-            let before = catalog.epoch();
-            let removed = catalog.deregister(name);
-            (removed, catalog.epoch() != before)
-        };
-        if changed {
+    /// Remove and return the table registered under `name`.  A real removal
+    /// bumps the catalog epoch and invalidates every cached result; an
+    /// unknown name returns `None` and changes nothing.
+    pub fn deregister_table(&self, name: &str) -> Option<WideTable> {
+        let removed = self
+            .catalog
+            .write()
+            .expect("catalog lock poisoned")
+            .deregister(name);
+        if removed.is_some() {
             self.clear_result_cache();
         }
         removed
@@ -852,7 +843,7 @@ impl Engine {
         }
         /// A resolved plan plus its public description for the digest
         /// memo: canonical text and every input's schema, i.e. all the
-        /// lowering consumed besides the (span-recorded) sizes.
+        /// resolution consumed besides the (span-recorded) sizes.
         struct FreshJob {
             slot: usize,
             plan: ResolvedPlan,
@@ -887,10 +878,11 @@ impl Engine {
                         .referenced_tables()
                         .into_iter()
                         .map(|name| {
-                            let meta = catalog.meta(name);
-                            let schema = meta.as_ref().map(|m| &m.schema);
-                            shape.push_str(&format!("\n{name}: {schema:?}"));
-                            (name.to_string(), meta.map_or(0, |m| m.rows as u64))
+                            // Resolution succeeded, so every referenced
+                            // table is registered.
+                            let table = catalog.resolve(name).expect("plan resolved");
+                            shape.push_str(&format!("\n{name}: {:?}", table.schema()));
+                            (name.to_string(), table.len() as u64)
                         })
                         .collect();
                     aux[slot] = Some(FreshAux { resolve, inputs });
@@ -1449,6 +1441,53 @@ mod tests {
         engine.deregister_table("customers");
         let fourth = engine.execute_batch(request).unwrap();
         assert!(!fourth[0].cached);
+    }
+
+    #[test]
+    fn deregister_answers_for_every_table_and_only_removals_invalidate() {
+        use obliv_join::schema::{ColumnType, Schema};
+        let engine = engine(2);
+        let wide = WideTable::from_rows(
+            Schema::new([("id", ColumnType::U64), ("p", ColumnType::I64)]).unwrap(),
+            [vec![Value::U64(1), Value::I64(-1)]],
+        )
+        .unwrap();
+        engine.register_wide_table("typed", wide.clone()).unwrap();
+        let epoch = || engine.catalog.read().unwrap().epoch();
+        let request = &requests()[2..3]; // reads `orders` only
+        engine.execute_batch(request).unwrap();
+
+        // Unknown name: nothing removed, epoch and cache untouched.
+        let before = epoch();
+        assert_eq!(engine.deregister_table("ghost"), None);
+        assert_eq!(epoch(), before);
+        assert!(engine.execute_batch(request).unwrap()[0].cached);
+
+        // A wide-registered table comes back as it went in ...
+        assert_eq!(engine.deregister_table("typed"), Some(wide));
+        assert_eq!(epoch(), before + 1);
+        assert!(!engine.execute_batch(request).unwrap()[0].cached);
+
+        // ... and a pair-registered one as its `{key, value}` encoding.
+        let customers = Table::from_pairs(vec![(1, 7), (2, 7), (3, 9), (4, 9)]);
+        assert_eq!(
+            engine.deregister_table("customers"),
+            Some(WideTable::from_pair(&customers))
+        );
+        assert_eq!(epoch(), before + 2);
+        assert!(!engine.execute_batch(request).unwrap()[0].cached);
+        assert_eq!(engine.deregister_table("customers"), None, "already gone");
+        assert_eq!(epoch(), before + 2);
+    }
+
+    #[test]
+    fn pair_registered_tables_report_the_degenerate_schema() {
+        let engine = engine(1);
+        let meta = engine.table_meta("orders").unwrap();
+        assert_eq!(meta.rows, 4);
+        assert_eq!(*meta.schema, obliv_join::Schema::pair());
+        assert_eq!(meta.schema.row_width(), 16);
+        assert_eq!(engine.list_tables()[1], meta, "listed as it is described");
     }
 
     #[test]

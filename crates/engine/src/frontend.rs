@@ -39,8 +39,8 @@
 //! `AGG agg`, `SWAP`, `DISTINCT`, `UNION t`, `JOIN t [proj]`, `JOINAGG t
 //! jagg` (`proj` := key-left | key-right | left-right | right-left; `jagg`
 //! := count | sumleft | sumright | sumproducts).  `v` and `k` name the
-//! current value/key columns; the compiled plans lower back onto the
-//! pair-shaped kernel, so legacy queries trace exactly as before.
+//! current value/key columns; the compiled plans are ordinary [`Plan`]s
+//! over two-`u64`-column schemas and run like any other.
 //!
 //! A query is parsed as column syntax when any clause uses `ON`,
 //! `PROJECT`, a parenthesised or `BY`-qualified aggregate, or a filter
@@ -58,7 +58,7 @@
 //! ```
 
 use obliv_join::schema::Value;
-use obliv_operators::{Aggregate, JoinAggregate, JoinColumns, Predicate, WidePredicate};
+use obliv_operators::{Aggregate, JoinAggregate, WidePredicate};
 
 use crate::error::EngineError;
 use crate::query::Plan;
@@ -199,7 +199,8 @@ fn is_wide_query(source: &str, stages: &[&str]) -> bool {
                     return !tokens[0].eq_ignore_ascii_case("k");
                 }
                 rest.contains('"')
-                    || (parse_predicate(&rest).is_err() && parse_wide_predicate(&rest).is_ok())
+                    || (parse_predicate(&rest, "k", "v").is_err()
+                        && parse_wide_predicate(&rest).is_ok())
             }
             _ => false,
         }
@@ -516,6 +517,15 @@ fn parse_wide_constant(text: &str) -> Result<Value, String> {
 // Legacy pair syntax (sugar over the same IR)
 // ---------------------------------------------------------------------------
 
+/// The legacy join's projection of `(j, d₁, d₂)` back to two columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JoinColumns {
+    KeyAndLeft,
+    KeyAndRight,
+    LeftAndRight,
+    RightAndLeft,
+}
+
 /// The legacy builder: the plan so far plus the symbolic names of the
 /// current key and value columns.  Legacy sources always start from the
 /// degenerate `{key, value}` schema, and every stage's output naming is
@@ -682,7 +692,7 @@ fn parse_legacy_stage(input: LegacyBuilder, clause: &str) -> Result<LegacyBuilde
     let words: Vec<&str> = words.collect();
     match keyword.as_str() {
         "FILTER" => {
-            let predicate = legacy_predicate(parse_predicate(&words.join(" "))?, &input);
+            let predicate = parse_predicate(&words.join(" "), &input.key, &input.value)?;
             Ok(LegacyBuilder {
                 plan: input.plan.filter(predicate),
                 ..input
@@ -783,19 +793,6 @@ fn parse_legacy_stage(input: LegacyBuilder, clause: &str) -> Result<LegacyBuilde
     }
 }
 
-/// Map a legacy kernel predicate onto the current key/value column names.
-fn legacy_predicate(predicate: Predicate, input: &LegacyBuilder) -> WidePredicate {
-    match predicate {
-        Predicate::True => WidePredicate::True,
-        Predicate::ValueAtLeast(n) => WidePredicate::at_least(&input.value, Value::U64(n)),
-        Predicate::ValueBelow(n) => WidePredicate::below(&input.value, Value::U64(n)),
-        Predicate::KeyEquals(n) => WidePredicate::equals(&input.key, Value::U64(n)),
-        Predicate::KeyInRange(lo, hi) => {
-            WidePredicate::in_range(&input.key, Value::U64(lo), Value::U64(hi))
-        }
-    }
-}
-
 fn parse_projection(word: &str) -> Result<JoinColumns, String> {
     match word.to_ascii_lowercase().as_str() {
         "key-left" => Ok(JoinColumns::KeyAndLeft),
@@ -838,9 +835,9 @@ fn parse_number(text: &str) -> Result<u64, String> {
         .map_err(|_| format!("`{text}` is not an unsigned integer"))
 }
 
-/// Parse a legacy filter predicate: `true`, `v>=N`, `v<N`, `k=N` or
-/// `k in LO..HI`.
-fn parse_predicate(text: &str) -> Result<Predicate, String> {
+/// Parse a legacy filter predicate — `true`, `v>=N`, `v<N`, `k=N` or
+/// `k in LO..HI` — over the current `key` and `value` column names.
+fn parse_predicate(text: &str, key: &str, value: &str) -> Result<WidePredicate, String> {
     // Normalise: lowercase, strip spaces around operators so `v >= 100` and
     // `v>=100` both parse.
     let compact: String = text.to_ascii_lowercase();
@@ -849,7 +846,7 @@ fn parse_predicate(text: &str) -> Result<Predicate, String> {
         return Err("FILTER needs a predicate (true, v>=N, v<N, k=N, k in LO..HI)".into());
     }
     if compact == "true" {
-        return Ok(Predicate::True);
+        return Ok(WidePredicate::True);
     }
 
     // `k in LO..HI` (inclusive bounds).
@@ -866,18 +863,18 @@ fn parse_predicate(text: &str) -> Result<Predicate, String> {
         if lo > hi {
             return Err(format!("empty key range {lo}..{hi}"));
         }
-        return Ok(Predicate::KeyInRange(lo, hi));
+        return Ok(WidePredicate::in_range(key, Value::U64(lo), Value::U64(hi)));
     }
 
     let without_spaces: String = compact.chars().filter(|c| !c.is_whitespace()).collect();
     if let Some(n) = without_spaces.strip_prefix("v>=") {
-        return Ok(Predicate::ValueAtLeast(parse_number(n)?));
+        return Ok(WidePredicate::at_least(value, Value::U64(parse_number(n)?)));
     }
     if let Some(n) = without_spaces.strip_prefix("v<") {
-        return Ok(Predicate::ValueBelow(parse_number(n)?));
+        return Ok(WidePredicate::below(value, Value::U64(parse_number(n)?)));
     }
     if let Some(n) = without_spaces.strip_prefix("k=") {
-        return Ok(Predicate::KeyEquals(parse_number(n)?));
+        return Ok(WidePredicate::equals(key, Value::U64(parse_number(n)?)));
     }
     Err(format!(
         "unknown predicate `{text}` (expected true, v>=N, v<N, k=N or k in LO..HI)"

@@ -50,7 +50,7 @@
 //! |--------|----------|
 //! | [`catalog`] | [`Catalog`], [`TableMeta`] — named tables, public sizes |
 //! | [`query`] | [`Plan`], [`QueryRequest`], [`QueryResponse`], [`Rows`], [`QuerySummary`] |
-//! | [`planner`] | [`ResolvedPlan`] — type-checking, carry selection, pair lowering |
+//! | [`planner`] | [`ResolvedPlan`] — type-checking, carry selection, the wide execution tree |
 //! | [`frontend`] | [`parse_query`], [`parse_statement`] — the pipeline text language and the `EXPLAIN ANALYZE` verb |
 //! | [`executor`] | [`Engine`], [`EngineConfig`], [`CacheStats`] — worker-pool batch execution and the result cache |
 //! | [`digest_memo`] | [`DigestMemo`] — trace digests once per public shape, with periodic re-audits |

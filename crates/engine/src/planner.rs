@@ -1,8 +1,9 @@
-//! The planner: type-checking and lowering of the unified [`Plan`] IR.
+//! The planner: type-checking of the unified [`Plan`] IR.
 //!
 //! Resolution walks the plan tree once, against one catalog snapshot, and
-//! produces a self-contained [`ResolvedPlan`] (table contents are `Arc`
-//! clones).  Three things happen on the way:
+//! produces a self-contained [`ResolvedPlan`] — an execution tree over the
+//! wide operators, the engine's one backend (table contents are `Arc`
+//! clones).  Two things happen on the way:
 //!
 //! 1. **Type-checking** — every column reference, constant, key pair and
 //!    aggregate is validated against the (public) schemas, via the same
@@ -13,21 +14,18 @@
 //!    listed columns, under a `Project`).  The carry sets — and the
 //!    resulting kernel carry width — are a pure function of
 //!    `(plan, catalog schemas)`, both public.
-//! 3. **Pair lowering** — a plan whose every node is *degenerate* (all
-//!    schemas are two `u64` columns and every operator has a legacy
-//!    pair-kernel form) lowers to an [`obliv_operators::QueryPlan`] and
-//!    executes on the pair kernel, producing bit-identical rows and trace
-//!    digests to the legacy API.  Everything else runs on the wide
-//!    operators.
+//!
+//! Plans over the degenerate `{key, value}` schema (the legacy text forms
+//! compile to those) are not special: they take the same path at a carry
+//! width of one word.
 
 use std::sync::Arc;
 
-use obliv_join::schema::{ColumnType, Schema, Value, WideTable};
-use obliv_join::Table;
+use obliv_join::schema::{Schema, WideTable};
 use obliv_operators::{
     self as ops, wide_anti_join, wide_distinct, wide_filter, wide_group_aggregate, wide_join,
     wide_join_aggregate, wide_project, wide_semi_join, wide_union_all, Aggregate, JoinAggregate,
-    JoinColumns, PlanObserver, Predicate, QueryPlan, WideCmp, WideError, WidePredicate,
+    WideError, WidePredicate,
 };
 use obliv_telemetry::SpanRecorder;
 use obliv_trace::{TraceSink, Tracer};
@@ -37,20 +35,12 @@ use crate::error::EngineError;
 use crate::query::{Plan, Rows};
 
 /// An executable, fully validated plan: the output schema, the kernel
-/// carry width, and one of the two backends.
+/// carry width, and the execution tree.
 #[derive(Debug, Clone)]
 pub struct ResolvedPlan {
     schema: Arc<Schema>,
     carry_words: usize,
-    backend: Backend,
-}
-
-#[derive(Debug, Clone)]
-enum Backend {
-    /// Fully degenerate plan, lowered onto the pair-shaped kernel.
-    Pair(QueryPlan),
-    /// Schema-aware execution tree over the wide operators.
-    Wide(WideExec),
+    exec: WideExec,
 }
 
 impl ResolvedPlan {
@@ -63,12 +53,6 @@ impl ResolvedPlan {
     /// kernel words (`0` when the plan has no join).
     pub fn carry_words(&self) -> usize {
         self.carry_words
-    }
-
-    /// `true` iff the plan lowered onto the pair-shaped kernel (and will
-    /// therefore trace exactly as the legacy pair API did).
-    pub fn is_pair_lowered(&self) -> bool {
-        matches!(self.backend, Backend::Pair(_))
     }
 
     /// Execute the resolved plan obliviously, tracing every public-memory
@@ -91,55 +75,21 @@ impl ResolvedPlan {
         tracer: &Tracer<S>,
         recorder: &mut SpanRecorder,
     ) -> Rows {
-        match &self.backend {
-            Backend::Pair(plan) => {
-                let mut observer = PairSpans { tracer, recorder };
-                let table = plan.execute_observed(tracer, &mut observer);
-                Rows::from_pair_with_schema(Arc::clone(&self.schema), &table)
-            }
-            Backend::Wide(exec) => Rows::from_wide(
-                exec.execute(tracer, recorder)
-                    .expect("resolution validated the plan; wide execution cannot fail"),
-            ),
-        }
-    }
-}
-
-/// Adapts the pair kernel's [`PlanObserver`] callbacks onto the engine's
-/// [`SpanRecorder`], snapshotting the tracer's op counters at each
-/// enter/exit so every pair span carries its own counter delta.
-struct PairSpans<'a, S: TraceSink> {
-    tracer: &'a Tracer<S>,
-    recorder: &'a mut SpanRecorder,
-}
-
-impl<S: TraceSink> PlanObserver for PairSpans<'_, S> {
-    fn enter(&mut self, name: &str) {
-        self.recorder.enter(name, "", self.tracer.counters());
-    }
-
-    fn exit(&mut self, input_rows: &[u64], output_rows: u64) {
-        // Every pair-kernel intermediate is the degenerate two-u64 shape:
-        // 16 bytes per row, matching `Schema::row_width` units.
-        self.recorder
-            .exit(input_rows.to_vec(), output_rows, 16, self.tracer.counters());
+        Rows::from_wide(
+            self.exec
+                .execute(tracer, recorder)
+                .expect("resolution validated the plan; execution cannot fail"),
+        )
     }
 }
 
 /// The wide-operator execution tree (resolution already validated it).
 #[derive(Debug, Clone)]
 enum WideExec {
-    /// A wide catalog table (the name is kept for span labelling only).
-    ScanWide {
+    /// A catalog table (the name is kept for span labelling only).
+    Scan {
         name: String,
         table: WideTable,
-    },
-    /// A pair catalog table, read through the degenerate `{key, value}`
-    /// schema at execution time (the conversion is client-side and
-    /// untraced, like building any input table).
-    ScanPair {
-        name: String,
-        table: Table,
     },
     Filter {
         input: Box<WideExec>,
@@ -193,9 +143,7 @@ impl WideExec {
     /// names and plan shape are public parameters).
     fn span_label(&self) -> (&'static str, String) {
         match self {
-            WideExec::ScanWide { name, .. } | WideExec::ScanPair { name, .. } => {
-                ("scan", name.clone())
-            }
+            WideExec::Scan { name, .. } => ("scan", name.clone()),
             WideExec::Filter { predicate, .. } => ("filter", format!("{predicate:?}")),
             WideExec::Project { columns, .. } => ("project", columns.join(",")),
             WideExec::Distinct { .. } => ("distinct", String::new()),
@@ -277,8 +225,7 @@ impl WideExec {
             Ok(out)
         };
         Ok(match self {
-            WideExec::ScanWide { table, .. } => table.clone(),
-            WideExec::ScanPair { table, .. } => WideTable::from_pair(table),
+            WideExec::Scan { table, .. } => table.clone(),
             WideExec::Filter { input, predicate } => {
                 wide_filter(tracer, &child(input, recorder, input_rows)?, predicate)?
             }
@@ -393,74 +340,23 @@ impl Wanted {
     }
 }
 
-/// One checked subtree: its output schema, natural group key, wide
-/// execution tree, optional pair lowering, and the widest join carry.
+/// One checked subtree: its output schema, natural group key, execution
+/// tree and the widest join carry.
 struct Checked {
     schema: Schema,
     natural_key: Option<String>,
     exec: WideExec,
-    pair: Option<QueryPlan>,
-    /// Set when this node is a three-column join of two pair-lowerable
-    /// inputs (both value columns carried): a `Project` directly above it
-    /// can still lower onto the pair kernel with the matching
-    /// [`JoinColumns`] projection (the legacy `left-right`/`right-left`
-    /// forms), keeping their old trace digests.
-    pair_join: Option<PairJoin>,
     carry_words: usize,
-}
-
-/// The pair-lowerable halves of a both-sides-carried join.
-struct PairJoin {
-    left: QueryPlan,
-    right: QueryPlan,
-}
-
-impl Checked {
-    /// Invariant check: pair lowering only exists for degenerate schemas.
-    fn degenerate(&self) -> bool {
-        let cols = self.schema.columns();
-        cols.len() == 2 && cols.iter().all(|c| c.ty() == ColumnType::U64)
-    }
 }
 
 /// Resolve a plan against the catalog (the body of [`Plan::resolve`]).
 pub(crate) fn resolve(plan: &Plan, catalog: &Catalog) -> Result<ResolvedPlan, EngineError> {
     let checked = check(plan, catalog, &Wanted::All)?;
-    debug_assert!(checked.pair.is_none() || checked.degenerate());
     Ok(ResolvedPlan {
         schema: Arc::new(checked.schema),
         carry_words: checked.carry_words,
-        backend: match checked.pair {
-            Some(plan) => Backend::Pair(plan),
-            None => Backend::Wide(checked.exec),
-        },
+        exec: checked.exec,
     })
-}
-
-/// Map a unified predicate onto the legacy pair-kernel [`Predicate`], when
-/// one exists for this (degenerate) schema.
-fn legacy_predicate(schema: &Schema, predicate: &WidePredicate) -> Option<Predicate> {
-    let key = schema.columns()[0].name();
-    let value = schema.columns()[1].name();
-    match predicate {
-        WidePredicate::True => Some(Predicate::True),
-        WidePredicate::Compare {
-            column,
-            cmp,
-            constant: Value::U64(n),
-        } => match cmp {
-            WideCmp::AtLeast if column == value => Some(Predicate::ValueAtLeast(*n)),
-            WideCmp::Below if column == value => Some(Predicate::ValueBelow(*n)),
-            WideCmp::Equals if column == key => Some(Predicate::KeyEquals(*n)),
-            _ => None,
-        },
-        WidePredicate::InRange {
-            column,
-            lo: Value::U64(lo),
-            hi: Value::U64(hi),
-        } if column == key => Some(Predicate::KeyInRange(*lo, *hi)),
-        _ => None,
-    }
 }
 
 /// Assign each wanted column to the join side that owns it.
@@ -566,56 +462,32 @@ fn join_unknown_column(
     ))
 }
 
-/// The recursive type-check / lowering pass.
+/// The recursive type-check pass.
 fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, EngineError> {
     match plan {
         Plan::Scan(name) => {
-            if let Some(pair) = catalog.get(name) {
-                Ok(Checked {
-                    schema: Schema::pair(),
-                    natural_key: None,
-                    exec: WideExec::ScanPair {
-                        name: name.clone(),
-                        table: pair.clone(),
-                    },
-                    pair: Some(QueryPlan::Scan(pair.clone())),
-                    pair_join: None,
-                    carry_words: 0,
-                })
-            } else if let Some(wide) = catalog.get_wide(name) {
-                ops::validate_row_width(wide.schema())?;
-                Ok(Checked {
-                    schema: wide.schema().clone(),
-                    natural_key: None,
-                    exec: WideExec::ScanWide {
-                        name: name.clone(),
-                        table: wide.clone(),
-                    },
-                    pair: None,
-                    pair_join: None,
-                    carry_words: 0,
-                })
-            } else {
-                Err(EngineError::UnknownTable { name: name.clone() })
-            }
+            let table = catalog.resolve(name)?;
+            ops::validate_row_width(table.schema())?;
+            Ok(Checked {
+                schema: table.schema().clone(),
+                natural_key: None,
+                exec: WideExec::Scan {
+                    name: name.clone(),
+                    table: table.clone(),
+                },
+                carry_words: 0,
+            })
         }
 
         Plan::Filter { input, predicate } => {
             let child = check(input, catalog, &wanted.plus(predicate.column()))?;
             predicate.validate(&child.schema)?;
-            let pair = child.pair.as_ref().and_then(|qp| {
-                legacy_predicate(&child.schema, predicate).map(|p| qp.clone().filter(p))
-            });
             Ok(Checked {
                 exec: WideExec::Filter {
                     input: Box::new(child.exec),
                     predicate: predicate.clone(),
                 },
-                schema: child.schema,
-                natural_key: child.natural_key,
-                pair,
-                pair_join: None,
-                carry_words: child.carry_words,
+                ..child
             })
         }
 
@@ -623,44 +495,12 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
             let child = check(input, catalog, &Wanted::cols(columns.iter().cloned()))?;
             let schema = ops::project_output_schema(&child.schema, columns)?;
             if schema == child.schema {
-                // Identity projection: nothing to execute, nothing to
-                // re-lower.
+                // Identity projection: nothing to execute.
                 return Ok(Checked { schema, ..child });
             }
             let natural_key = child
                 .natural_key
                 .filter(|key| columns.iter().any(|c| c == key));
-            let child_cols = child.schema.column_names();
-            // A two-column swap over a pair-lowered child keeps the pair
-            // kernel; so does any two-column pick over a both-sides-carried
-            // pair join (the legacy `JoinColumns` projections).
-            let pair = child
-                .pair
-                .filter(|_| {
-                    columns.len() == 2 && columns[0] == child_cols[1] && columns[1] == child_cols[0]
-                })
-                .map(|qp| qp.swap_columns())
-                .or_else(|| {
-                    let pj = child.pair_join.as_ref()?;
-                    if child_cols.len() != 3 || columns.len() != 2 {
-                        return None;
-                    }
-                    let pick = |a: usize, b: usize| {
-                        columns[0] == child_cols[a] && columns[1] == child_cols[b]
-                    };
-                    let projection = if pick(1, 2) {
-                        JoinColumns::LeftAndRight
-                    } else if pick(2, 1) {
-                        JoinColumns::RightAndLeft
-                    } else if pick(0, 2) {
-                        JoinColumns::KeyAndRight
-                    } else if pick(0, 1) {
-                        JoinColumns::KeyAndLeft
-                    } else {
-                        return None;
-                    };
-                    Some(pj.left.clone().join(pj.right.clone(), projection))
-                });
             Ok(Checked {
                 schema,
                 natural_key,
@@ -668,8 +508,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                     input: Box::new(child.exec),
                     columns: columns.clone(),
                 },
-                pair,
-                pair_join: None,
                 carry_words: child.carry_words,
             })
         }
@@ -682,11 +520,7 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                 exec: WideExec::Distinct {
                     input: Box::new(child.exec),
                 },
-                schema: child.schema,
-                natural_key: child.natural_key,
-                pair: child.pair.map(|qp| qp.distinct()),
-                pair_join: None,
-                carry_words: child.carry_words,
+                ..child
             })
         }
 
@@ -710,11 +544,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                     left: Box::new(l.exec),
                     right: Box::new(r.exec),
                 },
-                pair: match (l.pair, r.pair) {
-                    (Some(a), Some(b)) => Some(a.union_all(b)),
-                    _ => None,
-                },
-                pair_join: None,
                 carry_words: l.carry_words.max(r.carry_words),
             })
         }
@@ -738,32 +567,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                 &carry_right,
             )?;
             let join_words = carry_left.len().max(carry_right.len()).max(1);
-            // Pair lowering: both children degenerate, joined on their key
-            // columns, carrying exactly one value column from one side —
-            // or both value columns, in which case a Project directly
-            // above can still pick a legacy `JoinColumns` projection.
-            let mut pair = None;
-            let mut pair_join = None;
-            if let (Some(lp), Some(rp)) = (&l.pair, &r.pair) {
-                if left_key == l.schema.columns()[0].name()
-                    && right_key == r.schema.columns()[0].name()
-                {
-                    let l_value = l.schema.columns()[1].name();
-                    let r_value = r.schema.columns()[1].name();
-                    if carry_left.is_empty() && carry_right == [r_value.to_string()] {
-                        pair = Some(lp.clone().join(rp.clone(), JoinColumns::KeyAndRight));
-                    } else if carry_right.is_empty() && carry_left == [l_value.to_string()] {
-                        pair = Some(lp.clone().join(rp.clone(), JoinColumns::KeyAndLeft));
-                    } else if carry_left == [l_value.to_string()]
-                        && carry_right == [r_value.to_string()]
-                    {
-                        pair_join = Some(PairJoin {
-                            left: lp.clone(),
-                            right: rp.clone(),
-                        });
-                    }
-                }
-            }
             Ok(Checked {
                 schema,
                 natural_key: Some(left_key.clone()),
@@ -775,8 +578,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                     carry_left,
                     carry_right,
                 },
-                pair,
-                pair_join,
                 carry_words: l.carry_words.max(r.carry_words).max(join_words),
             })
         }
@@ -793,35 +594,19 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
             left_key,
             right_key,
         } => {
-            let keep_matching = matches!(plan, Plan::SemiJoin { .. });
             let l = check(left, catalog, &wanted.plus(Some(left_key)))?;
             let r = check(right, catalog, &Wanted::cols([right_key.clone()]))?;
             ops::validate_membership_keys(&l.schema, &r.schema, left_key, right_key)?;
-            let pair = match (&l.pair, &r.pair) {
-                (Some(lp), Some(rp))
-                    if left_key == l.schema.columns()[0].name()
-                        && right_key == r.schema.columns()[0].name() =>
-                {
-                    Some(if keep_matching {
-                        lp.clone().semi_join(rp.clone())
-                    } else {
-                        lp.clone().anti_join(rp.clone())
-                    })
-                }
-                _ => None,
-            };
             Ok(Checked {
                 exec: WideExec::SemiJoin {
                     left: Box::new(l.exec),
                     right: Box::new(r.exec),
                     left_key: left_key.clone(),
                     right_key: right_key.clone(),
-                    keep_matching,
+                    keep_matching: matches!(plan, Plan::SemiJoin { .. }),
                 },
                 schema: l.schema,
                 natural_key: l.natural_key,
-                pair,
-                pair_join: None,
                 carry_words: l.carry_words.max(r.carry_words),
             })
         }
@@ -847,15 +632,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                 *aggregate,
                 column.as_deref(),
             )?;
-            let pair = child.pair.filter(|_| {
-                let key_col = child.schema.columns()[0].name();
-                let value_col = child.schema.columns()[1].name();
-                let column_ok = match aggregate {
-                    Aggregate::Count => column.is_none() || column.as_deref() == Some(value_col),
-                    _ => column.as_deref() == Some(value_col),
-                };
-                key == key_col && column_ok
-            });
             let natural_key = Some(schema.columns()[0].name().to_string());
             Ok(Checked {
                 schema,
@@ -866,8 +642,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                     column: column.clone(),
                     by: key,
                 },
-                pair: pair.map(|qp| qp.group_aggregate(*aggregate)),
-                pair_join: None,
                 carry_words: child.carry_words,
             })
         }
@@ -900,24 +674,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                 right_value.as_deref(),
                 *aggregate,
             )?;
-            let pair = match (&l.pair, &r.pair) {
-                (Some(lp), Some(rp)) => {
-                    let keys_ok = left_key == l.schema.columns()[0].name()
-                        && right_key == r.schema.columns()[0].name();
-                    let value_ok = |value: &Option<String>, schema: &Schema| {
-                        value.is_none() || value.as_deref() == Some(schema.columns()[1].name())
-                    };
-                    if keys_ok
-                        && value_ok(left_value, &l.schema)
-                        && value_ok(right_value, &r.schema)
-                    {
-                        Some(lp.clone().join_aggregate(rp.clone(), *aggregate))
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
             Ok(Checked {
                 schema,
                 natural_key: Some(left_key.clone()),
@@ -930,8 +686,6 @@ fn check(plan: &Plan, catalog: &Catalog, wanted: &Wanted) -> Result<Checked, Eng
                     right_value: right_value.clone(),
                     aggregate: *aggregate,
                 },
-                pair,
-                pair_join: None,
                 carry_words: l.carry_words.max(r.carry_words).max(1),
             })
         }

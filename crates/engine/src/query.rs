@@ -5,18 +5,15 @@
 //! A [`Plan`] is a schema-aware operator tree whose scan leaves are catalog
 //! *names*.  Every operator — scan, filter, project, distinct, union-all,
 //! join (with multi-column payload carries), semi/anti join, group- and
-//! join-aggregate — works over typed wide schemas; the legacy pair shape is
-//! just the degenerate two-column schema `{key: u64, value: u64}`.  The
+//! join-aggregate — works over typed wide schemas; the paper's pair shape
+//! is just the degenerate two-column schema `{key: u64, value: u64}`.  The
 //! planner ([`Plan::resolve`]) type-checks the tree against the catalog and
-//! lowers fully degenerate plans onto the pair-shaped kernel
-//! ([`obliv_operators::QueryPlan`]), so those execute — and trace —
-//! exactly as the legacy API did; everything else runs on the wide
-//! operators.
+//! yields an execution tree over the wide operators, the one backend every
+//! plan runs on.
 
 use std::sync::Arc;
 
 use obliv_join::schema::{Schema, SchemaError, Value, WideTable};
-use obliv_join::Table;
 use obliv_operators::{Aggregate, JoinAggregate, WidePredicate};
 use obliv_telemetry::{PhaseBreakdown, SpanNode};
 use obliv_trace::OpCounters;
@@ -34,8 +31,7 @@ use crate::planner::{self, ResolvedPlan};
 /// (public) schemas and yields an executable [`ResolvedPlan`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// Scan the catalog table of this name (pair tables read through the
-    /// degenerate `{key, value}` schema).
+    /// Scan the catalog table of this name.
     Scan(String),
     /// Oblivious selection on a named column.
     Filter {
@@ -300,11 +296,10 @@ impl Plan {
         }
     }
 
-    /// Type-check the plan against the catalog and lower it to an
-    /// executable [`ResolvedPlan`]: the pair-shaped kernel when every
-    /// node is degenerate (two `u64` columns, legacy-expressible
-    /// operators), the wide operators otherwise.  Table contents are
-    /// `Arc`-cloned at resolution time, so the result is self-contained.
+    /// Type-check the plan against the catalog and turn it into an
+    /// executable [`ResolvedPlan`] over the wide operators.  Table contents
+    /// are `Arc`-cloned at resolution time, so the result is
+    /// self-contained.
     pub fn resolve(&self, catalog: &Catalog) -> Result<ResolvedPlan, EngineError> {
         planner::resolve(self, catalog)
     }
@@ -420,9 +415,9 @@ impl From<Plan> for QueryRequest {
 /// The single row representation every query answers with: a typed
 /// [`WideTable`] carrying the plan's output schema.
 ///
-/// Degenerate (pair-lowered) plans produce two-`u64`-column tables whose
-/// rows can be read back as pairs with [`pairs`](Rows::pairs); everything
-/// else is read through the schema accessors.  Cloning is an `Arc` bump.
+/// Two-`u64`-column results (every legacy pair query produces one) can be
+/// read back as pairs with [`pairs`](Rows::pairs); everything else is read
+/// through the schema accessors.  Cloning is an `Arc` bump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rows {
     table: WideTable,
@@ -432,25 +427,6 @@ impl Rows {
     /// Wrap a wide result table.
     pub fn from_wide(table: WideTable) -> Rows {
         Rows { table }
-    }
-
-    /// Encode a pair-shaped kernel result under its type-checked two-column
-    /// schema.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schema` is not exactly two 8-byte columns — the planner
-    /// only pair-lowers plans whose output schema is the degenerate shape.
-    pub(crate) fn from_pair_with_schema(schema: Arc<Schema>, table: &Table) -> Rows {
-        assert_eq!(schema.row_width(), 16, "pair rows are two 8-byte columns");
-        let mut data = Vec::with_capacity(table.len() * 16);
-        for e in table.iter() {
-            data.extend_from_slice(&e.key.to_le_bytes());
-            data.extend_from_slice(&e.value.to_le_bytes());
-        }
-        Rows {
-            table: WideTable::from_encoded(schema, data),
-        }
     }
 
     /// The output schema.
@@ -489,7 +465,7 @@ impl Rows {
     }
 
     /// Read the rows back as `(u64, u64)` pairs, when the output schema is
-    /// two `u64` columns (every pair-lowered plan); `None` otherwise.
+    /// two `u64` columns; `None` otherwise.
     pub fn pairs(&self) -> Option<Vec<(u64, u64)>> {
         use obliv_join::schema::ColumnType;
         let cols = self.table.schema().columns();
@@ -651,8 +627,8 @@ mod tests {
 
     #[test]
     fn rows_wrap_pair_results_under_their_schema() {
-        let schema = Arc::new(Schema::pair());
-        let rows = Rows::from_pair_with_schema(schema, &Table::from_pairs(vec![(1, 10), (2, 20)]));
+        let pairs = obliv_join::Table::from_pairs(vec![(1, 10), (2, 20)]);
+        let rows = Rows::from_wide(WideTable::from_pair(&pairs));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows.schema().column_names(), vec!["key", "value"]);
         assert_eq!(rows.value(1, "value").unwrap(), Value::U64(20));

@@ -11,7 +11,10 @@ use obliv_trace::{TraceSink, Tracer};
 pub enum Aggregate {
     /// Number of rows in the group.
     Count,
-    /// Sum of the group's data values (wrapping on overflow).
+    /// Sum of the group's data values, wrapping on `u64` overflow.  Only
+    /// `u64` columns can be summed: a plan that sums an `i64` (or any other)
+    /// column is rejected at plan time with `WideError::NotAggregatable`,
+    /// so no signed value ever reaches this wrapping add.
     Sum,
     /// Minimum data value in the group.
     Min,

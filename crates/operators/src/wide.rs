@@ -12,8 +12,7 @@
 //! * [`wide_filter`], [`wide_distinct`] and the semi/anti joins keep whole
 //!   rows: rows are packed into fixed `[u64; W]` word records
 //!   (`W = ceil(row_width / 8)`, a public schema property), marked
-//!   branch-free, and obliviously compacted — the same mark-then-compact
-//!   discipline as the pair operators.
+//!   branch-free, and obliviously compacted (mark, then compact).
 //! * [`wide_project`] and [`wide_union_all`] are fixed copy passes over
 //!   staged rows; they reveal nothing beyond the (public) sizes and widths.
 //! * [`wide_join`] projects the named key column and **any number of
@@ -520,7 +519,7 @@ fn wide_filter_w<const W: usize, S: TraceSink>(
 
 /// Oblivious wide selection: keep the rows whose named column matches the
 /// predicate.  Reveals only the number of surviving rows (carried by the
-/// output length, exactly like the pair filter).
+/// output length).
 pub fn wide_filter<S: TraceSink>(
     tracer: &Tracer<S>,
     table: &WideTable,
@@ -983,10 +982,8 @@ pub fn wide_sort<S: TraceSink>(
 
 /// Oblivious wide duplicate elimination over whole rows.
 ///
-/// Sort–mark–compact, exactly like the pair-shaped
-/// [`oblivious_distinct`](crate::oblivious_distinct) but over `[u64; W]`
-/// encoded rows; reveals only the number of distinct rows.  Output rows
-/// come back sorted by their encoded form.
+/// Sort–mark–compact over `[u64; W]` encoded rows; reveals only the number
+/// of distinct rows.  Output rows come back sorted by their encoded form.
 pub fn wide_distinct<S: TraceSink>(
     tracer: &Tracer<S>,
     table: &WideTable,
@@ -1047,8 +1044,8 @@ fn wide_membership_w<const W: usize, S: TraceSink>(
     drop(stage_in(tracer, right, rwords));
 
     // Combined buffer: witness key records (tag 2, empty rows) plus the
-    // probed rows (tag 1, full width) — the wide analogue of the pair
-    // operators' `T_C`.
+    // probed rows (tag 1, full width) — the analogue of the join's
+    // combined table `T_C`.
     let mut recs: Vec<WideRec<W>> = Vec::with_capacity(n1 + n2);
     for i in 0..n2 {
         recs.push(WideRec {

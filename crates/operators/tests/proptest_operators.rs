@@ -1,14 +1,14 @@
-//! Property-based tests for the oblivious operator library: every operator
-//! is compared against a plaintext reference on randomly generated tables,
-//! and the leakage-profile properties are spot-checked.
+//! Property-based tests for the oblivious operator library at the
+//! degenerate `{key, value}` schema: every wide operator is compared
+//! against a plaintext reference on randomly generated tables, and the
+//! leakage-profile properties are spot-checked.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use obliv_join::Table;
+use obliv_join::{Table, Value, WideTable};
 use obliv_operators::{
-    oblivious_anti_join, oblivious_distinct, oblivious_filter, oblivious_group_aggregate,
-    oblivious_join_aggregate, oblivious_semi_join, oblivious_union_all, Aggregate, JoinAggregate,
-    Predicate,
+    wide_anti_join, wide_distinct, wide_filter, wide_group_aggregate, wide_join_aggregate,
+    wide_semi_join, wide_union_all, Aggregate, JoinAggregate, WidePredicate,
 };
 use obliv_trace::{CountingSink, Tracer};
 use proptest::prelude::*;
@@ -18,72 +18,82 @@ fn tracer() -> Tracer<CountingSink> {
 }
 
 /// Strategy: a table with keys in a small domain (to force collisions) and
-/// bounded values.
-fn small_table(max_rows: usize) -> impl Strategy<Value = Table> {
-    prop::collection::vec((0u64..12, 0u64..100), 0..max_rows).prop_map(Table::from_pairs)
+/// bounded values, with the plaintext pairs it was built from.
+fn small_table(max_rows: usize) -> impl Strategy<Value = (Vec<(u64, u64)>, WideTable)> {
+    prop::collection::vec((0u64..12, 0u64..100), 0..max_rows).prop_map(|rows| {
+        let table = WideTable::from_pair(&Table::from_pairs(rows.clone()));
+        (rows, table)
+    })
+}
+
+/// Read a two-`u64`-column operator output back as pairs.
+fn pairs(t: &WideTable) -> Vec<(u64, u64)> {
+    (0..t.len())
+        .map(|i| match t.row_values(i)[..] {
+            [Value::U64(k), Value::U64(v)] => (k, v),
+            ref other => panic!("not a two-u64 row: {other:?}"),
+        })
+        .collect()
+}
+
+fn value_at_least(n: u64) -> WidePredicate {
+    WidePredicate::at_least("value", Value::U64(n))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn filter_matches_retain(table in small_table(60), threshold in 0u64..100) {
-        let out = oblivious_filter(&tracer(), &table, Predicate::ValueAtLeast(threshold));
-        let expected: Vec<(u64, u64)> = table
-            .rows()
-            .iter()
-            .filter(|e| e.value >= threshold)
-            .map(|e| (e.key, e.value))
-            .collect();
-        let got: Vec<(u64, u64)> = out.rows().iter().map(|e| (e.key, e.value)).collect();
-        prop_assert_eq!(got, expected);
+    fn filter_matches_retain((rows, table) in small_table(60), threshold in 0u64..100) {
+        let out = wide_filter(&tracer(), &table, &value_at_least(threshold)).unwrap();
+        let expected: Vec<(u64, u64)> =
+            rows.into_iter().filter(|&(_, v)| v >= threshold).collect();
+        prop_assert_eq!(pairs(&out), expected);
     }
 
     #[test]
-    fn distinct_matches_set_semantics(table in small_table(80)) {
-        let out = oblivious_distinct(&tracer(), &table);
-        let expected: BTreeSet<(u64, u64)> =
-            table.rows().iter().map(|e| (e.key, e.value)).collect();
-        let got: Vec<(u64, u64)> = out.rows().iter().map(|e| (e.key, e.value)).collect();
+    fn distinct_matches_set_semantics((rows, table) in small_table(80)) {
+        let out = wide_distinct(&tracer(), &table).unwrap();
+        let expected: BTreeSet<(u64, u64)> = rows.into_iter().collect();
+        let got = pairs(&out);
         prop_assert_eq!(got.len(), expected.len());
         prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
         prop_assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), expected);
     }
 
     #[test]
-    fn union_preserves_multiset(a in small_table(40), b in small_table(40)) {
-        let out = oblivious_union_all(&tracer(), &a, &b);
+    fn union_preserves_multiset((a_rows, a) in small_table(40), (b_rows, b) in small_table(40)) {
+        let out = wide_union_all(&tracer(), &a, &b).unwrap();
         prop_assert_eq!(out.len(), a.len() + b.len());
-        let mut expected: Vec<(u64, u64)> = a
-            .rows()
-            .iter()
-            .chain(b.rows().iter())
-            .map(|e| (e.key, e.value))
-            .collect();
-        let mut got: Vec<(u64, u64)> = out.rows().iter().map(|e| (e.key, e.value)).collect();
+        let mut expected: Vec<(u64, u64)> = a_rows.into_iter().chain(b_rows).collect();
+        let mut got = pairs(&out);
         expected.sort_unstable();
         got.sort_unstable();
         prop_assert_eq!(got, expected);
     }
 
     #[test]
-    fn semi_and_anti_join_partition(probe in small_table(50), witnesses in small_table(50)) {
-        let semi = oblivious_semi_join(&tracer(), &probe, &witnesses);
-        let anti = oblivious_anti_join(&tracer(), &probe, &witnesses);
+    fn semi_and_anti_join_partition(
+        (_, probe) in small_table(50),
+        (witness_rows, witnesses) in small_table(50),
+    ) {
+        let semi = wide_semi_join(&tracer(), &probe, &witnesses, "key", "key").unwrap();
+        let anti = wide_anti_join(&tracer(), &probe, &witnesses, "key", "key").unwrap();
         prop_assert_eq!(semi.len() + anti.len(), probe.len());
 
-        let witness_keys: BTreeSet<u64> = witnesses.rows().iter().map(|e| e.key).collect();
-        prop_assert!(semi.rows().iter().all(|e| witness_keys.contains(&e.key)));
-        prop_assert!(anti.rows().iter().all(|e| !witness_keys.contains(&e.key)));
+        let witness_keys: BTreeSet<u64> = witness_rows.iter().map(|&(k, _)| k).collect();
+        prop_assert!(pairs(&semi).iter().all(|(k, _)| witness_keys.contains(k)));
+        prop_assert!(pairs(&anti).iter().all(|(k, _)| !witness_keys.contains(k)));
     }
 
     #[test]
-    fn group_aggregates_match_reference(table in small_table(70)) {
+    fn group_aggregates_match_reference((rows, table) in small_table(70)) {
         for agg in [Aggregate::Count, Aggregate::Sum, Aggregate::Min, Aggregate::Max] {
-            let out = oblivious_group_aggregate(&tracer(), &table, agg);
+            let column = (agg != Aggregate::Count).then_some("value");
+            let out = wide_group_aggregate(&tracer(), &table, "key", agg, column).unwrap();
             let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for e in table.iter() {
-                groups.entry(e.key).or_default().push(e.value);
+            for &(k, v) in &rows {
+                groups.entry(k).or_default().push(v);
             }
             let expected: Vec<(u64, u64)> = groups
                 .iter()
@@ -97,48 +107,64 @@ proptest! {
                     (*k, v)
                 })
                 .collect();
-            let got: Vec<(u64, u64)> = out.rows().iter().map(|e| (e.key, e.value)).collect();
-            prop_assert_eq!(got, expected, "{:?}", agg);
+            prop_assert_eq!(pairs(&out), expected, "{:?}", agg);
         }
     }
 
     #[test]
-    fn join_aggregate_matches_materialised_join(a in small_table(40), b in small_table(40)) {
+    fn join_aggregate_matches_materialised_join(
+        (a_rows, a) in small_table(40),
+        (b_rows, b) in small_table(40),
+    ) {
         for agg in [JoinAggregate::CountPairs, JoinAggregate::SumLeft, JoinAggregate::SumRight] {
-            let out = oblivious_join_aggregate(&tracer(), &a, &b, agg);
+            let left_value = (agg == JoinAggregate::SumLeft).then_some("value");
+            let right_value = (agg == JoinAggregate::SumRight).then_some("value");
+            let out = wide_join_aggregate(
+                &tracer(), &a, &b, "key", "key", left_value, right_value, agg,
+            )
+            .unwrap();
             let mut per_key: BTreeMap<u64, u64> = BTreeMap::new();
-            for x in a.iter() {
-                for y in b.iter().filter(|y| y.key == x.key) {
+            for &(xk, xv) in &a_rows {
+                for &(_, yv) in b_rows.iter().filter(|&&(yk, _)| yk == xk) {
                     let add = match agg {
                         JoinAggregate::CountPairs => 1,
-                        JoinAggregate::SumLeft => x.value,
-                        JoinAggregate::SumRight => y.value,
-                        JoinAggregate::SumProducts => x.value * y.value,
+                        JoinAggregate::SumLeft => xv,
+                        JoinAggregate::SumRight => yv,
+                        JoinAggregate::SumProducts => xv * yv,
                     };
-                    *per_key.entry(x.key).or_insert(0) += add;
+                    *per_key.entry(xk).or_insert(0) += add;
                 }
             }
-            let got: BTreeMap<u64, u64> = out.rows().iter().map(|e| (e.key, e.value)).collect();
+            let got: BTreeMap<u64, u64> = pairs(&out).into_iter().collect();
             prop_assert_eq!(got, per_key, "{:?}", agg);
         }
     }
 
     #[test]
     fn filter_access_count_is_a_function_of_input_size(
-        table in small_table(60),
+        (rows, table) in small_table(60),
         threshold in 0u64..100,
     ) {
-        // Two runs over tables of the same length (the real one and an
-        // all-identical one) must make the same number of accesses.
-        let n = table.len();
+        // Two runs over tables of the same length and the same revealed
+        // output size (the real one, and an all-identical one filtered down
+        // to as many rows by key) must make the same number of accesses.
         let tracer_a = tracer();
-        let _ = oblivious_filter(&tracer_a, &table, Predicate::ValueAtLeast(threshold));
+        let kept = wide_filter(&tracer_a, &table, &value_at_least(threshold)).unwrap().len();
         let a = tracer_a.with_sink(|s| s.overall());
 
-        let uniform: Table = (0..n as u64).map(|_| (1u64, 1u64)).collect();
+        let uniform = WideTable::from_pair(
+            &(0..rows.len()).map(|i| (u64::from(i < kept), 1u64)).collect(),
+        );
         let tracer_b = tracer();
-        let _ = oblivious_filter(&tracer_b, &uniform, Predicate::True);
+        let kept_b = wide_filter(
+            &tracer_b,
+            &uniform,
+            &WidePredicate::equals("key", Value::U64(1)),
+        )
+        .unwrap()
+        .len();
         let b = tracer_b.with_sink(|s| s.overall());
+        prop_assert_eq!(kept_b, kept);
         prop_assert_eq!(a, b);
     }
 }

@@ -346,29 +346,17 @@ impl Coordinator {
         &self.shard_engines[i]
     }
 
-    /// Register a pair-shaped `table` under `name` on every shard: chunked
-    /// positionally when `name` is partitioned, replicated otherwise.  The
-    /// full-copy engine always receives the whole table.
+    /// Register a pair-shaped `table` under `name` — constructor sugar for
+    /// [`register_wide_table`](Coordinator::register_wide_table): the table
+    /// is encoded once under the degenerate `{key: u64, value: u64}` schema
+    /// and then chunked or replicated like any other.
     pub fn register_table(&self, name: impl Into<String>, table: Table) -> Result<(), EngineError> {
-        let name = name.into();
-        if self.partitioned.contains(&name) {
-            let pairs: Vec<(u64, u64)> = table.iter().map(|e| (e.key, e.value)).collect();
-            for (i, engine) in self.shard_engines.iter().enumerate() {
-                let (lo, hi) = chunk_bounds(pairs.len(), self.shards, i);
-                engine.register_table(name.as_str(), Table::from_pairs(pairs[lo..hi].to_vec()))?;
-            }
-        } else {
-            for engine in &self.shard_engines {
-                engine.register_table(name.as_str(), table.clone())?;
-            }
-        }
-        self.full.register_table(name, table)?;
-        Ok(())
+        self.register_wide_table(name, WideTable::from_pair(&table))
     }
 
-    /// Register a wide (typed, multi-column) `table` under `name` on every
-    /// shard: chunked positionally when `name` is partitioned, replicated
-    /// otherwise.  The full-copy engine always receives the whole table.
+    /// Register `table` under `name` on every shard: chunked positionally
+    /// when `name` is partitioned, replicated otherwise.  The full-copy
+    /// engine always receives the whole table.
     pub fn register_wide_table(
         &self,
         name: impl Into<String>,
@@ -397,12 +385,12 @@ impl Coordinator {
     }
 
     /// Remove the table registered under `name` from every shard and the
-    /// full-copy engine.
-    pub fn deregister_table(&self, name: &str) {
+    /// full-copy engine; `true` iff a table of that name was registered.
+    pub fn deregister_table(&self, name: &str) -> bool {
         for engine in &self.shard_engines {
             engine.deregister_table(name);
         }
-        self.full.deregister_table(name);
+        self.full.deregister_table(name).is_some()
     }
 
     /// Public metadata for `name` (whole-table sizes, from the full copy).
@@ -987,7 +975,8 @@ mod tests {
     #[test]
     fn deregister_clears_every_shard() {
         let c = coordinator(2);
-        c.deregister_table("facts");
+        assert!(c.deregister_table("facts"));
+        assert!(!c.deregister_table("facts"), "nothing left to remove");
         assert!(c.table_meta("facts").is_none());
         for i in 0..2 {
             assert!(c.shard_engine(i).table_meta("facts").is_none());

@@ -13,6 +13,9 @@
 //! ("grouping aggregations over joins could be computed using fewer sorting
 //! steps than a full join would require").
 //!
+//! The tables are the paper's `(key, value)` shape, run through the wide
+//! operators as the degenerate `{key, value}` schema.
+//!
 //! Run with:
 //! ```text
 //! cargo run --release --example oblivious_query
@@ -21,11 +24,16 @@
 use obliv_join_suite::prelude::*;
 use obliv_trace::Tracer;
 
+/// Read a two-`u64`-column operator output back as pairs.
+fn pairs(t: &WideTable) -> Vec<(u64, u64)> {
+    Rows::from_wide(t.clone()).pairs().expect("two u64 columns")
+}
+
 fn main() {
     // orders(order_id, weight), lineitem(order_id, price).
     let workload = orders_lineitem(1_000, 11);
-    let orders = &workload.left;
-    let lineitem = &workload.right;
+    let orders = WideTable::from_pair(&workload.left);
+    let lineitem = WideTable::from_pair(&workload.right);
     let tracer = Tracer::new(CountingSink::new());
 
     println!(
@@ -36,35 +44,47 @@ fn main() {
     );
 
     // WHERE l.price >= 20 — oblivious selection.
-    let expensive = oblivious_filter(&tracer, lineitem, Predicate::ValueAtLeast(20));
+    let expensive = wide_filter(
+        &tracer,
+        &lineitem,
+        &WidePredicate::at_least("value", Value::U64(20)),
+    )
+    .unwrap();
     println!("lineitem rows with price >= 20: {}", expensive.len());
 
     // GROUP BY order_id, SUM(price * weight) over the join — computed
     // without materialising the join at all.
-    let revenue = oblivious_join_aggregate(&tracer, orders, &expensive, JoinAggregate::SumProducts);
+    let revenue = pairs(
+        &wide_join_aggregate(
+            &tracer,
+            &orders,
+            &expensive,
+            "key",
+            "key",
+            Some("value"),
+            Some("value"),
+            JoinAggregate::SumProducts,
+        )
+        .unwrap(),
+    );
     println!(
         "orders with at least one expensive line item: {}",
         revenue.len()
     );
-    let top = revenue
-        .rows()
+    let (top_order, top_revenue) = revenue
         .iter()
-        .max_by_key(|e| e.value)
+        .max_by_key(|&&(_, revenue)| revenue)
         .expect("non-empty");
-    println!(
-        "largest weighted revenue: order {} -> {}",
-        top.key, top.value
-    );
+    println!("largest weighted revenue: order {top_order} -> {top_revenue}");
 
     // Cross-check against a plaintext materialisation of the same query.
     let mut reference: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for o in orders.iter() {
-        for l in expensive.iter().filter(|l| l.key == o.key) {
-            *reference.entry(o.key).or_insert(0) += o.value * l.value;
+    for (order, weight) in pairs(&orders) {
+        for (_, price) in pairs(&expensive).into_iter().filter(|&(k, _)| k == order) {
+            *reference.entry(order).or_insert(0) += weight * price;
         }
     }
-    let aggregate_as_map: std::collections::BTreeMap<u64, u64> =
-        revenue.rows().iter().map(|e| (e.key, e.value)).collect();
+    let aggregate_as_map: std::collections::BTreeMap<u64, u64> = revenue.into_iter().collect();
     assert_eq!(
         aggregate_as_map, reference,
         "join-aggregate must equal the materialised reference"
@@ -72,17 +92,16 @@ fn main() {
     println!("join-aggregate result verified against a materialised reference ✓");
 
     // A few more operators from the library, for flavour.
-    let distinct_orders_with_items = oblivious_semi_join(&tracer, orders, lineitem);
-    let orders_without_items = oblivious_anti_join(&tracer, orders, lineitem);
-    let distinct_prices = oblivious_distinct(
+    let orders_with_items = wide_semi_join(&tracer, &orders, &lineitem, "key", "key").unwrap();
+    let orders_without_items = wide_anti_join(&tracer, &orders, &lineitem, "key", "key").unwrap();
+    let distinct_prices = wide_distinct(
         &tracer,
-        &oblivious_project(&tracer, lineitem, |e| {
-            obliv_join_suite::join::Entry::new(e.value, 0)
-        }),
-    );
+        &wide_project(&tracer, &lineitem, &["value".to_string()]).unwrap(),
+    )
+    .unwrap();
     println!(
         "orders with line items: {}, without: {}, distinct prices: {}",
-        distinct_orders_with_items.len(),
+        orders_with_items.len(),
         orders_without_items.len(),
         distinct_prices.len()
     );

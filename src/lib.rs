@@ -53,11 +53,9 @@ pub mod prelude {
         SchemaError, Table, Value, WideTable,
     };
     pub use obliv_operators::{
-        oblivious_anti_join, oblivious_distinct, oblivious_filter, oblivious_group_aggregate,
-        oblivious_join_aggregate, oblivious_project, oblivious_semi_join, oblivious_union_all,
-        wide_anti_join, wide_distinct, wide_filter, wide_group_aggregate, wide_join,
-        wide_join_aggregate, wide_project, wide_semi_join, wide_union_all, Aggregate,
-        JoinAggregate, JoinColumns, Predicate, QueryPlan, WideError, WidePredicate,
+        oblivious_group_aggregate, oblivious_join_aggregate, wide_anti_join, wide_distinct,
+        wide_filter, wide_group_aggregate, wide_join, wide_join_aggregate, wide_project,
+        wide_semi_join, wide_union_all, Aggregate, JoinAggregate, WideError, WidePredicate,
     };
     pub use obliv_primitives::{
         oblivious_compact, oblivious_distribute, oblivious_expand, Keyed, Routable,

@@ -1,9 +1,9 @@
 //! Integration tests for the `obliv-engine` query service: concurrent
 //! batches must be bit-identical to direct [`ResolvedPlan`] execution, a
 //! query's trace digest must not depend on what else the pool is running,
-//! and every degenerate (pair-shaped) unified plan must lower onto the
-//! legacy pair kernel — bit-identical rows *and* trace digests to a
-//! hand-built [`QueryPlan`].
+//! and a table registered as pairs must be indistinguishable — rows,
+//! digests, span trees, Content metrics — from the same table registered
+//! under the degenerate `{key, value}` wide schema.
 
 use obliv_join_suite::prelude::*;
 
@@ -30,24 +30,18 @@ fn loaded_engine_uncached(workers: usize) -> Engine {
 
 fn loaded_engine_with(config: EngineConfig) -> Engine {
     let engine = Engine::new(config);
-    let ol = orders_lineitem(24, 42);
-    engine.register_table("orders", ol.left).unwrap();
-    engine.register_table("lineitem", ol.right).unwrap();
-    let pl = power_law(60, 60, 1.5, 7);
-    engine.register_table("events", pl.left).unwrap();
-    engine.register_table("users", pl.right).unwrap();
+    for (name, table) in dataset() {
+        engine.register_table(name, table).unwrap();
+    }
     engine
 }
 
 /// The reference catalog the engines above are loaded from.
 fn reference_catalog() -> Catalog {
     let mut catalog = Catalog::new();
-    let ol = orders_lineitem(24, 42);
-    catalog.register("orders", ol.left).unwrap();
-    catalog.register("lineitem", ol.right).unwrap();
-    let pl = power_law(60, 60, 1.5, 7);
-    catalog.register("events", pl.left).unwrap();
-    catalog.register("users", pl.right).unwrap();
+    for (name, table) in dataset() {
+        catalog.register(name, table).unwrap();
+    }
     catalog
 }
 
@@ -112,150 +106,143 @@ fn concurrent_batch_matches_direct_resolved_execution() {
     }
 }
 
-/// The pair/unified equivalence contract: every legacy pair query lowers
-/// onto the pair kernel and produces bit-identical rows and trace digests
-/// to a hand-built legacy [`QueryPlan`] over the same tables.
-#[test]
-fn degenerate_plans_match_legacy_query_plans_bit_for_bit() {
-    let catalog = reference_catalog();
-    let orders = catalog.get("orders").unwrap().clone();
-    let lineitem = catalog.get("lineitem").unwrap().clone();
-    let events = catalog.get("events").unwrap().clone();
-    let users = catalog.get("users").unwrap().clone();
+/// Every legacy text form: each source, each stage, each join projection
+/// and each (join-)aggregate at least once.  No two compile to the same
+/// plan, so one engine really traces every one of them (a repeated shape
+/// would be served its digest from the memo).  Value filters all compare
+/// against 100 — see [`same_shape_dataset`].
+const LEGACY_FORMS: [&str; 24] = [
+    "SCAN orders",
+    "JOIN orders lineitem",
+    "JOIN orders lineitem key-left",
+    "JOIN users events key-right | FILTER true",
+    "JOIN events users left-right | DISTINCT",
+    "JOIN orders lineitem right-left | AGG max",
+    "SEMIJOIN orders lineitem",
+    "ANTIJOIN users events",
+    "JOINAGG orders lineitem count",
+    "JOINAGG events users sumleft",
+    "JOINAGG events users sumright",
+    "JOINAGG orders lineitem sumproducts",
+    "SCAN lineitem | FILTER v>=100 | AGG sum",
+    "SCAN lineitem | FILTER v<100 | AGG min",
+    "SCAN orders | FILTER k=5",
+    "SCAN events | FILTER k in 1..20 | AGG count",
+    "SCAN lineitem | SWAP | DISTINCT",
+    "SCAN orders | UNION lineitem",
+    "SCAN events | JOIN users",
+    "SCAN events | JOIN users key-left | UNION orders",
+    "SCAN lineitem | SEMIJOIN orders",
+    "SCAN events | ANTIJOIN users",
+    "SCAN events | JOINAGG users count",
+    "SCAN orders | FILTER v>=100 | JOINAGG lineitem sumleft",
+];
 
-    // (unified text form, equivalent legacy pair-kernel plan)
-    let cases: Vec<(&str, QueryPlan)> = vec![
-        (
-            "JOIN orders lineitem",
-            QueryPlan::scan(orders.clone())
-                .join(QueryPlan::scan(lineitem.clone()), JoinColumns::KeyAndRight),
-        ),
-        (
-            "SCAN orders | FILTER v>=1000 | AGG sum",
-            QueryPlan::scan(orders.clone())
-                .filter(Predicate::ValueAtLeast(1000))
-                .group_aggregate(Aggregate::Sum),
-        ),
-        (
-            "SEMIJOIN orders lineitem",
-            QueryPlan::scan(orders.clone()).semi_join(QueryPlan::scan(lineitem.clone())),
-        ),
-        (
-            "ANTIJOIN users events",
-            QueryPlan::scan(users.clone()).anti_join(QueryPlan::scan(events.clone())),
-        ),
-        (
-            "JOINAGG orders lineitem count",
-            QueryPlan::scan(orders.clone())
-                .join_aggregate(QueryPlan::scan(lineitem.clone()), JoinAggregate::CountPairs),
-        ),
-        (
-            "SCAN events | FILTER k in 1..20 | AGG count",
-            QueryPlan::scan(events.clone())
-                .filter(Predicate::KeyInRange(1, 20))
-                .group_aggregate(Aggregate::Count),
-        ),
-        (
-            "SCAN lineitem | SWAP | DISTINCT",
-            QueryPlan::scan(lineitem.clone()).swap_columns().distinct(),
-        ),
-        (
-            "JOINAGG events users sumright",
-            QueryPlan::scan(events.clone())
-                .join_aggregate(QueryPlan::scan(users.clone()), JoinAggregate::SumRight),
-        ),
-        (
-            "JOIN events users key-left | UNION orders",
-            QueryPlan::scan(events.clone())
-                .join(QueryPlan::scan(users.clone()), JoinColumns::KeyAndLeft)
-                .union_all(QueryPlan::scan(orders.clone())),
-        ),
-        (
-            "JOIN events users left-right | DISTINCT",
-            QueryPlan::scan(events.clone())
-                .join(QueryPlan::scan(users.clone()), JoinColumns::LeftAndRight)
-                .distinct(),
-        ),
-        (
-            "JOIN orders lineitem right-left | AGG max",
-            QueryPlan::scan(orders.clone())
-                .join(QueryPlan::scan(lineitem.clone()), JoinColumns::RightAndLeft)
-                .group_aggregate(Aggregate::Max),
-        ),
-    ];
-
-    for (text, legacy) in cases {
-        let resolved = parse_query(text).unwrap().resolve(&catalog).unwrap();
-        assert!(
-            resolved.is_pair_lowered(),
-            "`{text}` must lower onto the pair kernel"
-        );
-
-        let tracer = Tracer::new(HashingSink::new());
-        let unified = resolved.execute(&tracer);
-        let unified_digest = tracer.with_sink(|s| s.digest_hex());
-
-        let tracer = Tracer::new(HashingSink::new());
-        let reference = legacy.execute(&tracer);
-        let legacy_digest = tracer.with_sink(|s| s.digest_hex());
-
-        assert_eq!(
-            unified.pairs().unwrap(),
-            reference
-                .rows()
-                .iter()
-                .map(|e| (e.key, e.value))
-                .collect::<Vec<_>>(),
-            "rows for `{text}`"
-        );
-        assert_eq!(
-            unified_digest, legacy_digest,
-            "trace digest for `{text}` must be bit-identical to the legacy kernel"
-        );
-    }
+/// The four workload tables, by catalog name.
+fn dataset() -> [(&'static str, Table); 4] {
+    let ol = orders_lineitem(24, 42);
+    let pl = power_law(60, 60, 1.5, 7);
+    [
+        ("orders", ol.left),
+        ("lineitem", ol.right),
+        ("events", pl.left),
+        ("users", pl.right),
+    ]
 }
 
-/// Column-syntax forms of degenerate queries resolve to the *wide* backend
-/// only when they genuinely leave the pair shape.
+/// [`dataset`] with different contents and the same public shape under
+/// every query of [`LEGACY_FORMS`]: rows in reverse order, and every value
+/// moved by a strictly increasing map that fixes which side of 100 it is
+/// on — so each filter keeps as many rows, each distinct as many, each
+/// group-by as many groups, and the (untouched) keys join as before.
+fn same_shape_dataset() -> [(&'static str, Table); 4] {
+    dataset().map(|(name, table)| {
+        let twisted = table
+            .rows()
+            .iter()
+            .rev()
+            .map(|e| (e.key, e.value + if e.value >= 100 { 1 << 40 } else { 0 }))
+            .collect();
+        (name, twisted)
+    })
+}
+
+/// One cold two-worker engine per call, answering every legacy form: the
+/// responses and the engine's Content metric snapshot.
+fn run_legacy_forms(
+    register: impl Fn(&Engine, &str, Table),
+    tables: [(&'static str, Table); 4],
+) -> (
+    Vec<QueryResponse>,
+    obliv_join_suite::telemetry::MetricsSnapshot,
+) {
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    for (name, table) in tables {
+        register(&engine, name, table);
+    }
+    let responses = engine.execute_text_batch(&LEGACY_FORMS).unwrap();
+    let snapshot = engine.metrics().snapshot();
+    assert_eq!(
+        snapshot.counter("engine_digest_memo_misses_total", &[]),
+        LEGACY_FORMS.len() as u64,
+        "every form is a shape of its own, so every digest is a real trace"
+    );
+    (responses, snapshot.without_timing())
+}
+
+/// The one-backend contract: `register_table(t)` is nothing but
+/// `register_wide_table(WideTable::from_pair(&t))`.  For every legacy text
+/// form the two registrations give equal rows, equal really-traced digests,
+/// equal span trees and equal Content metrics — and a second dataset of the
+/// same public shape gives the same digests over different rows.
 #[test]
-fn pair_lowering_is_exactly_the_degenerate_fragment() {
-    let catalog = reference_catalog();
-    let lowered = [
-        "JOIN orders lineitem",
-        "SCAN orders | FILTER v>=10",
-        "SCAN orders | DISTINCT | AGG count",
-    ];
-    for text in lowered {
+fn pair_registered_tables_are_indistinguishable_from_their_wide_encoding() {
+    let as_pairs = |engine: &Engine, name: &str, table: Table| {
+        engine.register_table(name, table).unwrap();
+    };
+    let as_wide = |engine: &Engine, name: &str, table: Table| {
+        engine
+            .register_wide_table(name, WideTable::from_pair(&table))
+            .unwrap();
+    };
+    let (pair, pair_metrics) = run_legacy_forms(as_pairs, dataset());
+    let (wide, wide_metrics) = run_legacy_forms(as_wide, dataset());
+    let (other, _) = run_legacy_forms(as_pairs, same_shape_dataset());
+
+    assert_eq!(pair_metrics, wide_metrics, "Content metric snapshots");
+    let mut rows_differ = false;
+    for (((text, p), w), o) in LEGACY_FORMS.iter().zip(&pair).zip(&wide).zip(&other) {
+        assert_eq!(p.rows, w.rows, "rows for `{text}`");
         assert!(
-            parse_query(text)
-                .unwrap()
-                .resolve(&catalog)
-                .unwrap()
-                .is_pair_lowered(),
-            "`{text}`"
+            p.rows.pairs().is_some(),
+            "`{text}` answers in two u64 columns"
         );
-    }
-    let wide = [
-        // A one-column projection has no pair shape.
-        "SCAN orders | PROJECT value",
-        // A filter between the join and its projection breaks the
-        // both-sides-carried lowering pattern (legacy never emits this).
-        "JOIN orders lineitem ON key | FILTER left_value>=1 | PROJECT left_value,right_value",
-        // Carrying both sides' values is a three-column join.
-        "JOIN orders lineitem ON key | PROJECT key,left_value,right_value",
-        // key >= N has no legacy predicate form.
-        "SCAN orders | FILTER key>=3",
-    ];
-    for text in wide {
-        assert!(
-            !parse_query(text)
-                .unwrap()
-                .resolve(&catalog)
-                .unwrap()
-                .is_pair_lowered(),
-            "`{text}`"
+        assert_eq!(
+            (&p.summary.trace_digest, p.summary.trace_events),
+            (&w.summary.trace_digest, w.summary.trace_events),
+            "trace digest for `{text}`"
         );
+        assert_eq!(
+            p.trace.render_text(false),
+            w.trace.render_text(false),
+            "span tree for `{text}`"
+        );
+
+        assert_eq!(
+            p.trace.render_text(false),
+            o.trace.render_text(false),
+            "`{text}`: the second dataset has the same public shape"
+        );
+        assert_eq!(
+            p.summary.trace_digest, o.summary.trace_digest,
+            "`{text}`: equal public shapes must give equal digests"
+        );
+        rows_differ |= p.rows != o.rows;
     }
+    assert!(rows_differ, "the second dataset really has other contents");
 }
 
 /// The same batch produces the same results whatever the pool width.
@@ -493,7 +480,7 @@ fn sessions_run_concurrent_batches() {
     );
     assert_eq!(
         stats.max_carry_words, 1,
-        "the pair-lowered joins carry one kernel word"
+        "the legacy joins carry one kernel word"
     );
 
     let direct = engine.execute_text_batch(&MIXED_QUERIES).unwrap();

@@ -8,8 +8,8 @@
 //! * schemas with different widths produce different (but still
 //!   content-independent) digests,
 //! * frontend/validation failures are typed errors, never panics,
-//! * and the legacy pair-shaped API is untouched (its own suites cover it;
-//!   here we only check the two shapes coexist in one catalog).
+//! * and tables registered from `(key, value)` pairs coexist with wider
+//!   ones in one catalog, answering both surface forms of the text language.
 
 use obliv_join_suite::prelude::*;
 
@@ -452,10 +452,10 @@ fn pair_and_wide_tables_coexist_in_one_catalog() {
 
     let responses = engine
         .execute_text_batch(&[
-            // Legacy pipeline over the pair table, untouched semantics.
+            // Legacy pipeline over the pair-registered table.
             "SCAN pairs | FILTER v>=100",
-            // Wide pipeline over the same pair table through its
-            // degenerate {key, value} schema.
+            // Column pipeline over the same table, by its {key, value}
+            // column names.
             "SCAN pairs | FILTER value>=100 | AGG count BY key",
             // Wide pipeline over a wide table, same batch.
             "SCAN orders | FILTER price>=100 | AGG count BY region",
@@ -478,11 +478,15 @@ fn pair_and_wide_tables_coexist_in_one_catalog() {
         Value::Bytes(b"east".to_vec())
     );
 
-    // Metadata reports both shapes.
+    // Metadata reports both schemas.
     let meta = engine.table_meta("orders").unwrap();
     assert_eq!(meta.rows, 4);
-    assert!(meta.schema.is_some());
-    assert!(engine.table_meta("pairs").unwrap().schema.is_none());
+    assert_eq!(meta.schema.len(), 5);
+    assert_eq!(
+        *engine.table_meta("pairs").unwrap().schema,
+        Schema::pair(),
+        "a pair-registered table is the degenerate two-column schema"
+    );
 }
 
 #[test]
@@ -503,17 +507,17 @@ fn wide_responses_are_cacheable_and_dedupable() {
     assert_eq!(hit[0].rows, miss[0].rows);
     assert_eq!(hit[0].summary, miss[0].summary);
 
-    // Deregistering a *wide* table returns None (the pair-typed slot) but
-    // must still invalidate: after re-registering identical contents the
-    // same query re-executes instead of replaying a stale entry.
+    // Deregistering returns the table and must invalidate: after
+    // re-registering identical contents the same query re-executes instead
+    // of replaying a stale entry.
     let (orders_again, _) = acceptance_tables();
-    assert!(engine.deregister_table("orders").is_none());
+    assert_eq!(
+        engine.deregister_table("orders").as_ref(),
+        Some(&orders_again)
+    );
     assert!(engine.table_meta("orders").is_none(), "table was removed");
     engine.register_wide_table("orders", orders_again).unwrap();
     let fresh = engine.execute_text_batch(&[ACCEPTANCE_QUERY]).unwrap();
-    assert!(
-        !fresh[0].cached,
-        "wide deregistration must invalidate the cache"
-    );
+    assert!(!fresh[0].cached, "deregistration must invalidate the cache");
     assert_eq!(fresh[0].rows, miss[0].rows);
 }

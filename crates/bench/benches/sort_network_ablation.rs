@@ -6,11 +6,11 @@
 //! is too slow in practice; this bench quantifies the gap between the two
 //! practical `O(n log² n)` networks on this implementation's record type.
 //!
-//! `bitonic` is the production driver: the iterative, precomputed run
-//! schedule with batched trace emission and per-run counter updates.
-//! `bitonic_per_gate` is the legacy recursive walker (one traced
+//! `bitonic` is the production driver: gate runs streamed from the
+//! network's recursion, with batched trace emission and per-run counter
+//! updates.  `bitonic_per_gate` is the recursive per-gate walker (one traced
 //! read/write per element, one counter bump per gate), kept as the
-//! baseline that quantifies what the scheduled driver buys.
+//! baseline that quantifies what batching per run buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use obliv_primitives::sort::{bitonic, odd_even, Direction};

@@ -4,9 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use obliv_join::augment::augment_tables;
-use obliv_join::record::AugRecord;
-use obliv_join::{align, oblivious_join};
-use obliv_primitives::oblivious_expand;
+use obliv_join::join::expand_side;
+use obliv_join::{align, oblivious_join, TableId};
 use obliv_trace::{NullSink, Tracer};
 use obliv_workloads::balanced_unique_keys;
 
@@ -32,9 +31,9 @@ fn bench_phases(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let tracer = Tracer::new(NullSink);
-                augment_tables(&tracer, &workload.left, &workload.right).t1
+                augment_tables(&tracer, &workload.left, &workload.right).tc
             },
-            |t1| oblivious_expand(t1, |r: &AugRecord| r.alpha2),
+            |tc| expand_side(tc, TableId::Left),
             criterion::BatchSize::SmallInput,
         )
     });
@@ -44,10 +43,7 @@ fn bench_phases(c: &mut Criterion) {
             || {
                 let tracer = Tracer::new(NullSink);
                 let augmented = augment_tables(&tracer, &workload.left, &workload.right);
-                (
-                    oblivious_expand(augmented.t2, |r: &AugRecord| r.alpha1).table,
-                    tracer,
-                )
+                (expand_side(augmented.tc, TableId::Right).table, tracer)
             },
             |(mut s2, tracer)| align::align_table(&mut s2, &tracer),
             criterion::BatchSize::SmallInput,

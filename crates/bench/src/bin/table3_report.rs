@@ -1,4 +1,4 @@
-//! Table 3 reproduction: per-subroutine comparison counts and runtime share.
+//! Table 3 reproduction: per-subroutine operation counts and runtime share.
 //!
 //! The paper reports, for `m ≈ n₁ = n₂` and `n = 10⁶`:
 //!
@@ -9,9 +9,12 @@
 //! | o.d. on T1, T2 (route)  | 2m·log₂ m          |  3 %          |
 //! | align sort on S2        | m(log₂ m)²/4       | 12 %          |
 //!
-//! This binary measures the same breakdown on this implementation: exact
-//! operation counts from the per-phase counters, wall-clock shares from the
-//! per-phase timers, and the paper's approximate formulas next to them.
+//! This implementation has a different set of subroutines — one sort on
+//! `T_C` instead of two, and an order-preserving compaction where each
+//! distribution sorted — so the report has two parts: the breakdown of what
+//! the code runs (exact counts from the per-phase counters and the cost
+//! model, wall-clock shares from the per-phase timers), and the paper's
+//! table as published, for comparison of the totals.
 //!
 //! Run with `cargo run --release -p obliv-bench --bin table3_report
 //! [--full]` (`--full` uses n = 10⁶ like the paper; the default is 10⁵).
@@ -32,62 +35,77 @@ fn main() {
 
     let stats = &result.stats;
     let total_wall = stats.total_wall().as_secs_f64();
-    let measured = stats.table3_rows();
-    let paper = cost::paper_estimate(n);
+    let share = |seconds: f64| 100.0 * seconds / total_wall.max(1e-12);
+    let predicted = cost::predict(n / 2, n / 2, result.stats.output_size as usize);
 
     // Wall-clock attribution: the augment and align phases are single
-    // subroutines; the two expand phases contain both the o.d. sort and the
-    // o.d. route, so their wall time is split proportionally to the
-    // operation counts of the two parts.
+    // subroutines; the two expand phases contain both the compaction and
+    // the route, so their wall time is split proportionally to the hop
+    // counts of the two parts (the cost model's, which the cross-check
+    // below holds equal to the measured total).
     let expand_wall = stats.phase(Phase::ExpandLeft).wall.as_secs_f64()
         + stats.phase(Phase::ExpandRight).wall.as_secs_f64();
-    let od_sort_ops = measured[1].1 as f64;
-    let od_route_ops = measured[2].1 as f64;
-    let od_total_ops = (od_sort_ops + od_route_ops).max(1.0);
-    let wall_by_row = [
-        stats.phase(Phase::Augment).wall.as_secs_f64(),
-        expand_wall * od_sort_ops / od_total_ops,
-        expand_wall * od_route_ops / od_total_ops,
-        stats.phase(Phase::Align).wall.as_secs_f64(),
-    ];
+    let route_hops = predicted.routing_hops - predicted.compaction_hops;
+    let hop_share = |hops: u64| hops as f64 / predicted.routing_hops.max(1) as f64;
 
     println!();
     println!(
-        "{:<26} {:>16} {:>18} {:>10} {:>12}",
-        "subroutine", "measured ops", "paper formula", "runtime %", "paper %"
+        "{:<34} {:>16} {:>10}",
+        "subroutine (this implementation)", "measured ops", "runtime %"
     );
-    let paper_share = [60.0, 25.0, 3.0, 12.0];
-    for (i, ((label, ops), (_, formula))) in measured.iter().zip(paper.iter()).enumerate() {
-        println!(
-            "{:<26} {:>16} {:>18.0} {:>9.1}% {:>11.0}%",
-            label,
-            ops,
-            formula,
-            100.0 * wall_by_row[i] / total_wall.max(1e-12),
-            paper_share[i],
-        );
+    let measured = stats.table3_rows();
+    for (label, ops, wall) in [
+        (
+            measured[0].0,
+            measured[0].1,
+            stats.phase(Phase::Augment).wall.as_secs_f64(),
+        ),
+        (
+            "  compaction of TC, twice",
+            predicted.compaction_hops,
+            expand_wall * hop_share(predicted.compaction_hops),
+        ),
+        (
+            "  route to S1, S2",
+            route_hops,
+            expand_wall * hop_share(route_hops),
+        ),
+        (
+            measured[2].0,
+            measured[2].1,
+            stats.phase(Phase::Align).wall.as_secs_f64(),
+        ),
+    ] {
+        println!("{label:<34} {ops:>16} {:>9.1}%", share(wall));
     }
+    assert_eq!(measured[1].1, predicted.routing_hops, "{}", measured[1].0);
 
-    let zip_wall = stats.phase(Phase::Zip).wall.as_secs_f64();
     println!(
-        "{:<26} {:>16} {:>18} {:>9.1}% {:>11}",
+        "{:<34} {:>16} {:>9.1}%",
         "linear passes + zip",
         stats.total_ops().linear_steps,
-        "-",
-        100.0 * zip_wall / total_wall.max(1e-12),
-        "-"
+        share(stats.phase(Phase::Zip).wall.as_secs_f64()),
     );
 
     println!();
+    println!("# the paper's Table 3 (Algorithms 2-5 as published, formulas at this n)");
     println!(
-        "total comparisons measured: {} (paper estimate n log^2 n + n log n = {:.0})",
+        "{:<34} {:>16} {:>10}",
+        "subroutine (paper)", "paper formula", "paper %"
+    );
+    for ((label, formula), paper_share) in cost::paper_estimate(n).iter().zip([60, 25, 3, 12]) {
+        println!("{label:<34} {formula:>16.0} {paper_share:>9}%");
+    }
+
+    println!();
+    println!(
+        "total counted ops measured: {} (paper estimate n log^2 n + n log n = {:.0})",
         stats.total_ops().comparisons + stats.total_ops().routing_hops,
         cost::paper_total_estimate(n)
     );
     println!("total wall time: {:.3} s", total_wall);
     println!();
     println!("# exact cost-model cross-check (must match the measured counters)");
-    let predicted = cost::predict(n / 2, n / 2, result.stats.output_size as usize);
     println!(
         "measured comparisons {} vs predicted {}",
         stats.total_ops().comparisons,

@@ -81,7 +81,10 @@ pub fn measure_fig8_point(n: usize, seed: u64) -> Fig8Point {
     // Enclave cost model: replay the same join through the EPC simulator.
     // The simulated run's own wall time is irrelevant; only the fault counts
     // feed the estimate.
-    let config = EpcConfig::default();
+    let config = EpcConfig {
+        entry_bytes: std::mem::size_of::<obliv_join::AugRecord>() as u64,
+        ..EpcConfig::default()
+    };
     let report = enclave_report(&workload, config);
     let sgx_seconds = report.estimated_enclave_seconds(prototype.as_secs_f64(), &config);
     let sgx = Duration::from_secs_f64(sgx_seconds);

@@ -28,29 +28,28 @@ pub fn align_table<S: TraceSink, P: Payload>(
     // block (reset whenever the join value changes, exactly like the counter
     // in Fill-Dimensions).  With contiguous expansion the row at block
     // offset q is copy number (q mod α₁) of T₂ entry number ⌊q/α₁⌋, and it
-    // must move to block offset ii = (q mod α₁)·α₂ + ⌊q/α₁⌋.
+    // must move to block offset ii = (q mod α₁)·α₂ + ⌊q/α₁⌋.  The index goes
+    // into the record's routing word, which expansion is done with.
     let mut prev_key: u64 = 0;
     let mut have_prev = Choice::FALSE;
     let mut q: u64 = 0;
-    for i in 0..m {
-        let mut e = s2.read(i);
-        tracer.bump_linear_steps(1);
+    tracer.bump_linear_steps(m as u64);
+    for e in s2.rw_run_mut(0, m) {
         let same_group = have_prev.and(Choice::eq_u64(e.key, prev_key));
         q = u64::ct_select(same_group, q, 0);
         // α₁ ≥ 1 for every row of S₂ (groups with α₁ = 0 expanded to nothing),
         // but divide defensively to keep the arithmetic total.
-        let alpha1 = e.alpha1.max(1);
+        let alpha1 = u64::from(e.alpha1.max(1));
         let copy_number = q % alpha1;
         let source_index = q / alpha1;
-        e.align_idx = copy_number * e.alpha2 + source_index;
-        s2.write(i, e);
+        e.set_align_idx(copy_number * u64::from(e.alpha2) + source_index);
         q += 1;
         prev_key = e.key;
         have_prev = Choice::TRUE;
     }
 
     // One oblivious sort by (j, ii) puts every copy where S₁ expects it.
-    bitonic::par_sort_by_key(s2, |r: &AugRecord<P>| (r.key, r.align_idx));
+    bitonic::par_sort_by_key(s2, |r: &AugRecord<P>| (r.key, r.align_idx()));
 }
 
 #[cfg(test)]
@@ -63,11 +62,11 @@ mod tests {
     /// the α₁ and the data values of its T₂ entries (α₂ is their count).
     fn build_s2(
         tracer: &Tracer<CountingSink>,
-        groups: &[(u64, u64, Vec<u64>)],
+        groups: &[(u64, u32, Vec<u64>)],
     ) -> TrackedBuffer<AugRecord, CountingSink> {
         let mut rows = Vec::new();
         for (key, alpha1, values) in groups {
-            let alpha2 = values.len() as u64;
+            let alpha2 = values.len() as u32;
             for value in values {
                 for _ in 0..*alpha1 {
                     let mut r = AugRecord::from_entry(Entry::new(*key, *value), TableId::Right);
@@ -124,11 +123,11 @@ mod tests {
 
     #[test]
     fn trace_depends_only_on_length() {
-        let run = |groups: Vec<(u64, u64, Vec<u64>)>| {
+        let run = |groups: Vec<(u64, u32, Vec<u64>)>| {
             let tracer = Tracer::new(CollectingSink::new());
             let mut rows = Vec::new();
             for (key, alpha1, values) in &groups {
-                let alpha2 = values.len() as u64;
+                let alpha2 = values.len() as u32;
                 for value in values {
                     for _ in 0..*alpha1 {
                         let mut r = AugRecord::from_entry(Entry::new(*key, *value), TableId::Right);

@@ -1,14 +1,33 @@
 //! `Augment-Tables` (Algorithm 2): compute the group dimensions α₁ and α₂.
 //!
-//! The two input tables are concatenated (with table ids) into `T_C`, sorted
-//! by `(j, tid)` so each join value's entries become one contiguous block
-//! with the `T₁` entries first, and the per-group counts are computed with
-//! one forward and one backward linear pass (Figure 2).  A second sort by
-//! `(tid, j, d)` separates the augmented tables again.
+//! The two input tables are concatenated (with table ids) into `T_C`, which
+//! is sorted **once**, by `(j, tid, d)`: each join value's entries become
+//! one contiguous block with the `T₁` entries first, and the per-group
+//! counts are computed with one forward and one backward linear pass
+//! (Figure 2).
 //!
 //! The sum of the per-group products `α₁·α₂` — the output size `m` — falls
 //! out of the same backward pass and is the one data-dependent quantity the
 //! algorithm legitimately reveals (§3.2).
+//!
+//! ## Where this departs from Algorithm 2
+//!
+//! The paper sorts `T_C` by `(j, tid)`, fills the dimensions, then sorts a
+//! second time by `(tid, j, d)` and cuts the result into the augmented `T₁`
+//! and `T₂`.  The only consumers of those two tables are the two
+//! expansions, and expansion discards elements whose count is 0 at the cost
+//! of a linear-log compaction (`obliv_primitives::oblivious_expand`).  So
+//! the `d` component moves into the first sort — `(j, tid, d)` refines
+//! `(j, tid)`, `Fill-Dimensions` is unaffected — and [`augment_tables`]
+//! returns the augmented `T_C` itself: its `tid = 1` subsequence is `T₁` in
+//! `(j, d)` order, its `tid = 2` subsequence is `T₂` in `(j, d)` order, and
+//! the join expands each side from it with the other table's counts masked
+//! to 0.  One `O(n log² n)` sort and both split loops are gone; `S₁`, `S₂`
+//! and the output rows are what the paper's pipeline produces, in the same
+//! order.
+//!
+//! The trace is a function of `(n₁, n₂)` alone: one sorting network over
+//! `n₁ + n₂` records and two full-length passes.
 
 use obliv_primitives::sort::bitonic;
 use obliv_primitives::{Choice, CtSelect};
@@ -17,13 +36,13 @@ use obliv_trace::{TraceSink, Tracer, TrackedBuffer};
 use crate::record::{AugRecord, Payload, TableId};
 use crate::table::Table;
 
-/// The augmented tables produced by Algorithm 2, plus the output size.
+/// The augmented combined table produced by Algorithm 2, plus the output
+/// size.
 #[derive(Debug)]
-pub struct AugmentedTables<S: TraceSink, P: Payload = u64> {
-    /// `T₁` augmented with `(α₁, α₂)`, sorted lexicographically by `(j, d)`.
-    pub t1: TrackedBuffer<AugRecord<P>, S>,
-    /// `T₂` augmented with `(α₁, α₂)`, sorted lexicographically by `(j, d)`.
-    pub t2: TrackedBuffer<AugRecord<P>, S>,
+pub struct AugmentedTable<S: TraceSink, P: Payload = u64> {
+    /// `T_C` sorted by `(j, tid, d)`, every record carrying its group's
+    /// `(α₁, α₂)`.
+    pub tc: TrackedBuffer<AugRecord<P>, S>,
     /// The exact join output size `m = Σ_j α₁(j)·α₂(j)`.
     pub output_size: u64,
 }
@@ -37,62 +56,43 @@ pub fn augment_tables<S: TraceSink>(
     tracer: &Tracer<S>,
     t1: &Table,
     t2: &Table,
-) -> AugmentedTables<S> {
+) -> AugmentedTable<S> {
     // Line 2: T_C ← (T₁ × {tid = 1}) ∪ (T₂ × {tid = 2}).
     let combined: Vec<AugRecord> = t1
         .iter()
         .map(|&e| AugRecord::from_entry(e, TableId::Left))
         .chain(t2.iter().map(|&e| AugRecord::from_entry(e, TableId::Right)))
         .collect();
-    augment_combined(tracer, combined, t1.len(), t2.len())
+    augment_combined(tracer, combined)
 }
 
-/// The generic body of Algorithm 2 over an already-combined `T_C` whose
-/// first `n1` records came from `T₁` and whose remaining `n2` came from
-/// `T₂`.  The payload type is generic so the wide operators can run the
-/// same augmentation over `[u64; W]` multi-column carries; with `P = u64`
-/// this is exactly the legacy pair-shaped code path (same accesses, same
-/// trace).
+/// The generic body of Algorithm 2 over an already-combined `T_C` (in any
+/// order; the table ids say which record came from where).  The payload
+/// type is generic so the wide operators can run the same augmentation over
+/// `[u64; W]` multi-column carries.
+///
+/// # Panics
+/// Panics if `T_C` has 2³² records or more: the group dimensions are stored
+/// as `u32`.
 pub fn augment_combined<S: TraceSink, P: Payload>(
     tracer: &Tracer<S>,
     combined: Vec<AugRecord<P>>,
-    n1: usize,
-    n2: usize,
-) -> AugmentedTables<S, P> {
-    debug_assert_eq!(combined.len(), n1 + n2);
+) -> AugmentedTable<S, P> {
+    assert!(
+        u32::try_from(combined.len()).is_ok(),
+        "n1 + n2 = {} does not fit the record's 32-bit group dimensions",
+        combined.len()
+    );
     let mut tc = tracer.alloc_from(combined);
 
-    // Line 3: sort lexicographically by (j, tid) so every group is a
-    // contiguous block with the T₁ entries first.
-    bitonic::par_sort_by_key(&mut tc, |r: &AugRecord<P>| (r.key, r.tid));
+    // Line 3, with `d` appended: every group is a contiguous block with the
+    // T₁ entries first, and each table's entries are in (j, d) order.
+    bitonic::par_sort_by_key(&mut tc, |r: &AugRecord<P>| (r.key, r.tid, r.value));
 
     // Line 4: Fill-Dimensions — two linear passes (Figure 2).
     let output_size = fill_dimensions(&mut tc, tracer);
 
-    // Line 5: re-sort by (tid, j, d) so the first n₁ entries are the
-    // augmented T₁ (sorted by (j, d)) and the rest are the augmented T₂.
-    bitonic::par_sort_by_key(&mut tc, |r: &AugRecord<P>| (r.tid, r.key, r.value));
-
-    // Lines 6–7: split T_C back into the two augmented tables.
-    let mut out1 = tracer.alloc_from(vec![AugRecord::<P>::default(); n1]);
-    let mut out2 = tracer.alloc_from(vec![AugRecord::<P>::default(); n2]);
-    for i in 0..n1 {
-        let e = tc.read(i);
-        out1.write(i, e);
-        tracer.bump_linear_steps(1);
-    }
-    for i in 0..n2 {
-        let e = tc.read(n1 + i);
-        out2.write(i, e);
-        tracer.bump_linear_steps(1);
-    }
-    drop(tc);
-
-    AugmentedTables {
-        t1: out1,
-        t2: out2,
-        output_size,
-    }
+    AugmentedTable { tc, output_size }
 }
 
 /// The two linear passes of Figure 2 over the `(j, tid)`-sorted `T_C`.
@@ -109,20 +109,18 @@ fn fill_dimensions<S: TraceSink, P: Payload>(
     // the last entry of each group ends up holding the final (α₁, α₂).
     let mut prev_key: u64 = 0;
     let mut have_prev = Choice::FALSE;
-    let mut c1: u64 = 0;
-    let mut c2: u64 = 0;
-    for i in 0..n {
-        let mut e = tc.read(i);
-        tracer.bump_linear_steps(1);
+    let mut c1: u32 = 0;
+    let mut c2: u32 = 0;
+    tracer.bump_linear_steps(n as u64);
+    for e in tc.rw_run_mut(0, n) {
         let same_group = have_prev.and(Choice::eq_u64(e.key, prev_key));
-        c1 = u64::ct_select(same_group, c1, 0);
-        c2 = u64::ct_select(same_group, c2, 0);
-        let from_left = Choice::eq_u64(e.tid, TableId::Left.as_u64());
-        c1 += from_left.mask() & 1;
-        c2 += from_left.not().mask() & 1;
+        c1 = u32::ct_select(same_group, c1, 0);
+        c2 = u32::ct_select(same_group, c2, 0);
+        let from_left = Choice::eq_u64(e.tid.into(), TableId::Left.as_u32().into());
+        c1 += (from_left.mask() & 1) as u32;
+        c2 += (from_left.not().mask() & 1) as u32;
         e.alpha1 = c1;
         e.alpha2 = c2;
-        tc.write(i, e);
         prev_key = e.key;
         have_prev = Choice::TRUE;
     }
@@ -131,19 +129,17 @@ fn fill_dimensions<S: TraceSink, P: Payload>(
     // entry) to the whole group, accumulating m = Σ α₁·α₂ at the boundaries.
     let mut next_key: u64 = 0;
     let mut have_next = Choice::FALSE;
-    let mut a1: u64 = 0;
-    let mut a2: u64 = 0;
+    let mut a1: u32 = 0;
+    let mut a2: u32 = 0;
     let mut m: u64 = 0;
-    for i in (0..n).rev() {
-        let mut e = tc.read(i);
-        tracer.bump_linear_steps(1);
+    tracer.bump_linear_steps(n as u64);
+    for e in tc.rw_run_mut(0, n).iter_mut().rev() {
         let boundary = have_next.and(Choice::eq_u64(e.key, next_key)).not();
-        a1 = u64::ct_select(boundary, e.alpha1, a1);
-        a2 = u64::ct_select(boundary, e.alpha2, a2);
-        m += boundary.mask() & a1.wrapping_mul(a2);
+        a1 = u32::ct_select(boundary, e.alpha1, a1);
+        a2 = u32::ct_select(boundary, e.alpha2, a2);
+        m += boundary.mask() & (u64::from(a1) * u64::from(a2));
         e.alpha1 = a1;
         e.alpha2 = a2;
-        tc.write(i, e);
         next_key = e.key;
         have_next = Choice::TRUE;
     }
@@ -156,33 +152,45 @@ mod tests {
     use super::*;
     use obliv_trace::{CollectingSink, CountingSink};
 
-    fn augmented(t1: &[(u64, u64)], t2: &[(u64, u64)]) -> (Vec<AugRecord>, Vec<AugRecord>, u64) {
+    /// The augmented `T_C` and `m`.
+    fn augmented(t1: &[(u64, u64)], t2: &[(u64, u64)]) -> (Vec<AugRecord>, u64) {
         let tracer = Tracer::new(CountingSink::new());
         let a = augment_tables(
             &tracer,
             &Table::from_pairs(t1.to_vec()),
             &Table::from_pairs(t2.to_vec()),
         );
-        (
-            a.t1.as_slice().to_vec(),
-            a.t2.as_slice().to_vec(),
-            a.output_size,
-        )
+        (a.tc.as_slice().to_vec(), a.output_size)
+    }
+
+    /// The subsequence of `T_C` that came from one table, as `(j, d)` pairs.
+    fn side(tc: &[AugRecord], table: TableId) -> Vec<(u64, u64)> {
+        tc.iter()
+            .filter(|r| r.tid == table.as_u32())
+            .map(|r| (r.key, r.value))
+            .collect()
+    }
+
+    fn sorted(rows: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let mut rows = rows.to_vec();
+        rows.sort_unstable();
+        rows
     }
 
     #[test]
     fn paper_figure_2_example() {
         // T₁: (x,a1), (x,a2), (y,b1..b4), T₂: (x,u1..u3), (y,v1), (y,v2), (z,w1).
-        let t1 = [(1, 101), (1, 102), (2, 201), (2, 202), (2, 203), (2, 204)];
-        let t2 = [(1, 301), (1, 302), (1, 303), (2, 401), (2, 402), (3, 501)];
-        let (a1, a2, m) = augmented(&t1, &t2);
+        let t1 = [(2, 203), (1, 102), (2, 201), (2, 204), (1, 101), (2, 202)];
+        let t2 = [(3, 501), (1, 303), (2, 402), (1, 301), (2, 401), (1, 302)];
+        let (tc, m) = augmented(&t1, &t2);
 
         // m = 2·3 (x) + 4·2 (y) + 0·1 (z) = 14.
         assert_eq!(m, 14);
 
         // Every x entry carries (α₁, α₂) = (2, 3); every y entry (4, 2);
-        // the z entry in T₂ carries (0, 1).
-        for r in a1.iter().chain(a2.iter()) {
+        // the z entry of T₂ carries (0, 1).
+        assert_eq!(tc.len(), 12);
+        for r in &tc {
             match r.key {
                 1 => assert_eq!((r.alpha1, r.alpha2), (2, 3), "{r:?}"),
                 2 => assert_eq!((r.alpha1, r.alpha2), (4, 2), "{r:?}"),
@@ -191,71 +199,68 @@ mod tests {
             }
         }
 
-        // The augmented tables preserve their rows and are sorted by (j, d).
-        assert_eq!(a1.len(), 6);
-        assert_eq!(a2.len(), 6);
-        assert!(a1
+        // T_C is sorted by (j, tid, d), so each table's rows survive as a
+        // subsequence in (j, d) order — what the second sort of Algorithm 2
+        // would have produced as the augmented T₁ and T₂.
+        assert!(tc
             .windows(2)
-            .all(|w| (w[0].key, w[0].value) <= (w[1].key, w[1].value)));
-        assert!(a2
-            .windows(2)
-            .all(|w| (w[0].key, w[0].value) <= (w[1].key, w[1].value)));
-        assert!(a1.iter().all(|r| r.tid == 1));
-        assert!(a2.iter().all(|r| r.tid == 2));
+            .all(|w| (w[0].key, w[0].tid, w[0].value) <= (w[1].key, w[1].tid, w[1].value)));
+        assert_eq!(side(&tc, TableId::Left), sorted(&t1));
+        assert_eq!(side(&tc, TableId::Right), sorted(&t2));
+        assert!(tc.iter().all(|r| r.is_live()));
     }
 
     #[test]
     fn disjoint_keys_produce_zero_output() {
-        let (a1, a2, m) = augmented(&[(1, 1), (2, 2)], &[(3, 3), (4, 4)]);
+        let (tc, m) = augmented(&[(1, 1), (2, 2)], &[(3, 3), (4, 4)]);
         assert_eq!(m, 0);
-        assert!(a1.iter().all(|r| r.alpha2 == 0 && r.alpha1 == 1));
-        assert!(a2.iter().all(|r| r.alpha1 == 0 && r.alpha2 == 1));
+        for r in &tc {
+            let expected = if r.tid == 1 { (1, 0) } else { (0, 1) };
+            assert_eq!((r.alpha1, r.alpha2), expected, "{r:?}");
+        }
     }
 
     #[test]
     fn empty_tables() {
-        let (a1, a2, m) = augmented(&[], &[]);
+        let (tc, m) = augmented(&[], &[]);
         assert_eq!(m, 0);
-        assert!(a1.is_empty());
-        assert!(a2.is_empty());
+        assert!(tc.is_empty());
 
-        let (a1, a2, m) = augmented(&[(1, 1)], &[]);
+        let (tc, m) = augmented(&[(1, 1)], &[]);
         assert_eq!(m, 0);
-        assert_eq!(a1.len(), 1);
-        assert!(a2.is_empty());
-        assert_eq!((a1[0].alpha1, a1[0].alpha2), (1, 0));
+        assert_eq!(tc.len(), 1);
+        assert_eq!((tc[0].tid, tc[0].alpha1, tc[0].alpha2), (1, 1, 0));
     }
 
     #[test]
     fn one_to_one_groups() {
         let t: Vec<(u64, u64)> = (0..8).map(|i| (i, i * 10)).collect();
-        let (a1, a2, m) = augmented(&t, &t);
+        let (tc, m) = augmented(&t, &t);
         assert_eq!(m, 8);
-        assert!(a1.iter().all(|r| (r.alpha1, r.alpha2) == (1, 1)));
-        assert!(a2.iter().all(|r| (r.alpha1, r.alpha2) == (1, 1)));
+        assert_eq!(tc.len(), 16);
+        assert!(tc.iter().all(|r| (r.alpha1, r.alpha2) == (1, 1)));
+        // Within every group the T₁ entry precedes the T₂ entry.
+        assert!(tc.chunks(2).all(|g| (g[0].tid, g[1].tid) == (1, 2)));
     }
 
     #[test]
     fn single_heavy_group() {
         let t1: Vec<(u64, u64)> = (0..5).map(|i| (42, i)).collect();
         let t2: Vec<(u64, u64)> = (0..7).map(|i| (42, 100 + i)).collect();
-        let (a1, a2, m) = augmented(&t1, &t2);
+        let (tc, m) = augmented(&t1, &t2);
         assert_eq!(m, 35);
-        assert!(a1
-            .iter()
-            .chain(a2.iter())
-            .all(|r| (r.alpha1, r.alpha2) == (5, 7)));
+        assert!(tc.iter().all(|r| (r.alpha1, r.alpha2) == (5, 7)));
+        assert_eq!(side(&tc, TableId::Left), t1);
+        assert_eq!(side(&tc, TableId::Right), t2);
     }
 
     #[test]
     fn duplicate_data_values_are_kept() {
         // Repeated (j, d) pairs are legitimate rows and must all survive.
-        let (a1, _a2, m) = augmented(&[(1, 9), (1, 9), (1, 9)], &[(1, 5)]);
+        let (tc, m) = augmented(&[(1, 9), (1, 9), (1, 9)], &[(1, 5)]);
         assert_eq!(m, 3);
-        assert_eq!(a1.len(), 3);
-        assert!(a1
-            .iter()
-            .all(|r| r.value == 9 && (r.alpha1, r.alpha2) == (3, 1)));
+        assert_eq!(side(&tc, TableId::Left), [(1, 9); 3]);
+        assert!(tc.iter().all(|r| (r.alpha1, r.alpha2) == (3, 1)));
     }
 
     #[test]

@@ -7,18 +7,26 @@
 //! the asymptotic estimates), which lets tests assert that the executed
 //! operation counters match the prediction bit-for-bit — a strong form of
 //! the "counters are a function of public parameters" obliviousness check.
+//!
+//! This implementation runs two sorting networks where the paper's runs
+//! five (see [`crate::augment`] and `obliv_primitives::oblivious_expand`):
+//! [`predict`] prices what the code does — one sort over `T_C`, two
+//! compactions over `T_C`, two forward routes over `m`, one alignment sort
+//! — while [`paper_estimate`] stays the paper's Table 3 as published.
 
 use obliv_primitives::sort::network::{bitonic_comparator_count, bitonic_comparator_estimate};
 
 /// Exact predicted operation counts for one join execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostPrediction {
-    /// Comparisons made by the two sorts over `T_C` in Algorithm 2.
+    /// Comparisons made by the one sort over `T_C` in Algorithm 2.
     pub augment_sort_comparisons: u64,
-    /// Comparisons made by the sorts inside the two oblivious distributions
-    /// (one over `n₁` elements, one over `n₂`).
-    pub distribute_sort_comparisons: u64,
-    /// Hops made by the two routing passes (each over `m` slots).
+    /// Hops made by the two order-preserving compactions over `T_C` that
+    /// stand in for the sorts of `Ext-Oblivious-Distribute`.  Included in
+    /// [`routing_hops`](CostPrediction::routing_hops).
+    pub compaction_hops: u64,
+    /// Every routing-network hop of the join: `compaction_hops` plus the
+    /// two forward routing passes over `m` slots.
     pub routing_hops: u64,
     /// Comparisons made by the alignment sort over `m` elements.
     pub align_sort_comparisons: u64,
@@ -27,9 +35,7 @@ pub struct CostPrediction {
 impl CostPrediction {
     /// Total comparisons across every sorting-network invocation.
     pub fn total_comparisons(&self) -> u64 {
-        self.augment_sort_comparisons
-            + self.distribute_sort_comparisons
-            + self.align_sort_comparisons
+        self.augment_sort_comparisons + self.align_sort_comparisons
     }
 
     /// Total counted operations (comparisons plus routing hops).
@@ -40,6 +46,9 @@ impl CostPrediction {
 
 /// Exact number of hops performed by one routing pass over `m` slots
 /// (the `O(m log m)` loop of Algorithm 3): `Σ_{j = 2^⌈log₂ m⌉−1 … 1} (m − j)`.
+/// An order-preserving compaction of `m` elements runs the same stages in
+/// the opposite order — `m − j` hops for every power of two `j < m` — so
+/// this is its hop count as well.
 pub fn routing_hop_count(m: usize) -> u64 {
     if m < 2 {
         return 0;
@@ -61,17 +70,20 @@ pub fn routing_hop_count(m: usize) -> u64 {
 /// and output size `m`.
 pub fn predict(n1: usize, n2: usize, m: usize) -> CostPrediction {
     let n = n1 + n2;
+    let compaction_hops = 2 * routing_hop_count(n);
     CostPrediction {
-        augment_sort_comparisons: 2 * bitonic_comparator_count(n),
-        distribute_sort_comparisons: bitonic_comparator_count(n1) + bitonic_comparator_count(n2),
-        routing_hops: 2 * routing_hop_count(m),
+        augment_sort_comparisons: bitonic_comparator_count(n),
+        compaction_hops,
+        routing_hops: compaction_hops + 2 * routing_hop_count(m),
         align_sort_comparisons: bitonic_comparator_count(m),
     }
 }
 
 /// The paper's own approximate Table 3 formulas for the balanced case
-/// `m ≈ n₁ = n₂ = n/2`, returned as (label, approximate count) rows.  Used
-/// by reports to show the measured counts next to the published estimates.
+/// `m ≈ n₁ = n₂ = n/2`, returned as (label, approximate count) rows — the
+/// cost of Algorithms 2–5 *as published* (two sorts on `T_C`, a sort inside
+/// each distribution), not of this implementation, which [`predict`] prices.
+/// Reports print the two side by side.
 pub fn paper_estimate(n: usize) -> Vec<(&'static str, f64)> {
     let n1 = n / 2;
     let m = n1;

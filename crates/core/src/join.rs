@@ -2,19 +2,37 @@
 //!
 //! ```text
 //! Oblivious-Join(T₁, T₂):
-//!   1. Augment-Tables      — group dimensions α₁, α₂ and output size m
-//!   2. Oblivious-Expand T₁ — S₁ with α₂ copies of every T₁ entry
-//!   3. Oblivious-Expand T₂ — S₂ with α₁ copies of every T₂ entry
+//!   1. Augment-Tables      — T_C sorted by (j, tid, d), dimensions α₁, α₂, size m
+//!   2. Oblivious-Expand    — S₁: α₂ copies of every T₁ entry of T_C
+//!   3. Oblivious-Expand    — S₂: α₁ copies of every T₂ entry of T_C
 //!   4. Align-Table S₂      — reorder S₂ to line up with S₁
 //!   5. zip                 — output rows (S₁[i].d, S₂[i].d)
 //! ```
 //!
-//! The total cost is `O(n log² n + m log m)` with `n = n₁ + n₂`; the access
-//! pattern is a function of `(n₁, n₂, m)` only.
+//! The total cost is `O(n log² n + m log² m)` with `n = n₁ + n₂` — one
+//! sorting network over `n` records (augment) and one over `m` (align) —
+//! plus `O(n log n + m log m)` routing hops; the access pattern is a
+//! function of `(n₁, n₂, m)` only.
+//!
+//! ## Where this departs from Algorithm 1
+//!
+//! The paper expands the separated tables `T₁` and `T₂`.  Here both
+//! expansions read the augmented `T_C` (see [`crate::augment`]): the count of
+//! a record is `α₂` if it came from `T₁` and 0 otherwise for `S₁`, and the
+//! mirror image for `S₂`.  A count of 0 costs a record its place in a
+//! linear-log compaction and nothing else, so this replaces a second
+//! `O(n log² n)` sort over `T_C` by two `O(n log n)` compactions over it.
+//! `T_C` is copied once (a traced linear pass) because each expansion
+//! consumes its input.
+//!
+//! The trace still depends on `(n₁, n₂, m)` only: the copy and both
+//! expansions run over all `n₁ + n₂` records whatever their table ids, the
+//! expansions' networks are fixed by `(n₁ + n₂, m)`, and align and zip see
+//! `m` records.
 
 use std::time::Instant;
 
-use obliv_primitives::oblivious_expand;
+use obliv_primitives::{oblivious_expand, Choice, Expansion};
 use obliv_trace::{NullSink, OpCounters, TraceSink, Tracer, TrackedBuffer};
 
 use crate::align::align_table;
@@ -25,15 +43,17 @@ use crate::table::Table;
 
 /// The output of an oblivious join.
 ///
-/// The payload type defaults to the legacy single data word; the wide
+/// The payload type defaults to the paper's single data word; the wide
 /// operators instantiate it with `[u64; W]` for multi-column carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinResult<P: Payload = u64> {
     /// The joined rows `(d₁, d₂)`, one per matching pair of input rows.
     ///
-    /// The rows come out grouped by join value (ascending) and, within a
-    /// group, ordered lexicographically by `(d₁, d₂)`; callers that need a
-    /// different order should sort.
+    /// The rows come out grouped by join value (ascending); within a group
+    /// every `T₁` row, in `d₁` order, is paired with the group's `T₂` rows in
+    /// `d₂` order — lexicographic by `(d₁, d₂)` wherever a group's `d₁` are
+    /// distinct, and exactly what a sort-merge join over `(j, d)`-sorted
+    /// inputs emits.  Callers that need a different order should sort.
     pub rows: Vec<JoinRow<P>>,
     /// The join value of each output row, aligned with `rows`.
     ///
@@ -85,8 +105,8 @@ pub fn oblivious_join_with_tracer<S: TraceSink>(
 /// This is the generic entry point behind [`oblivious_join_with_tracer`]:
 /// the payload type is any fixed-size [`Payload`] (the wide operators pass
 /// `[u64; W]` to carry several columns per side through one kernel run).
-/// With `P = u64` the access pattern — and therefore the trace — is
-/// bit-identical to the legacy pair-shaped join.
+/// The access pattern does not depend on the payload type, only on the
+/// record width it implies.
 pub fn oblivious_join_payloads<S: TraceSink, P: Payload>(
     tracer: &Tracer<S>,
     t1: &[(u64, P)],
@@ -103,8 +123,8 @@ pub fn oblivious_join_payloads<S: TraceSink, P: Payload>(
     oblivious_join_combined(tracer, combined, t1.len(), t2.len())
 }
 
-/// Algorithm 1 over an already-combined record vector (first `n1` records
-/// from `T₁`, the rest from `T₂`).
+/// Algorithm 1 over an already-combined record vector (`n1` records from
+/// `T₁`, `n2` from `T₂`).
 fn oblivious_join_combined<S: TraceSink, P: Payload>(
     tracer: &Tracer<S>,
     combined: Vec<AugRecord<P>>,
@@ -123,18 +143,21 @@ fn oblivious_join_combined<S: TraceSink, P: Payload>(
     };
 
     // Phase 1: Algorithm 2.
-    let augmented = augment_combined(tracer, combined, n1, n2);
+    let augmented = augment_combined(tracer, combined);
     let m = augmented.output_size;
     stats.output_size = m;
     finish_phase(Phase::Augment, &mut stats, tracer);
 
-    // Phase 2: S₁ = T₁ expanded by α₂.
-    let s1 = oblivious_expand(augmented.t1, |r: &AugRecord<P>| r.alpha2);
+    // Phase 2: S₁ = the T₁ entries of T_C expanded by α₂.  Expansion
+    // consumes its input and T_C is needed twice, so this side works on a
+    // copy.
+    let tc = augmented.tc;
+    let s1 = expand_side(traced_copy(tracer, &tc), TableId::Left);
     debug_assert_eq!(s1.total, m);
     finish_phase(Phase::ExpandLeft, &mut stats, tracer);
 
-    // Phase 3: S₂ = T₂ expanded by α₁.
-    let s2 = oblivious_expand(augmented.t2, |r: &AugRecord<P>| r.alpha1);
+    // Phase 3: S₂ = the T₂ entries of T_C expanded by α₁.
+    let s2 = expand_side(tc, TableId::Right);
     debug_assert_eq!(s2.total, m);
     finish_phase(Phase::ExpandRight, &mut stats, tracer);
 
@@ -149,6 +172,37 @@ fn oblivious_join_combined<S: TraceSink, P: Payload>(
     finish_phase(Phase::Zip, &mut stats, tracer);
 
     JoinResult { rows, keys, stats }
+}
+
+/// Expand one side of the join out of the augmented `T_C`: every record
+/// that came from `side` is replicated by the *other* table's group
+/// dimension (`α₂` copies of a `T₁` entry, `α₁` of a `T₂` entry), every
+/// other record by 0.  The mask is arithmetic, so which rows of `T_C` an
+/// expansion keeps is never a control-flow decision.
+pub fn expand_side<S: TraceSink, P: Payload>(
+    tc: TrackedBuffer<AugRecord<P>, S>,
+    side: TableId,
+) -> Expansion<AugRecord<P>, S> {
+    oblivious_expand(tc, move |r: &AugRecord<P>| {
+        let copies = match side {
+            TableId::Left => r.alpha2,
+            TableId::Right => r.alpha1,
+        };
+        Choice::eq_u64(r.tid.into(), side.as_u32().into()).mask() & u64::from(copies)
+    })
+}
+
+/// A second copy of `src` in public memory: one read run, one write run.
+fn traced_copy<T: Copy + Default, S: TraceSink>(
+    tracer: &Tracer<S>,
+    src: &TrackedBuffer<T, S>,
+) -> TrackedBuffer<T, S> {
+    let n = src.len();
+    let mut copy = tracer.alloc::<T>(n);
+    tracer.bump_linear_steps(n as u64);
+    let cells = src.read_run(0, n);
+    copy.write_run(0, n).copy_from_slice(cells);
+    copy
 }
 
 /// The final linear pass: `TD[i] ← (S₁[i].d, S₂[i].d)` (the join value is
@@ -406,6 +460,20 @@ mod tests {
                 (0..32u64).map(|i| (i % 8, i)).collect::<Table>(),
                 (0..24u64).map(|i| (i % 6, i)).collect::<Table>(),
             ),
+            // Unbalanced both ways: the compactions run over n₁ + n₂
+            // whichever side is small.
+            (
+                (0..3u64).map(|i| (i % 2, i)).collect::<Table>(),
+                (0..97u64).map(|i| (i % 5, i)).collect::<Table>(),
+            ),
+            (
+                (0..97u64).map(|i| (i % 5, i)).collect::<Table>(),
+                (0..3u64).map(|i| (i % 2, i)).collect::<Table>(),
+            ),
+            // Zero output: disjoint keys, then an empty side, then nothing.
+            (table(&[(1, 1), (2, 2), (3, 3)]), table(&[(7, 7), (8, 8)])),
+            (table(&[(1, 1), (2, 2), (3, 3)]), Table::new()),
+            (Table::new(), Table::new()),
         ] {
             let tracer = Tracer::new(CountingSink::new());
             let result = oblivious_join_with_tracer(&tracer, &t1, &t2);
@@ -413,6 +481,20 @@ mod tests {
             let measured = result.stats.total_ops();
             assert_eq!(measured.comparisons, predicted.total_comparisons());
             assert_eq!(measured.routing_hops, predicted.routing_hops);
+            // Sorting happens in two phases only, routing in the other two.
+            let hops = |p: Phase| result.stats.phase(p).ops.routing_hops;
+            let comparisons = |p: Phase| result.stats.phase(p).ops.comparisons;
+            assert_eq!(
+                comparisons(Phase::Augment),
+                predicted.augment_sort_comparisons
+            );
+            assert_eq!(comparisons(Phase::Align), predicted.align_sort_comparisons);
+            assert_eq!(
+                comparisons(Phase::ExpandLeft) + comparisons(Phase::ExpandRight),
+                0
+            );
+            assert_eq!(hops(Phase::ExpandLeft), predicted.routing_hops / 2);
+            assert_eq!(hops(Phase::ExpandRight), predicted.routing_hops / 2);
         }
     }
 }

@@ -445,32 +445,40 @@ impl Schema {
     /// assert_eq!(s.decode_row(&row), vec![Value::U64(7), Value::Bool(true)]);
     /// ```
     pub fn encode_row(&self, values: &[Value]) -> Result<Vec<u8>, SchemaError> {
+        let mut bytes = Vec::with_capacity(self.row_width);
+        self.encode_row_into(values, &mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// Append the encoding of one row to `out`; on error `out` is left as
+    /// it was.  What [`WideTable`] builds its row storage with, one
+    /// allocation per table instead of one per row.
+    fn encode_row_into(&self, values: &[Value], out: &mut Vec<u8>) -> Result<(), SchemaError> {
         if values.len() != self.columns.len() {
             return Err(SchemaError::WrongArity {
                 expected: self.columns.len(),
                 found: values.len(),
             });
         }
-        let mut bytes = Vec::with_capacity(self.row_width);
+        let start = out.len();
         for (col, value) in self.columns.iter().zip(values) {
             match (col.ty, value) {
-                (ColumnType::U64, Value::U64(v)) => bytes.extend_from_slice(&v.to_le_bytes()),
-                (ColumnType::I64, Value::I64(v)) => bytes.extend_from_slice(&v.to_le_bytes()),
-                (ColumnType::Bool, Value::Bool(v)) => bytes.push(*v as u8),
-                (ColumnType::Bytes(n), Value::Bytes(b)) if b.len() == n => {
-                    bytes.extend_from_slice(b)
-                }
+                (ColumnType::U64, Value::U64(v)) => out.extend_from_slice(&v.to_le_bytes()),
+                (ColumnType::I64, Value::I64(v)) => out.extend_from_slice(&v.to_le_bytes()),
+                (ColumnType::Bool, Value::Bool(v)) => out.push(*v as u8),
+                (ColumnType::Bytes(n), Value::Bytes(b)) if b.len() == n => out.extend_from_slice(b),
                 _ => {
+                    out.truncate(start);
                     return Err(SchemaError::TypeMismatch {
                         column: col.name.clone(),
                         expected: col.ty,
                         found: value.column_type(),
-                    })
+                    });
                 }
             }
         }
-        debug_assert_eq!(bytes.len(), self.row_width);
-        Ok(bytes)
+        debug_assert_eq!(out.len() - start, self.row_width);
+        Ok(())
     }
 
     /// Decode the value of column `idx` from an encoded row.
@@ -609,11 +617,12 @@ impl WideTable {
     where
         I: IntoIterator<Item = Vec<Value>>,
     {
-        let mut table = WideTable::new(schema);
+        let rows = rows.into_iter();
+        let mut data = Vec::with_capacity(rows.size_hint().0 * schema.row_width());
         for row in rows {
-            table.push(&row)?;
+            schema.encode_row_into(&row, &mut data)?;
         }
-        Ok(table)
+        Ok(WideTable::from_encoded(Arc::new(schema), data))
     }
 
     /// Build a table directly from pre-encoded row bytes (used by the wide
@@ -656,9 +665,8 @@ impl WideTable {
 
     /// Append one row (copy-on-write if the row storage is shared).
     pub fn push(&mut self, values: &[Value]) -> Result<(), SchemaError> {
-        let row = self.schema.encode_row(values)?;
-        Arc::make_mut(&mut self.data).extend_from_slice(&row);
-        Ok(())
+        self.schema
+            .encode_row_into(values, Arc::make_mut(&mut self.data))
     }
 
     /// The encoded bytes of row `i`.
@@ -903,6 +911,32 @@ mod tests {
                 ]
             }
         );
+    }
+
+    #[test]
+    fn failed_push_leaves_the_table_unchanged() {
+        // The type error is in the last column: the row is encoded in place,
+        // so the columns before it must be taken back out.
+        let good = [Value::U64(1), Value::U64(10)];
+        let bad = [Value::U64(2), Value::Bool(true)];
+        let mut t = WideTable::new(Schema::pair());
+        t.push(&good).unwrap();
+        let before = t.clone();
+        assert!(matches!(
+            t.push(&bad),
+            Err(SchemaError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            t.push(&good[..1]),
+            Err(SchemaError::WrongArity { .. })
+        ));
+        assert_eq!(t, before);
+        t.push(&good).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.row_values(1), good);
+
+        let rows = [good.to_vec(), bad.to_vec()];
+        assert!(WideTable::from_rows(Schema::pair(), rows).is_err());
     }
 
     #[test]

@@ -12,8 +12,9 @@ pub struct EpcConfig {
     pub epc_bytes: u64,
     /// Page size in bytes (4 KiB on SGX).
     pub page_bytes: u64,
-    /// Size of one table entry in bytes.  The augmented record of the join
-    /// is eight 8-byte words.
+    /// Size of one table entry in bytes.  The default is one cache line;
+    /// the join's augmented record is five 8-byte words, and the Figure 8
+    /// report sets this to its actual size.
     pub entry_bytes: u64,
     /// Cost charged per in-enclave memory access, in nanoseconds.
     pub access_cost_ns: f64,

@@ -17,11 +17,13 @@
 //! — the catalog read lock is held only for those bumps, never during
 //! execution.
 //!
-//! Workers are *resident* (the crate-private `pool` module): spawned once at engine
-//! construction, fed through an injector queue, joined when the engine is
-//! dropped.  Batches therefore pay no thread-spawn cost — which matters on
-//! the µs-scale warm-cache path — and concurrent callers share one set of
-//! workers instead of each spawning their own scope.
+//! Workers are *resident* (the crate-private `pool` module): spawned once, by
+//! the first batch that hands the pool work, fed through an injector queue,
+//! joined when the engine is dropped.  Later batches therefore pay no
+//! thread-spawn cost — which matters on the µs-scale warm-cache path —
+//! concurrent callers share one set of workers instead of each spawning
+//! their own scope, and an engine that never executes a miss on the pool
+//! never starts a thread.
 //!
 //! ## Digest memo
 //!
@@ -534,8 +536,9 @@ impl Engine {
         Engine::with_catalog(Catalog::new(), config)
     }
 
-    /// An engine serving queries over an existing catalog.  The resident
-    /// worker pool is spawned here and lives until the engine is dropped.
+    /// An engine serving queries over an existing catalog.  No thread is
+    /// spawned here: the resident worker pool starts with the first batch
+    /// that needs it and lives until the engine is dropped.
     pub fn with_catalog(catalog: Catalog, config: EngineConfig) -> Self {
         let workers = config.workers.max(1);
         let registry = Arc::new(MetricsRegistry::new());
@@ -1309,6 +1312,24 @@ mod tests {
     fn empty_batch_is_fine() {
         let engine = engine(2);
         assert!(engine.execute_batch(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn engine_new_spawns_no_worker_until_first_batch() {
+        let engine = engine(2);
+        assert_eq!(engine.pool.workers(), 2);
+        assert_eq!(engine.pool.spawned(), 0, "construction parks no thread");
+        // Neither does validating, nor a batch with a single distinct plan
+        // (it runs inline on the caller).
+        engine.validate(&requests()[0]).unwrap();
+        engine.execute_batch(&requests()[..1]).unwrap();
+        assert_eq!(engine.pool.spawned(), 0);
+        // Two distinct misses go to the pool, which starts its workers.
+        engine.execute_batch(&requests()).unwrap();
+        assert_eq!(engine.pool.spawned(), 2);
+        // And a warm batch is served without touching it again.
+        engine.execute_batch(&requests()).unwrap();
+        assert_eq!(engine.pool.spawned(), 2);
     }
 
     #[test]

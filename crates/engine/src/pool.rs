@@ -5,9 +5,12 @@
 //! execution, but once the result cache made warm batches µs-scale, the
 //! per-batch thread spawn became the dominant cost of any batch containing
 //! even one miss.  The pool here is *resident*: `workers` threads are
-//! spawned once when the [`Engine`](crate::Engine) is constructed, pull
-//! work from a shared injector queue for the engine's whole lifetime, and
-//! shut down gracefully (drain, then join) when the engine is dropped.
+//! spawned once, by the first unit of work the pool is handed, pull work
+//! from a shared injector queue for the rest of the engine's lifetime, and
+//! shut down gracefully (drain, then join) when the engine is dropped.  An
+//! engine that only ever validates plans or serves result-cache hits — a
+//! coordinator's gather engine, most of the time — never starts a thread,
+//! and constructing an [`Engine`](crate::Engine) costs no `thread::spawn`.
 //!
 //! Concurrent batches share the same workers: each submitted job carries
 //! its own reply channel, so two callers inside `execute_batch` at the same
@@ -36,7 +39,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -135,8 +138,8 @@ struct ScopeLatch {
 /// The state shared between the pool handle, its worker threads, and any
 /// scoped-parallelism executors holding on to the pool.
 ///
-/// Split out of [`WorkerPool`] (which additionally owns the join handles)
-/// so long-lived `Arc` holders — the engine's intra-query
+/// Split out of [`WorkerPool`] (whose drop is the shutdown) so long-lived
+/// `Arc` holders — the engine's intra-query
 /// [`ParExecutor`](obliv_primitives::ParExecutor) — never keep the worker
 /// threads themselves alive: shutdown is still "raise the flag, join".
 pub(crate) struct PoolShared<T: Send + 'static> {
@@ -150,6 +153,11 @@ pub(crate) struct PoolShared<T: Send + 'static> {
     metrics: Option<PoolMetrics>,
     /// Number of resident worker threads (0 = everything runs inline).
     workers: usize,
+    /// Guards the one-time spawn of the workers by the first `enqueue`.
+    spawn: Once,
+    /// Handles of the spawned workers (empty until then), joined when the
+    /// owning [`WorkerPool`] is dropped.
+    handles: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl<T: Send + 'static> PoolShared<T> {
@@ -198,15 +206,19 @@ impl<T: Send + 'static> PoolShared<T> {
         self.add_busy(busy);
     }
 
-    /// Push one unit of work (stamped for queue-wait accounting) and wake
-    /// a parked worker.
+    /// Push one unit of work (stamped for queue-wait accounting), start the
+    /// workers if this is the first, and wake a parked one.
     ///
     /// # Panics
     ///
     /// Panics if called during/after shutdown (the engine drops the pool
     /// only when the engine itself is dropped, so a live `&Engine` can
     /// always submit).
-    fn enqueue<W>(&self, work: W, queue: impl FnOnce(&mut Queues<T>) -> &mut VecDeque<Queued<W>>) {
+    fn enqueue<W>(
+        self: &Arc<Self>,
+        work: W,
+        queue: impl FnOnce(&mut Queues<T>) -> &mut VecDeque<Queued<W>>,
+    ) {
         let mut queues = lock_recover(&self.queues);
         assert!(!queues.shutdown, "worker pool is shut down");
         if let Some(m) = &self.metrics {
@@ -217,7 +229,28 @@ impl<T: Send + 'static> PoolShared<T> {
             work,
         });
         drop(queues);
+        self.spawn.call_once(|| self.spawn_workers());
         self.available.notify_one();
+    }
+
+    /// Start the `workers` resident threads.  Runs once, under `spawn`.
+    fn spawn_workers(self: &Arc<Self>) {
+        let mut handles = lock_recover(&self.handles);
+        for i in 0..self.workers {
+            let shared = Arc::clone(self);
+            let handle = thread::Builder::new()
+                .name(format!("obliv-engine-worker-{i}"))
+                .spawn(move || {
+                    while let Some(pulled) = shared.pull() {
+                        match pulled {
+                            Pulled::Query(job) => shared.run_query(job),
+                            Pulled::Scoped(partition) => shared.run_partition(partition),
+                        }
+                    }
+                })
+                .expect("spawning an engine worker thread failed");
+            handles.push(handle);
+        }
     }
 
     /// Block until work is available and take it — partitions first, since
@@ -258,7 +291,7 @@ impl<T: Send + 'static> PoolShared<T> {
     /// unresolved); the first panic payload is re-raised on the calling
     /// thread after the barrier.  With zero resident workers all tasks run
     /// inline, preserving exact fork-join semantics for the serial engine.
-    pub(crate) fn run_scoped(&self, tasks: Vec<ScopedTask>) {
+    pub(crate) fn run_scoped(self: &Arc<Self>, tasks: Vec<ScopedTask>) {
         let total = tasks.len();
         if total == 0 {
             return;
@@ -331,13 +364,12 @@ impl<T: Send + 'static> PoolShared<T> {
 /// per-worker deques.
 pub(crate) struct WorkerPool<T: Send + 'static> {
     shared: Arc<PoolShared<T>>,
-    /// Worker handles, joined on drop.
-    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl<T: Send + 'static> WorkerPool<T> {
-    /// Spawn a pool of `workers` resident threads (zero is allowed and
-    /// spawns nothing — useful for a serial engine that never submits).
+    /// A pool of `workers` resident threads, none of them started yet: the
+    /// first submitted job or scoped partition spawns them (zero is allowed
+    /// and never spawns — useful for a serial engine that never submits).
     pub(crate) fn new(workers: usize, metrics: Option<PoolMetrics>) -> Self {
         let shared = Arc::new(PoolShared {
             queues: Mutex::new(Queues {
@@ -348,29 +380,22 @@ impl<T: Send + 'static> WorkerPool<T> {
             available: Condvar::new(),
             metrics,
             workers,
+            spawn: Once::new(),
+            handles: Mutex::new(Vec::new()),
         });
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("obliv-engine-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(pulled) = shared.pull() {
-                            match pulled {
-                                Pulled::Query(job) => shared.run_query(job),
-                                Pulled::Scoped(partition) => shared.run_partition(partition),
-                            }
-                        }
-                    })
-                    .expect("spawning an engine worker thread failed")
-            })
-            .collect();
-        WorkerPool { shared, workers }
+        WorkerPool { shared }
     }
 
-    /// Number of resident worker threads.
+    /// Number of resident worker threads the pool runs once started.
     pub(crate) fn workers(&self) -> usize {
-        self.workers.len()
+        self.shared.workers
+    }
+
+    /// Number of worker threads actually running: 0 until the first unit
+    /// of work arrives, [`workers`](WorkerPool::workers) from then on.
+    #[cfg(test)]
+    pub(crate) fn spawned(&self) -> usize {
+        lock_recover(&self.shared.handles).len()
     }
 
     /// The pool state scoped-parallelism executors hold on to.
@@ -408,12 +433,13 @@ impl<T: Send + 'static> WorkerPool<T> {
 
 impl<T: Send + 'static> Drop for WorkerPool<T> {
     /// Graceful shutdown: raise the shutdown flag (workers finish whatever
-    /// is queued, then exit), then join every worker so no thread outlives
-    /// the engine.
+    /// is queued, then exit), then join every worker that was ever spawned
+    /// so no thread outlives the engine.
     fn drop(&mut self) {
         lock_recover(&self.shared.queues).shutdown = true;
         self.shared.available.notify_all();
-        for handle in self.workers.drain(..) {
+        let handles = std::mem::take(&mut *lock_recover(&self.shared.handles));
+        for handle in handles {
             let _ = handle.join();
         }
     }
@@ -451,6 +477,7 @@ mod tests {
     #[test]
     fn pool_serves_many_batches_without_respawning() {
         let pool: WorkerPool<usize> = WorkerPool::new(2, None);
+        assert_eq!(pool.spawned(), 0, "no work yet, no threads yet");
         for round in 0..50 {
             let (tx, rx) = mpsc::channel();
             pool.submit(
@@ -462,7 +489,21 @@ mod tests {
             );
             drop(tx);
             assert_eq!(rx.iter().count(), 4);
+            assert_eq!(pool.spawned(), 2, "round {round}");
         }
+    }
+
+    #[test]
+    fn first_scoped_partition_starts_the_workers() {
+        let pool: WorkerPool<()> = WorkerPool::new(2, None);
+        assert_eq!(pool.spawned(), 0);
+        // A one-task scope runs on the submitting thread alone ...
+        pool.shared().run_scoped(vec![Box::new(|| {})]);
+        assert_eq!(pool.spawned(), 0);
+        // ... a second task has to be queued for a sibling.
+        pool.shared()
+            .run_scoped(vec![Box::new(|| {}), Box::new(|| {})]);
+        assert_eq!(pool.spawned(), 2);
     }
 
     #[test]

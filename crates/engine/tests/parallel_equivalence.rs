@@ -76,6 +76,24 @@ fn operator_requests() -> Vec<QueryRequest> {
                 .join(Plan::scan("customers"), "key", "key")
                 .project(["key", "right_value"]),
         ),
+        // The join expands both sides out of one sorted T_C, the other
+        // side's rows riding along with a count of 0: a lopsided input (4
+        // customers against 96 orders) and an empty output (no order has a
+        // value of 200) are the shapes where those rows dominate.
+        QueryRequest::new(
+            "join-lopsided",
+            Plan::scan("orders").join(
+                Plan::scan("customers").filter(WidePredicate::below("key", Value::U64(1))),
+                "key",
+                "key",
+            ),
+        ),
+        QueryRequest::new(
+            "join-empty",
+            Plan::scan("orders")
+                .filter(WidePredicate::at_least("value", Value::U64(200)))
+                .join(Plan::scan("customers"), "key", "key"),
+        ),
         QueryRequest::new("distinct", Plan::scan("orders").distinct()),
         QueryRequest::new(
             "semi",

@@ -1,10 +1,14 @@
 //! Oblivious group-by aggregation over a single table.
 
-use obliv_join::record::{AugRecord, TableId};
 use obliv_join::Table;
 use obliv_primitives::sort::bitonic;
 use obliv_primitives::{ct_max_u64, ct_min_u64, oblivious_compact, Choice, CtSelect, Routable};
 use obliv_trace::{TraceSink, Tracer};
+
+use crate::acc::AccRecord;
+
+/// One running aggregate per record.
+type Rec = AccRecord<1>;
 
 /// The aggregate function applied to every key group's data values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +62,10 @@ pub fn oblivious_group_aggregate<S: TraceSink>(
     table: &Table,
     aggregate: Aggregate,
 ) -> Table {
-    let records: Vec<AugRecord> = table
-        .iter()
-        .map(|&e| AugRecord::from_entry(e, TableId::Left))
-        .collect();
+    let records: Vec<Rec> = table.iter().map(|e| Rec::new(e.key, e.value, 0)).collect();
     let mut buf = tracer.alloc_from(records);
     let n = buf.len();
-    bitonic::par_sort_by_key(&mut buf, |r: &AugRecord| (r.key, r.value));
+    bitonic::par_sort_by_key(&mut buf, |r: &Rec| (r.key, r.value));
 
     // Forward pass: fold the running aggregate into every row (each row
     // stores the aggregate of its group's prefix; the last row of a group
@@ -78,7 +79,7 @@ pub fn oblivious_group_aggregate<S: TraceSink>(
         let same_group = have_prev.and(Choice::eq_u64(r.key, prev_key));
         acc = u64::ct_select(same_group, acc, aggregate.identity());
         acc = aggregate.fold(acc, r.value);
-        r.alpha1 = acc;
+        r.acc[0] = acc;
         buf.write(i, r);
         prev_key = r.key;
         have_prev = Choice::TRUE;
@@ -93,10 +94,10 @@ pub fn oblivious_group_aggregate<S: TraceSink>(
         tracer.bump_linear_steps(1);
         let boundary = have_next.and(Choice::eq_u64(r.key, next_key)).not();
         let mut kept = r;
-        kept.value = r.alpha1;
+        kept.value = r.acc[0];
         let mut dropped = r;
         dropped.set_null();
-        buf.write(i, AugRecord::ct_select(boundary, kept, dropped));
+        buf.write(i, Rec::ct_select(boundary, kept, dropped));
         next_key = r.key;
         have_next = Choice::TRUE;
     }

@@ -16,11 +16,19 @@
 //! * `SumProducts` — `(Σ d₁)·(Σ d₂)`, the sum of `d₁·d₂` over the group's
 //!   Cartesian product.
 
-use obliv_join::record::{AugRecord, TableId};
 use obliv_join::Table;
 use obliv_primitives::sort::bitonic;
 use obliv_primitives::{oblivious_compact, Choice, CtSelect, Routable};
 use obliv_trace::{TraceSink, Tracer};
+
+use crate::acc::AccRecord;
+
+/// Four running values per record: `α₁`, `α₂`, `Σ d₁`, `Σ d₂`.
+type Rec = AccRecord<4>;
+
+/// Table ids inside the combined table, as in Algorithm 2.
+const LEFT: u32 = 1;
+const RIGHT: u32 = 2;
 
 /// Aggregate functions over the joined pairs of each join value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,18 +68,18 @@ pub fn oblivious_join_aggregate<S: TraceSink>(
     aggregate: JoinAggregate,
 ) -> Table {
     // Combined table, as in Augment-Tables (Algorithm 2, line 2).
-    let records: Vec<AugRecord> = t1
+    let records: Vec<Rec> = t1
         .iter()
-        .map(|&e| AugRecord::from_entry(e, TableId::Left))
-        .chain(t2.iter().map(|&e| AugRecord::from_entry(e, TableId::Right)))
+        .map(|e| Rec::new(e.key, e.value, LEFT))
+        .chain(t2.iter().map(|e| Rec::new(e.key, e.value, RIGHT)))
         .collect();
     let mut buf = tracer.alloc_from(records);
     let n = buf.len();
-    bitonic::par_sort_by_key(&mut buf, |r: &AugRecord| (r.key, r.tid));
+    bitonic::par_sort_by_key(&mut buf, |r: &Rec| (r.key, r.tid));
 
     // Forward pass: running (α₁, α₂, Σ d₁, Σ d₂) per group, stored in every
-    // record's spare attributes so the group's last record ends up holding
-    // the totals.  This is Fill-Dimensions extended with the two sums.
+    // record's accumulators so the group's last record ends up holding the
+    // totals.  This is Fill-Dimensions extended with the two sums.
     let mut prev_key = 0u64;
     let mut have_prev = Choice::FALSE;
     let (mut c1, mut c2, mut s1, mut s2) = (0u64, 0u64, 0u64, 0u64);
@@ -84,16 +92,13 @@ pub fn oblivious_join_aggregate<S: TraceSink>(
         s1 = u64::ct_select(same_group, s1, 0);
         s2 = u64::ct_select(same_group, s2, 0);
 
-        let from_left = Choice::eq_u64(r.tid, TableId::Left.as_u64());
+        let from_left = Choice::eq_u64(r.tid.into(), LEFT.into());
         c1 += from_left.mask() & 1;
         c2 += from_left.not().mask() & 1;
         s1 = s1.wrapping_add(from_left.mask() & r.value);
         s2 = s2.wrapping_add(from_left.not().mask() & r.value);
 
-        r.alpha1 = c1;
-        r.alpha2 = c2;
-        r.align_idx = s1;
-        r.dest = s2;
+        r.acc = [c1, c2, s1, s2];
         buf.write(i, r);
         prev_key = r.key;
         have_prev = Choice::TRUE;
@@ -107,14 +112,15 @@ pub fn oblivious_join_aggregate<S: TraceSink>(
         let r = buf.read(i);
         tracer.bump_linear_steps(1);
         let boundary = have_next.and(Choice::eq_u64(r.key, next_key)).not();
-        let joined = Choice::ge_u64(r.alpha1, 1).and(Choice::ge_u64(r.alpha2, 1));
+        let [alpha1, alpha2, sum_left, sum_right] = r.acc;
+        let joined = Choice::ge_u64(alpha1, 1).and(Choice::ge_u64(alpha2, 1));
         let emit = boundary.and(joined);
 
         let mut kept = r;
-        kept.value = aggregate.finish(r.alpha1, r.alpha2, r.align_idx, r.dest);
+        kept.value = aggregate.finish(alpha1, alpha2, sum_left, sum_right);
         let mut dropped = r;
         dropped.set_null();
-        buf.write(i, AugRecord::ct_select(emit, kept, dropped));
+        buf.write(i, Rec::ct_select(emit, kept, dropped));
         next_key = r.key;
         have_next = Choice::TRUE;
     }

@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod acc;
 mod aggregate;
 mod join_aggregate;
 pub mod wide;

@@ -12,11 +12,14 @@
 //!   network "is used in the reverse direction" relative to Goodrich's
 //!   compaction).
 //!
-//! The join itself only needs distribution and expansion; compaction is
-//! provided because it is the natural companion primitive (selections and
-//! projections reduce to it) and it powers one of the ablation benchmarks.
+//! [`oblivious_compact`] is also one half of the join: `Oblivious-Expand`
+//! assigns its destinations as a running sum, so the "sort by destination,
+//! nulls last" of `Ext-Oblivious-Distribute` only ever has to *remove nulls
+//! stably*, which is this network at `O(n log n)` instead of a sort's
+//! `O(n log² n)` (see [`oblivious_expand`](crate::oblivious_expand)).
+//! Selections and projections reduce to it as well.
 
-use obliv_trace::{TraceSink, TrackedBuffer};
+use obliv_trace::{SweepOrder, TraceSink, TrackedBuffer};
 
 use crate::ct::{Choice, CtSelect};
 use crate::routable::Routable;
@@ -68,13 +71,13 @@ where
     // Pass 1: rank assignment.  Non-null elements receive dest = 1, 2, …;
     // null elements receive dest = 0.
     let mut rank: u64 = 0;
-    for i in 0..n {
-        let mut e = buf.read(i);
-        tracer.bump_linear_steps(1);
+    tracer.bump_linear_steps(n as u64);
+    for slot in buf.rw_run_mut(0, n) {
+        let mut e = *slot;
         let live = Choice::from_bool(!e.is_null());
         rank += live.mask() & 1;
         e.set_dest(u64::ct_select(live, rank, 0));
-        buf.write(i, e);
+        *slot = e;
     }
     let live = rank;
 
@@ -84,30 +87,29 @@ where
     // Processing pairs front-to-back within a stage vacates a destination
     // slot before the element behind it arrives, and because the remaining
     // distances of live elements grow by at most the gap between them, a
-    // moving element always lands on a null slot.
-    if n >= 2 {
-        let mut j = 1usize;
-        while j < n {
-            for i in 0..n - j {
-                let lo = buf.read(i);
-                let hi = buf.read(i + j);
-                tracer.bump_routing_hops(1);
-                // Remaining downward distance of the upper element: current
-                // position (i + j) minus target position (dest − 1).  Lower
-                // bits were cleared by earlier stages, so testing bit log₂ j
-                // asks whether this stage's hop is part of the element's
-                // route.
-                let live_hi = Choice::from_bool(!hi.is_null());
-                let remaining = ((i + j) as u64 + 1).wrapping_sub(hi.dest());
-                let bit_set = Choice::from_bool(remaining & (j as u64) != 0);
-                let hop = live_hi.and(bit_set);
-                let new_lo = T::ct_select(hop, hi, lo);
-                let new_hi = T::ct_select(hop, lo, hi);
-                buf.write(i, new_lo);
-                buf.write(i + j, new_hi);
-            }
-            j *= 2;
+    // moving element always lands on a null slot.  Each stage is one sweep
+    // event over one borrowed slice; a hop still reads both its cells into
+    // local memory and writes both back.
+    let mut j = 1usize;
+    while j < n {
+        tracer.bump_routing_hops((n - j) as u64);
+        let cells = buf.sweep_mut(j, n - j, SweepOrder::Ascending);
+        for i in 0..n - j {
+            let lo = cells[i];
+            let hi = cells[i + j];
+            // Remaining downward distance of the upper element: current
+            // position (i + j) minus target position (dest − 1).  Lower
+            // bits were cleared by earlier stages, so testing bit log₂ j
+            // asks whether this stage's hop is part of the element's
+            // route.
+            let live_hi = Choice::from_bool(!hi.is_null());
+            let remaining = ((i + j) as u64 + 1).wrapping_sub(hi.dest());
+            let bit_set = Choice::from_bool(remaining & (j as u64) != 0);
+            let hop = live_hi.and(bit_set);
+            cells[i] = T::ct_select(hop, hi, lo);
+            cells[i + j] = T::ct_select(hop, lo, hi);
         }
+        j *= 2;
     }
 
     Compaction { table: buf, live }

@@ -12,9 +12,24 @@
 //!
 //! The helpers here implement that transformation for machine words and for
 //! any record type made of such words (via [`CtSelect`]).  All sorting and
-//! routing primitives in this crate route their secret-dependent choices
-//! through these helpers, so the compiled kernels contain no data-dependent
-//! branches in their inner loops.
+//! routing primitives in this crate route their secret-dependent *data
+//! movement* through these helpers: whether a compare-exchange swaps, a hop
+//! moves or a mark pass drops an element is a masked selection, never a
+//! branch, and never an address.
+//!
+//! What is **not** constant-time is the comparison that *decides* a sorting
+//! gate: the sorts take a key closure returning any `K: Ord`, and `>` on `K`
+//! is whatever the compiler makes of it — a `setcc` for a word, a
+//! short-circuiting lexicographic compare (with a branch per component) for
+//! a tuple such as the join's `(j, tid, d)`.  That is within level II, which
+//! is what this workspace claims and its trace checks verify; it is not
+//! level III.  The constant-time alternative exists
+//! ([`ct_lt_words`](crate::ct_lt_words)) and was measured on the join's
+//! augment sort, n = 10⁵, same process, alternating: three key words through
+//! `ct_lt_words` cost 7.6 ns per gate against 6.1 ns for the tuple compare
+//! (+25 %; +10–15 % on the earlier 64-byte record, where moving the record
+//! was a larger share of the gate).  A level-III build should pay that in
+//! the key type, not in these helpers.
 
 /// A secret boolean represented as a full-width mask (`0` or `!0`).
 ///
@@ -158,11 +173,7 @@ impl<A: CtSelect, B: CtSelect> CtSelect for (A, B) {
 impl<T: CtSelect, const N: usize> CtSelect for [T; N] {
     #[inline(always)]
     fn ct_select(c: Choice, a: Self, b: Self) -> Self {
-        let mut out = a;
-        for ((o, x), y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *o = T::ct_select(c, *x, *y);
-        }
-        out
+        std::array::from_fn(|i| T::ct_select(c, a[i], b[i]))
     }
 }
 

@@ -16,13 +16,35 @@
 //! Both accept *extended* inputs in the sense of `Ext-Oblivious-Distribute`
 //! (Algorithm 4, lines 24–31): elements may be marked null (`dest() == 0`),
 //! in which case they are discarded and only the real elements are placed.
+//!
+//! ## Where this departs from Algorithm 3 / 4
+//!
+//! * The sort of [`oblivious_distribute`] is for callers with *arbitrary*
+//!   destinations.  [`oblivious_expand`](crate::oblivious_expand) does not
+//!   call it: its destinations are a running sum, so a stable removal of
+//!   nulls ([`oblivious_compact`](crate::oblivious_compact), `O(n log n)`)
+//!   already yields the order the sort would.  Both share everything after
+//!   that step (`place_prefix`).
+//! * The paper lays the sorted input into an array of size `max(n, m)` and
+//!   returns its first `m` cells.  Real elements are at most `m` and sit at
+//!   the front, and the routing network never touches a cell at or beyond
+//!   `m`, so only the first `min(n, m)` elements are laid out, into an array
+//!   of exactly `m` cells, and there is nothing to cut off afterwards.
+//! * Every routing stage runs over one borrowed slice and is announced by
+//!   one sweep event ([`TrackedBuffer::sweep_mut`]) whose per-element
+//!   expansion is the `R i, R i+j, W i, W i+j` stream of the paper's loop.
+//!
+//! The access pattern stays a function of `(n, m)` alone: the sort and the
+//! lay-out see only `n` and `m`, and each stage's stride, hop count and
+//! order are computed from `m`.
 
-use obliv_trace::{TraceSink, TrackedBuffer};
+use obliv_trace::{SweepOrder, TraceSink, TrackedBuffer};
 
 use crate::ct::Choice;
 use crate::prp::Prp;
 use crate::routable::Routable;
 use crate::sort::bitonic;
+use crate::sort::network::greatest_power_of_two_below;
 
 /// Deterministic oblivious distribution (Algorithms 3 / Ext, §5.2).
 ///
@@ -35,80 +57,77 @@ use crate::sort::bitonic;
 /// * non-null destinations must be injective and lie in `1..=m`,
 /// * the number of non-null elements must be at most `m`.
 ///
-/// These are programming contracts of the caller (the join always satisfies
-/// them); they are checked with debug assertions, not data-dependent control
-/// flow.
-///
-/// # Panics
-/// Panics if `m == 0` and the input contains a non-null element.
+/// These are programming contracts of the caller; they are checked with
+/// debug assertions, not data-dependent control flow.
 pub fn oblivious_distribute<T, S>(mut x: TrackedBuffer<T, S>, m: usize) -> TrackedBuffer<T, S>
 where
     T: Routable,
     S: TraceSink,
 {
-    let n = x.len();
-    let tracer = x.tracer();
     debug_assert!(
         x.as_slice().iter().filter(|e| !e.is_null()).count() <= m,
         "more real elements than destinations"
     );
 
-    // Step 1 (Alg. 3 line 3 / Alg. 4 line 26): sort the input so that real
-    // elements come first, ordered by destination.  Nulls sort last because
-    // their `dest` of 0 is mapped to +infinity via the is_null flag.
+    // Alg. 3 line 3 / Alg. 4 line 26: sort the input so that real elements
+    // come first, ordered by destination.  Nulls sort last because their
+    // `dest` of 0 is mapped to +infinity via the is_null flag.
     bitonic::sort_by_key(&mut x, |e: &T| (e.is_null(), e.dest()));
 
-    // Step 2 (lines 4–5 / 27–29): lay the sorted prefix into an array of
-    // size max(n, m), padding with nulls.
-    let cap = n.max(m);
-    let mut a = tracer.alloc_from(vec![T::null(); cap]);
-    for i in 0..n {
-        let e = x.read(i);
-        a.write(i, e);
-        tracer.bump_linear_steps(1);
-    }
-    drop(x);
-
-    // Step 3 (lines 6–17): the routing network.  Hop intervals are the
-    // powers of two below m; for each interval j we scan backwards and move
-    // an element forward by j whenever doing so does not overshoot its
-    // destination.  Both branches perform identical accesses.
-    route_forward(&mut a, m);
-
-    // Step 4 (line 31): return A[1..m].
-    shrink_to(a, m)
+    place_prefix(x, m)
 }
 
-/// The routing loop shared by distribution; exposed at crate level so the
-/// compaction primitive can reuse its mirror image.
-pub(crate) fn route_forward<T, S>(a: &mut TrackedBuffer<T, S>, m: usize)
+/// The tail shared by distribution and expansion: given an array whose real
+/// elements form a prefix ordered by destination, lay that prefix into a
+/// fresh array of `m` cells (lines 4–5 / 27–29) and route every element
+/// forward to its destination (lines 6–17).
+///
+/// At most `m` elements are real, so cells at or beyond `min(n, m)` of the
+/// input are null and are not copied.
+pub(crate) fn place_prefix<T, S>(x: TrackedBuffer<T, S>, m: usize) -> TrackedBuffer<T, S>
 where
     T: Routable,
     S: TraceSink,
 {
+    let tracer = x.tracer();
+    let prefix = x.len().min(m);
+    let mut a = tracer.alloc_from(vec![T::null(); m]);
+    tracer.bump_linear_steps(prefix as u64);
+    let laid_out = x.read_run(0, prefix);
+    a.write_run(0, prefix).copy_from_slice(laid_out);
+    drop(x);
+    route_forward(&mut a);
+    a
+}
+
+/// The routing network of Algorithm 3 over the whole of `a`.  Hop intervals
+/// are the powers of two below `m = a.len()`; for each interval `j` the
+/// stage scans backwards and moves an element forward by `j` whenever doing
+/// so does not overshoot its destination.  Both outcomes of a hop perform
+/// identical accesses.
+fn route_forward<T, S>(a: &mut TrackedBuffer<T, S>)
+where
+    T: Routable,
+    S: TraceSink,
+{
+    let m = a.len();
     if m < 2 {
         return;
     }
     let tracer = a.tracer();
-    let mut j = (m as u64).next_power_of_two() as usize;
-    if j >= m {
-        // 2^{⌈log₂ m⌉ − 1}: the largest power of two strictly below m, or
-        // m/2 when m itself is a power of two.
-        j /= 2;
-    }
+    let mut j = greatest_power_of_two_below(m as u64) as usize;
     while j >= 1 {
+        tracer.bump_routing_hops((m - j) as u64);
+        let cells = a.sweep_mut(j, m - j, SweepOrder::Descending);
         // 0-based translation of "for i ← m − j … 1".
         for i in (0..m - j).rev() {
-            let y = a.read(i);
-            let y_next = a.read(i + j);
-            tracer.bump_routing_hops(1);
+            let y = cells[i];
+            let y_next = cells[i + j];
             // 1-based condition f̂(y) ≥ i + j becomes dest ≥ i + j + 1 in
             // 0-based position terms; nulls (dest 0) never satisfy it.
             let hop = Choice::ge_u64(y.dest(), (i + j + 1) as u64);
-            let stay_lo = T::ct_select(hop, y_next, y);
-            let move_hi = T::ct_select(hop, y, y_next);
-            a.write(i, stay_lo);
-            a.write(i + j, move_hi);
+            cells[i] = T::ct_select(hop, y_next, y);
+            cells[i + j] = T::ct_select(hop, y, y_next);
         }
         j /= 2;
     }
@@ -176,26 +195,6 @@ where
     for pos in 0..m {
         let (e, _) = a.read(pos);
         out.write(pos, e);
-        tracer.bump_linear_steps(1);
-    }
-    out
-}
-
-/// Copy the first `m` elements into a fresh buffer of length exactly `m`
-/// (identity if the buffer already has that length).
-fn shrink_to<T, S>(a: TrackedBuffer<T, S>, m: usize) -> TrackedBuffer<T, S>
-where
-    T: Routable,
-    S: TraceSink,
-{
-    if a.len() == m {
-        return a;
-    }
-    let tracer = a.tracer();
-    let mut out = tracer.alloc_from(vec![T::null(); m]);
-    for i in 0..m {
-        let e = a.read(i);
-        out.write(i, e);
         tracer.bump_linear_steps(1);
     }
     out

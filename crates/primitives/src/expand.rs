@@ -7,20 +7,42 @@
 //! A = (x₁, …, x₁, x₂, …, x₂, …)        with g(xᵢ) copies of xᵢ,
 //! ```
 //!
-//! in time `O(n log² n + m log m)` where `m = Σ g(xᵢ)`, obliviously.  This
+//! in time `O(n log n + m log m)` where `m = Σ g(xᵢ)`, obliviously.  This
 //! is the workhorse of the join: `S₁` is `T₁` expanded by `α₂` and `S₂` is
 //! `T₂` expanded by `α₁`.
 //!
-//! The construction is the paper's: a linear pass assigns each element its
-//! first output position (the running sum of the counts, with zero-count
-//! elements marked null), an extended oblivious distribution places each
-//! element there, and a final linear pass duplicates every element into the
-//! null slots that follow it.
+//! ## Where this departs from Algorithm 4
+//!
+//! The paper assigns each element its first output position (the running
+//! sum of the counts, zero-count elements marked null) and hands the array
+//! to `Ext-Oblivious-Distribute`, whose first step sorts by `(is null,
+//! destination)` — `O(n log² n)`.  But running sums are non-decreasing in
+//! input order, so that sort can only ever do one thing: remove the nulls
+//! and keep everything else where it was.  That is order-preserving
+//! compaction (§3.5, Goodrich's network, [`oblivious_compact`]) at
+//! `O(n log n)`, and it is what runs here:
+//!
+//! 1. one pass marks zero-count elements null and totals the counts (`m`);
+//! 2. [`oblivious_compact`] gathers the survivors at the front, order kept;
+//! 3. one pass over the first `min(n, m)` cells — every survivor has a
+//!    count of at least 1, so there are at most `m` of them — assigns each
+//!    survivor the running sum as its destination;
+//! 4. the tail shared with [`oblivious_distribute`](crate::oblivious_distribute)
+//!    lays that prefix into `m` cells and routes it forward;
+//! 5. a final pass copies every element into the null slots that follow it.
+//!
+//! Cheap nulls are also what lets the join expand both sides straight from
+//! `T_C`: the other table's rows just have a count of 0.
+//!
+//! Every pass length, the compaction network and the routing network are
+//! fixed by `n` and `m`, so the trace is a function of `(n, m)` only — how
+//! many elements survive step 1 is never used as a loop bound.
 
 use obliv_trace::{TraceSink, TrackedBuffer};
 
+use crate::compact::{oblivious_compact, Compaction};
 use crate::ct::Choice;
-use crate::distribute::oblivious_distribute;
+use crate::distribute::place_prefix;
 use crate::routable::Routable;
 
 /// Result of an expansion: the expanded buffer plus its (public) length.
@@ -36,7 +58,9 @@ pub struct Expansion<T: Copy, S: TraceSink> {
 /// Obliviously duplicate each element of `x` according to `g` (Algorithm 4).
 ///
 /// `g` is evaluated on local copies of the elements; it must be a pure
-/// function of the element.  Elements with `g(x) == 0` produce no copies.
+/// function of the element's payload — not of its destination attribute,
+/// which the expansion overwrites on the way.  Elements with `g(x) == 0`,
+/// and elements that are already null, produce no copies.
 ///
 /// The destination attribute of every output element is left set to its
 /// (1-based) position in the output, which callers may overwrite.
@@ -70,41 +94,52 @@ where
     let n = x.len();
     let tracer = x.tracer();
 
-    // Pass 1 (lines 3–11): cumulative counts become first-occurrence
-    // destinations; zero-count elements are marked null.  `s` lives in local
-    // memory; the scan pattern is a fixed forward sweep.
-    let mut s: u64 = 1;
-    for i in 0..n {
-        let e = x.read(i);
-        tracer.bump_linear_steps(1);
-        let count = g(&e);
-        let zero = Choice::eq_u64(count, 0);
-        // Either the element keeps living and is destined for position s, or
-        // it is discarded; both candidate records are built and the masked
-        // selection picks one, so no secret-dependent branch is taken.
-        let mut kept = e;
-        kept.set_dest(s);
+    // Step 1: zero-count elements become null; m = Σ g.  Both candidate
+    // records are built and the masked selection picks one, so no
+    // secret-dependent branch is taken.
+    let mut total: u64 = 0;
+    tracer.bump_linear_steps(n as u64);
+    for slot in x.rw_run_mut(0, n) {
+        let e = *slot;
+        let count = Choice::from_bool(!e.is_null()).mask() & g(&e);
+        total += count;
         let mut dropped = e;
         dropped.set_null();
-        x.write(i, T::ct_select(zero, dropped, kept));
-        s += count;
+        *slot = T::ct_select(Choice::eq_u64(count, 0), dropped, e);
     }
-    let total = s - 1;
+    let m = total as usize;
 
-    // Pass 2 (line 12): extended oblivious distribution to the first
-    // occurrence positions.
-    let mut a = oblivious_distribute(x, total as usize);
+    // Step 2: stable removal of the nulls (the sort of
+    // Ext-Oblivious-Distribute, line 26, at O(n log n)).
+    let Compaction { table: mut x, .. } = oblivious_compact(x);
 
-    // Pass 3 (lines 14–21): fill every null slot with the closest preceding
+    // Step 3 (lines 3–11): cumulative counts become first-occurrence
+    // destinations.  `s` lives in local memory; cells past the survivors are
+    // null, keep their destination of 0 and do not advance `s`.
+    let prefix = n.min(m);
+    let mut s: u64 = 1;
+    tracer.bump_linear_steps(prefix as u64);
+    for slot in x.rw_run_mut(0, prefix) {
+        let e = *slot;
+        let live = Choice::from_bool(!e.is_null());
+        let mut placed = e;
+        placed.set_dest(s);
+        *slot = T::ct_select(live, placed, e);
+        s += live.mask() & g(&e);
+    }
+
+    // Step 4 (lines 27–31): lay out and route to the first-occurrence
+    // positions.
+    let mut a = place_prefix(x, m);
+
+    // Step 5 (lines 14–21): fill every null slot with the closest preceding
     // real element.  Both branches of the selection write the slot back.
     let mut prev = T::null();
-    for i in 0..total as usize {
-        let e = a.read(i);
-        tracer.bump_linear_steps(1);
-        let is_null = Choice::from_bool(e.is_null());
-        let filled = T::ct_select(is_null, prev, e);
-        prev = filled;
-        a.write(i, filled);
+    tracer.bump_linear_steps(m as u64);
+    for slot in a.rw_run_mut(0, m) {
+        let e = *slot;
+        prev = T::ct_select(Choice::from_bool(e.is_null()), prev, e);
+        *slot = prev;
     }
 
     Expansion { table: a, total }

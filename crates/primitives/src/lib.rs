@@ -4,12 +4,13 @@
 //! (Krastnikov, Kerschbaum, Stebila; VLDB 2020) composes into its join:
 //!
 //! * [`ct`] — branch-free conditional selection and swaps (the level-III
-//!   discipline of §3.4),
+//!   discipline of §3.4, applied to every secret-dependent move),
 //! * [`sort`] — bitonic and odd-even-merge sorting networks over
 //!   [`TrackedBuffer`](obliv_trace::TrackedBuffer)s, for arbitrary lengths,
 //! * [`oblivious_distribute`] / [`probabilistic_distribute`] — Algorithm 3
 //!   and its PRP-based probabilistic variant (§5.2),
-//! * [`oblivious_expand`] — Algorithm 4 (§5.3),
+//! * [`oblivious_expand`] — Algorithm 4 (§5.3), with order-preserving
+//!   compaction where the paper's distribution sorts,
 //! * [`compact`] — oblivious compaction, the mirror image of distribution,
 //! * [`prp`] — the small-domain pseudorandom permutation used by the
 //!   probabilistic distribution,

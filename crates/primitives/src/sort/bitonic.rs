@@ -9,14 +9,25 @@
 //!
 //! ## Execution strategy
 //!
-//! The network is *executed* iteratively: the recursion is flattened once
-//! into a [`RunSchedule`] of maximal same-stride gate runs, memoised per
-//! `(n, direction)` in [`network::cached_bitonic_runs`], and the driver
-//! walks the runs with one batched trace transaction and one comparison
-//! counter update per run ([`TrackedBuffer::paired_run_mut`]).  The gate
-//! order and the compare-exchange semantics are identical to the recursive
-//! walk — [`sort_by_key_dir_per_gate`] keeps that legacy driver around as
-//! the differential-testing oracle and ablation baseline.
+//! The network is a sequence of maximal same-stride *gate runs* (a bitonic
+//! merge level is exactly one).  The serial driver generates them on the fly
+//! by the recursion above — `sort` halves in opposite directions, `merge` at
+//! the greatest power of two below `n` — and executes each with one batched
+//! trace transaction and one comparison-counter update
+//! ([`TrackedBuffer::paired_run_mut`]); nothing is materialised, so a sort
+//! costs no memory beyond its input.  [`run_schedule`] collects the same
+//! runs from the same recursion for the consumers that need run identity
+//! (the parallel driver, `verify::access`).  [`sort_by_key_dir_per_gate`]
+//! keeps the per-gate walk around as the differential-testing oracle and
+//! ablation baseline.
+//!
+//! The compare-exchange *swap* is branch-free ([`CtSelect`]); the
+//! *comparison* is whatever `K: Ord` compiles to, and tuple keys compare
+//! lexicographically with a short-circuit.  That is level-II oblivious (no
+//! memory access depends on it) but not constant-time in the level-III
+//! sense; [`crate::ct`] records what the constant-time comparator costs
+//! (+25 % per gate on the join's augment sort) and why it is not the
+//! default.
 //!
 //! The paper parameterises calls as `Bitonic-Sort⟨x ↑, y ↓, …⟩`; here the
 //! same thing is expressed with a key-extraction closure returning a tuple
@@ -27,7 +38,9 @@ use std::sync::{mpsc, Arc};
 
 use obliv_trace::{SubTrace, TraceSink, TrackedBuffer};
 
-use super::network::{self, greatest_power_of_two_below, RunSchedule, Schedule};
+use super::network::{
+    self, bitonic_comparator_count, greatest_power_of_two_below, GateRun, RunSchedule, Schedule,
+};
 use super::wave;
 use super::{compare_exchange, Direction};
 use crate::ct::{Choice, CtSelect};
@@ -56,11 +69,11 @@ where
 
 /// Sort `buf` in place in the given direction by `key`.
 ///
-/// Executes the precomputed, memoised run schedule for `(buf.len(), dir)`:
-/// gates are processed in maximal same-stride runs, each run emitting four
-/// coalesced trace events and a single comparison-counter update.  Run
-/// boundaries are a pure function of the (public) length, so the batched
-/// trace remains a function of public parameters only.
+/// Streams the network's gate runs from the recursion (`for_each_run`):
+/// each run emits four coalesced trace events and a single
+/// comparison-counter update.  Run boundaries are a pure function of the
+/// (public) length, so the batched trace remains a function of public
+/// parameters only.
 pub fn sort_by_key_dir<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, dir: Direction, key: F)
 where
     T: Copy + CtSelect,
@@ -68,19 +81,44 @@ where
     K: Ord,
     F: Fn(&T) -> K,
 {
-    let n = buf.len();
-    if n <= 1 {
-        return;
-    }
-    let sched = network::cached_bitonic_runs(n, dir);
     let tracer = buf.tracer();
-    for run in sched.runs() {
+    for_each_run(0, buf.len(), dir, &mut |run: GateRun| {
         tracer.bump_comparisons(run.count as u64);
         let (lo_win, hi_win) = buf.paired_run_mut(run.lo, run.stride, run.count);
         // Same decision and branch-free write-back as `compare_exchange`,
         // on local copies of each pair.
         exchange_windows(lo_win, hi_win, run.descending, &key);
+    });
+}
+
+/// Visit the gate runs of the network sorting `[lo, lo + n)` in direction
+/// `dir`, in execution order: the two halves sorted in opposite directions
+/// (so the whole range is bitonic), then the merge.
+fn for_each_run(lo: usize, n: usize, dir: Direction, visit: &mut impl FnMut(GateRun)) {
+    if n <= 1 {
+        return;
     }
+    let m = n / 2;
+    for_each_run(lo, m, dir.flipped(), visit);
+    for_each_run(lo + m, n - m, dir, visit);
+    for_each_merge_run(lo, n, dir, visit);
+}
+
+/// The merge half of [`for_each_run`]: one run of `n − m` gates at stride
+/// `m`, the greatest power of two below `n`, then both parts recursively.
+fn for_each_merge_run(lo: usize, n: usize, dir: Direction, visit: &mut impl FnMut(GateRun)) {
+    if n <= 1 {
+        return;
+    }
+    let m = greatest_power_of_two_below(n as u64) as usize;
+    visit(GateRun {
+        lo,
+        stride: m,
+        count: n - m,
+        descending: dir == Direction::Descending,
+    });
+    for_each_merge_run(lo, m, dir, visit);
+    for_each_merge_run(lo + m, n - m, dir, visit);
 }
 
 /// Compare-exchange the paired windows of one (sub-)run on local copies:
@@ -169,10 +207,12 @@ where
     let Some(ctx) = par::context().filter(|c| c.chunks() >= 2) else {
         return sort_by_key_dir(buf, dir, key);
     };
-    let sched = network::cached_bitonic_runs(n, dir);
-    if sched.gate_count() < 2 * ctx.min_gates_per_chunk() as u64 {
+    // Decided from the closed-form gate count: a network too small to fork
+    // never materialises its schedule.
+    if bitonic_comparator_count(n) < 2 * ctx.min_gates_per_chunk() as u64 {
         return sort_by_key_dir(buf, dir, key);
     }
+    let sched = network::cached_bitonic_runs(n, dir);
     let plan = wave::cached_wave_plan(n, dir);
     let tracer = buf.tracer();
     let id = buf.id();
@@ -286,11 +326,10 @@ where
     }
 }
 
-/// The legacy recursive per-gate driver: identical gate order and
-/// semantics, but one traced read/write per element and one counter bump
-/// per gate.
+/// The recursive per-gate driver: identical gate order and semantics, but
+/// one traced read/write per element and one counter bump per gate.
 ///
-/// Retained as the differential-testing oracle for the scheduled driver
+/// Retained as the differential-testing oracle for the run-batched driver
 /// and as the baseline of `benches/sort_network_ablation.rs`; new code
 /// should call [`sort_by_key_dir`].
 pub fn sort_by_key_dir_per_gate<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, dir: Direction, key: F)
@@ -361,13 +400,14 @@ pub fn schedule(n: usize) -> Schedule {
 }
 
 /// The network flattened into maximal same-stride gate runs, each carrying
-/// its merge direction — the form the iterative driver executes.  The
-/// concatenation of the runs' gates equals [`schedule`]`(n)` exactly.
+/// its merge direction — exactly the runs the serial driver executes, from
+/// the same recursion.  The concatenation of the runs' gates equals
+/// [`schedule`]`(n)` exactly.
 ///
 /// Use [`network::cached_bitonic_runs`] for the memoised variant.
 pub fn run_schedule(n: usize, dir: Direction) -> RunSchedule {
     let mut sched = RunSchedule::new();
-    runs_sort(&mut sched, 0, n, dir);
+    for_each_run(0, n, dir, &mut |run| sched.push_run(run));
     sched
 }
 
@@ -391,26 +431,6 @@ fn schedule_merge(sched: &mut Schedule, lo: usize, n: usize) {
     }
     schedule_merge(sched, lo, m);
     schedule_merge(sched, lo + m, n - m);
-}
-
-fn runs_sort(sched: &mut RunSchedule, lo: usize, n: usize, dir: Direction) {
-    if n <= 1 {
-        return;
-    }
-    let m = n / 2;
-    runs_sort(sched, lo, m, dir.flipped());
-    runs_sort(sched, lo + m, n - m, dir);
-    runs_merge(sched, lo, n, dir);
-}
-
-fn runs_merge(sched: &mut RunSchedule, lo: usize, n: usize, dir: Direction) {
-    if n <= 1 {
-        return;
-    }
-    let m = greatest_power_of_two_below(n as u64) as usize;
-    sched.push_run(lo, m, n - m, dir == Direction::Descending);
-    runs_merge(sched, lo, m, dir);
-    runs_merge(sched, lo + m, n - m, dir);
 }
 
 #[cfg(test)]
@@ -501,9 +521,10 @@ mod tests {
 
     #[test]
     fn executed_accesses_follow_the_run_schedule_exactly() {
-        // The scheduled driver's collected trace is precisely the expansion
+        // The streamed driver's collected trace is precisely the expansion
         // of the public run schedule: per run, a read of each window then a
-        // write of each window.
+        // write of each window.  (`tests/kernel_structure.rs` sweeps every
+        // n < 200 against the parallel driver as well.)
         for n in [0usize, 1, 2, 3, 5, 8, 13] {
             let sched = run_schedule(n, Direction::Ascending);
             let tracer = Tracer::new(CollectingSink::new());

@@ -91,10 +91,13 @@ impl GateRun {
 
 /// A sorting network flattened into an iterative sequence of [`GateRun`]s.
 ///
-/// This is the precomputed form the blocked sort driver executes: no
-/// recursion, one comparison-counter update and one batched trace
-/// transaction per run.  The flattened gate order is identical to the
-/// recursive schedule's ([`crate::sort::bitonic::schedule`]).
+/// The serial sort driver streams these runs straight from the recursion
+/// and never stores them; the materialised form is what needs run
+/// *identity* — the parallel driver (wave leveling, per-run fold of
+/// sub-traces) and the access-pattern checker.  At 32 bytes per run and
+/// ≈ n·log₂ n runs it is not small: 48 MB at n = 10⁵, 578 MB at n = 10⁶.
+/// The flattened gate order is identical to the recursive schedule's
+/// ([`crate::sort::bitonic::schedule`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSchedule {
     runs: Vec<GateRun>,
@@ -107,15 +110,10 @@ impl RunSchedule {
         Self::default()
     }
 
-    pub(crate) fn push_run(&mut self, lo: usize, stride: usize, count: usize, descending: bool) {
-        debug_assert!(stride >= 1 && count >= 1 && count <= stride);
-        self.runs.push(GateRun {
-            lo,
-            stride,
-            count,
-            descending,
-        });
-        self.gates += count as u64;
+    pub(crate) fn push_run(&mut self, run: GateRun) {
+        debug_assert!(run.stride >= 1 && run.count >= 1 && run.count <= run.stride);
+        self.gates += run.count as u64;
+        self.runs.push(run);
     }
 
     /// The runs in execution order.
@@ -144,8 +142,8 @@ const SCHEDULE_REGISTRY_CAP: usize = 64;
 type ScheduleMap = HashMap<(usize, bool), Arc<RunSchedule>>;
 
 thread_local! {
-    /// Per-thread front cache: the sort hot path repeats sorts of the same
-    /// length on one thread without taking any lock.
+    /// Per-thread front cache: a worker repeats parallel sorts of the same
+    /// length without taking any lock.
     static THREAD_REGISTRY: RefCell<ScheduleMap> = RefCell::new(HashMap::new());
 }
 
@@ -180,7 +178,9 @@ fn shared_bitonic_runs(key: (usize, bool), n: usize, dir: Direction) -> Arc<RunS
 }
 
 /// The bitonic network's [`RunSchedule`] for `n` elements sorted in
-/// direction `dir`, memoised per thread with a process-wide fallback.
+/// direction `dir`, memoised per thread with a process-wide fallback.  Only
+/// the parallel sort driver (once it has decided to fork) and the
+/// access-pattern checker materialise schedules; the serial driver does not.
 ///
 /// Schedules are pure functions of the *public* pair `(n, dir)`, so after
 /// first use the per-sort cost of the schedule drops to a thread-local
@@ -234,25 +234,43 @@ impl Schedule {
     }
 }
 
-/// Number of comparators in a bitonic sort of `n` elements (exact, by
-/// construction of the schedule for small `n`; closed-form recurrence
-/// otherwise).
+/// Number of comparators in a bitonic sort of `n` elements: exactly the
+/// gate count of [`crate::sort::bitonic::run_schedule`]`(n, _)`, computed in
+/// `O(log² n)` without building it (the parallel sort driver asks before
+/// every sort whether the network is worth forking).
+///
+/// A merge of `n` elements places `n − p` gates at stride `p`, the greatest
+/// power of two below `n`, then merges `p` and `n − p` elements; a merge of
+/// `2^k` elements has `k·2^(k−1)` gates, which leaves one chain of `O(log n)`
+/// links.  The sort recursion halves every range, so each of its levels
+/// holds ranges of at most two lengths, `s` and `s + 1`, and is summed with
+/// multiplicities.
 pub fn bitonic_comparator_count(n: usize) -> u64 {
-    fn sort_count(n: u64) -> u64 {
-        if n <= 1 {
-            return 0;
+    fn merge_count(mut n: u64) -> u64 {
+        let mut gates = 0;
+        while n > 1 {
+            let p = greatest_power_of_two_below(n);
+            gates += (n - p) + u64::from(p.trailing_zeros()) * (p / 2);
+            n -= p;
         }
-        let m = n / 2;
-        sort_count(m) + sort_count(n - m) + merge_count(n)
+        gates
     }
-    fn merge_count(n: u64) -> u64 {
-        if n <= 1 {
-            return 0;
-        }
-        let m = greatest_power_of_two_below(n);
-        (n - m) + merge_count(m) + merge_count(n - m)
+    // `small` ranges of length `s` and `large` ranges of length `s + 1`.
+    let (mut s, mut small, mut large) = (n as u64, 1u64, 0u64);
+    let mut gates = 0;
+    while s >= 1 {
+        gates += small * merge_count(s) + large * merge_count(s + 1);
+        // ⌊·/2⌋ and ⌈·/2⌉ of `s` and `s + 1`: an even `s` yields two halves
+        // of length s/2 and the odd `s + 1` one of each length; an odd `s`
+        // the mirror image.
+        (small, large) = if s % 2 == 0 {
+            (2 * small + large, large)
+        } else {
+            (small, small + 2 * large)
+        };
+        s /= 2;
     }
-    sort_count(n as u64)
+    gates
 }
 
 /// Number of comparators in an odd-even mergesort of `n` elements (counting
@@ -273,13 +291,10 @@ pub fn bitonic_comparator_estimate(n: usize) -> f64 {
 }
 
 /// Largest power of two strictly below `n` (assumes `n >= 2`).
+#[inline]
 pub(crate) fn greatest_power_of_two_below(n: u64) -> u64 {
     debug_assert!(n >= 2);
-    let mut p = 1u64;
-    while p * 2 < n {
-        p *= 2;
-    }
-    p
+    1 << (63 - (n - 1).leading_zeros())
 }
 
 #[cfg(test)]
@@ -295,6 +310,38 @@ mod tests {
         assert_eq!(greatest_power_of_two_below(8), 4);
         assert_eq!(greatest_power_of_two_below(9), 8);
         assert_eq!(greatest_power_of_two_below(1025), 1024);
+    }
+
+    #[test]
+    fn greatest_power_of_two_below_matches_the_doubling_loop() {
+        for n in 2..=1u64 << 20 {
+            let mut p = 1u64;
+            while p * 2 < n {
+                p *= 2;
+            }
+            assert_eq!(greatest_power_of_two_below(n), p, "n={n}");
+        }
+        assert_eq!(greatest_power_of_two_below(u64::MAX), 1 << 63);
+    }
+
+    #[test]
+    fn comparator_count_matches_the_recursive_definition() {
+        fn sort_count(n: u64) -> u64 {
+            if n <= 1 {
+                return 0;
+            }
+            sort_count(n / 2) + sort_count(n - n / 2) + merge_count(n)
+        }
+        fn merge_count(n: u64) -> u64 {
+            if n <= 1 {
+                return 0;
+            }
+            let m = greatest_power_of_two_below(n);
+            (n - m) + merge_count(m) + merge_count(n - m)
+        }
+        for n in (0..3000).chain([4095, 4096, 4097, 50_000, 65_535, 100_000]) {
+            assert_eq!(bitonic_comparator_count(n), sort_count(n as u64), "n={n}");
+        }
     }
 
     #[test]
@@ -337,7 +384,7 @@ mod tests {
 
     #[test]
     fn run_schedule_flattens_to_the_recursive_gate_schedule() {
-        for n in 0..64usize {
+        for n in 0..200usize {
             for dir in [Direction::Ascending, Direction::Descending] {
                 let runs = crate::sort::bitonic::run_schedule(n, dir);
                 let flat: Vec<Gate> = runs.runs().iter().flat_map(|r| r.gates()).collect();

@@ -1,0 +1,155 @@
+//! Property tests of the structure the join kernel is built from: expansion
+//! as compaction + routing, and the sort driver that streams its network
+//! from the recursion.
+
+use obliv_primitives::sort::{bitonic, Direction};
+use obliv_primitives::{oblivious_expand, with_parallelism, Keyed, ParCtx, SerialExecutor};
+use obliv_trace::{AccessKind, CollectingSink, CountingSink, Tracer};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+type K = Keyed<u64>;
+
+/// The count vectors the join feeds to expansion, and the ones that break
+/// naive implementations: `kind` picks the shape, `noise` (one word per
+/// element) fills it in.
+fn count_vector(kind: u8, noise: &[u64]) -> Vec<u64> {
+    let n = noise.len();
+    let mut counts: Vec<u64> = match kind % 6 {
+        // Mostly zeros, as when the other table's rows ride along (n > m).
+        0 => noise.iter().map(|w| u64::from(w % 4 == 0)).collect(),
+        // Small counts everywhere (n < m).
+        1 => noise.iter().map(|w| w % 5).collect(),
+        // All zero.
+        2 => vec![0; n],
+        // One heavy element, wherever it falls.
+        3 => {
+            let mut v = vec![0; n];
+            if let Some(&w) = noise.first() {
+                v[(w % n as u64) as usize] = 1 + (w >> 32) % 3000;
+            }
+            v
+        }
+        // Zeros at both ends around a dense middle.
+        4 => (0..n)
+            .map(|i| {
+                if i < n / 3 || i >= n - n / 3 {
+                    0
+                } else {
+                    1 + noise[i] % 3
+                }
+            })
+            .collect(),
+        // Exactly one copy each (n = m).
+        _ => vec![1; n],
+    };
+    // Whatever the shape, a zero first and last element half the time.
+    if n >= 2 && noise[1].is_multiple_of(2) {
+        counts[0] = 0;
+        counts[n - 1] = 0;
+    }
+    counts
+}
+
+/// `n` words of noise for every `n` in `sizes`.
+fn noise(sizes: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<u64>> {
+    sizes.prop_flat_map(|n| prop::collection::vec(any::<u64>(), n..=n))
+}
+
+fn expand<S: obliv_trace::TraceSink>(tracer: &Tracer<S>, counts: &[u64]) -> (Vec<u64>, u64) {
+    let x: Vec<K> = (0..counts.len() as u64).map(|i| Keyed::new(i, 1)).collect();
+    let counts = counts.to_vec();
+    let out = oblivious_expand(tracer.alloc_from(x), move |e| counts[e.value as usize]);
+    assert_eq!(out.table.len() as u64, out.total);
+    let values = out.table.as_slice().iter().map(|e| e.value).collect();
+    (values, out.total)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn expand_matches_the_plain_reference_on_every_shape(
+        kind in any::<u8>(),
+        // Every length, powers of two or not, up to 5 000.
+        noise in noise(0..=5000),
+    ) {
+        let counts = count_vector(kind, &noise);
+        let expected: Vec<u64> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &c)| std::iter::repeat_n(i as u64, c as usize))
+            .collect();
+        let (values, total) = expand(&Tracer::new(CountingSink::new()), &counts);
+        prop_assert_eq!(total as usize, expected.len());
+        prop_assert_eq!(values, expected);
+    }
+
+    #[test]
+    fn expand_trace_is_a_function_of_n_and_m(
+        kind in any::<u8>(),
+        noise in noise(1..=300),
+    ) {
+        // A second count vector of the same (n, m) with as different a
+        // shape as possible: everything on one element.
+        let counts = count_vector(kind, &noise);
+        let mut lumped = vec![0u64; counts.len()];
+        lumped[(noise[0] % counts.len() as u64) as usize] = counts.iter().sum();
+
+        let trace = |counts: &[u64]| {
+            let tracer = Tracer::new(CollectingSink::new());
+            expand(&tracer, counts);
+            tracer.with_sink(|s| (s.allocations().to_vec(), s.accesses().to_vec()))
+        };
+        prop_assert_eq!(trace(&counts), trace(&lumped));
+    }
+}
+
+/// The run schedule flattened into the per-element stream a
+/// `CollectingSink` shows: per run, both windows read, then both written.
+fn flattened(n: usize, dir: Direction) -> Vec<(AccessKind, u64)> {
+    let mut expected = Vec::new();
+    for run in bitonic::run_schedule(n, dir).runs() {
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            for start in [run.lo, run.lo + run.stride] {
+                expected.extend((start..start + run.count).map(|i| (kind, i as u64)));
+            }
+        }
+    }
+    expected
+}
+
+fn sort_trace(
+    input: &[u64],
+    dir: Direction,
+    chunks: Option<usize>,
+) -> (Vec<u64>, Vec<(AccessKind, u64)>) {
+    let tracer = Tracer::new(CollectingSink::new());
+    let mut buf = tracer.alloc_from(input.to_vec());
+    match chunks {
+        None => bitonic::sort_by_key_dir(&mut buf, dir, |x| *x),
+        Some(chunks) => {
+            let ctx = ParCtx::new(Arc::new(SerialExecutor), chunks).with_min_gates_per_chunk(1);
+            with_parallelism(ctx, || bitonic::par_sort_by_key_dir(&mut buf, dir, |x| *x));
+        }
+    }
+    let accesses = tracer.with_sink(|s| s.accesses().iter().map(|a| (a.kind, a.index)).collect());
+    (buf.as_slice().to_vec(), accesses)
+}
+
+#[test]
+fn streamed_sort_trace_is_the_flattened_schedule_and_the_parallel_fold() {
+    for n in 0..200usize {
+        let input: Vec<u64> = (0..n as u64).map(|x| (x * 2_654_435_761) % 23).collect();
+        for dir in [Direction::Ascending, Direction::Descending] {
+            let expected = flattened(n, dir);
+            let (sorted, serial) = sort_trace(&input, dir, None);
+            assert_eq!(serial, expected, "serial n={n} {dir:?}");
+            for chunks in [2, 4] {
+                let (par_sorted, parallel) = sort_trace(&input, dir, Some(chunks));
+                assert_eq!(parallel, expected, "n={n} {dir:?} chunks={chunks}");
+                assert_eq!(par_sorted, sorted, "n={n} {dir:?} chunks={chunks}");
+            }
+        }
+    }
+}

@@ -6,14 +6,15 @@
 //! the primitives layer an opt-in event-rate metric with one relaxed
 //! atomic add per record.
 
-use obliv_trace::{AccessKind, ArrayId, TraceEvent, TraceSink};
+use obliv_trace::{AccessKind, ArrayId, SweepOrder, TraceEvent, TraceSink};
 
 use crate::metrics::Counter;
 
 /// A [`TraceSink`] adapter that counts logical events into `events`.
 ///
-/// A coalesced run of `count` accesses counts as `count` events, matching
-/// the per-element semantics of the expanded stream.
+/// A coalesced run of `count` accesses counts as `count` events and a hop
+/// sweep of `count` hops as `4·count`, matching the per-element semantics of
+/// the expanded stream.
 #[derive(Debug, Clone)]
 pub struct MeteredSink<S> {
     inner: S,
@@ -49,6 +50,12 @@ impl<S: TraceSink> TraceSink for MeteredSink<S> {
         self.events.add(count);
         self.inner.record_run(kind, array, start, count);
     }
+
+    #[inline]
+    fn record_sweep(&mut self, array: ArrayId, stride: u64, count: u64, order: SweepOrder) {
+        self.events.add(4 * count);
+        self.inner.record_sweep(array, stride, count, order);
+    }
 }
 
 // Re-exported so downstream users of the adapter can build events without
@@ -72,6 +79,7 @@ mod tests {
             index: 0,
         }));
         sink.record_run(AccessKind::Write, ArrayId(1), 0, 9);
-        assert_eq!(reg.snapshot().counter("trace_events_total", &[]), 10);
+        sink.record_sweep(ArrayId(1), 2, 5, SweepOrder::Descending);
+        assert_eq!(reg.snapshot().counter("trace_events_total", &[]), 30);
     }
 }

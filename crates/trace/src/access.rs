@@ -75,6 +75,18 @@ impl Access {
     }
 }
 
+/// The order in which a hop sweep
+/// ([`TraceSink::record_sweep`](crate::TraceSink::record_sweep)) visits its
+/// lower indices: a compaction stage walks front to back, a distribution
+/// stage back to front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SweepOrder {
+    /// Hops at `i = 0, 1, …, count − 1`.
+    Ascending,
+    /// Hops at `i = count − 1, …, 1, 0`.
+    Descending,
+}
+
 /// A program-level event that is *not* a memory access but is still part of
 /// the observable cost model: allocations reveal lengths (the paper's
 /// programs legitimately reveal `n` and `m`), and operation counters feed the

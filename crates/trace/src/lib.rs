@@ -53,7 +53,7 @@ mod subtrace;
 mod tracer;
 mod tracked;
 
-pub use access::{Access, AccessKind, ArrayId, TraceEvent};
+pub use access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
 pub use counters::OpCounters;
 pub use sink::{
     AccessTotals, CollectingSink, CountingSink, HashingSink, NullSink, TeeSink, TraceSink,

@@ -17,7 +17,7 @@
 //! call as one fixed-layout record and streams the records through a
 //! single running SHA-256 (format and rationale on the type).
 
-use crate::access::{Access, AccessKind, ArrayId, TraceEvent};
+use crate::access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
 use crate::sha256::Sha256;
 
 /// A consumer of the observable event stream.
@@ -51,6 +51,36 @@ pub trait TraceSink {
             }));
         }
     }
+
+    /// Record one stage of a routing network as a single *sweep*: `count`
+    /// hops over one array, the hop at lower index `i` reading `i` and
+    /// `i + stride` and then writing both back, visited in `order`.
+    ///
+    /// Unlike the gates of a sorting-network run, the hops of a stage are
+    /// *not* independent — a hop may read the cell the previous hop wrote —
+    /// so the per-hop interleaving `R i, R i+stride, W i, W i+stride` is
+    /// part of the program description and the default implementation
+    /// replays exactly that stream, hop by hop.  Order-exact sinks
+    /// ([`CollectingSink`]) therefore see what a loop of single
+    /// [`record`](TraceSink::record) calls would have shown them; the sinks
+    /// that only fold override this in O(1).  `stride`, `count` and `order`
+    /// are functions of the (public) array length alone.
+    fn record_sweep(&mut self, array: ArrayId, stride: u64, count: u64, order: SweepOrder) {
+        let mut hop = |i: u64| {
+            for access in [
+                Access::read(array, i),
+                Access::read(array, i + stride),
+                Access::write(array, i),
+                Access::write(array, i + stride),
+            ] {
+                self.record(TraceEvent::Access(access));
+            }
+        };
+        match order {
+            SweepOrder::Ascending => (0..count).for_each(&mut hop),
+            SweepOrder::Descending => (0..count).rev().for_each(&mut hop),
+        }
+    }
 }
 
 /// Discards every event. This is the configuration used for timing runs so
@@ -64,6 +94,9 @@ impl TraceSink for NullSink {
 
     #[inline(always)]
     fn record_run(&mut self, _kind: AccessKind, _array: ArrayId, _start: u64, _count: u64) {}
+
+    #[inline(always)]
+    fn record_sweep(&mut self, _array: ArrayId, _stride: u64, _count: u64, _order: SweepOrder) {}
 }
 
 /// Keeps the complete event log in memory.
@@ -126,6 +159,7 @@ impl TraceSink for CollectingSink {
 /// | read / write | 13 | `array:u32 ‖ tag:u8 (0 read, 1 write) ‖ index:u64` |
 /// | alloc | 13 | `array:u32 ‖ tag:u8 (2) ‖ len:u64` |
 /// | read / write run | 21 | `array:u32 ‖ tag:u8 (3 read, 4 write) ‖ start:u64 ‖ count:u64` |
+/// | hop sweep | 21 | `array:u32 ‖ tag:u8 (5 ascending, 6 descending) ‖ stride:u64 ‖ count:u64` |
 ///
 /// The tag byte sits at offset 4 of every record and fixes the record's
 /// length, so the concatenation parses back into exactly one event
@@ -141,8 +175,8 @@ impl TraceSink for CollectingSink {
 /// Allocation events are folded in (tag 2) so that two programs allocating
 /// different-shaped scratch space cannot collide by accident.
 /// [`events`](HashingSink::events) counts *accesses represented* — one per
-/// single event, `count` per coalesced run — so event totals stay
-/// comparable between batched and per-element emission.
+/// single event, `count` per coalesced run, `4·count` per hop sweep — so
+/// event totals stay comparable between batched and per-element emission.
 #[derive(Debug, Clone)]
 pub struct HashingSink {
     hasher: Sha256,
@@ -214,6 +248,17 @@ impl TraceSink for HashingSink {
         // `events` keeps counting *accesses represented*, so event totals
         // stay comparable between batched and per-element emission.
         self.events += count;
+    }
+
+    /// One 21-byte record per routing stage, tag bytes 5 (ascending) / 6
+    /// (descending), domain-separated from every other record kind.
+    fn record_sweep(&mut self, array: ArrayId, stride: u64, count: u64, order: SweepOrder) {
+        let tag = match order {
+            SweepOrder::Ascending => 5,
+            SweepOrder::Descending => 6,
+        };
+        self.absorb::<21>(array, tag, &[stride, count]);
+        self.events += 4 * count;
     }
 }
 
@@ -307,6 +352,12 @@ impl TraceSink for CountingSink {
             }
         }
     }
+
+    /// Every hop reads two cells and writes two.
+    fn record_sweep(&mut self, array: ArrayId, _stride: u64, count: u64, _order: SweepOrder) {
+        self.record_run(AccessKind::Read, array, 0, 2 * count);
+        self.record_run(AccessKind::Write, array, 0, 2 * count);
+    }
 }
 
 /// Fans one event stream out to two sinks; lets a test both collect and hash
@@ -337,6 +388,12 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     fn record_run(&mut self, kind: AccessKind, array: ArrayId, start: u64, count: u64) {
         self.first.record_run(kind, array, start, count);
         self.second.record_run(kind, array, start, count);
+    }
+
+    #[inline]
+    fn record_sweep(&mut self, array: ArrayId, stride: u64, count: u64, order: SweepOrder) {
+        self.first.record_sweep(array, stride, count, order);
+        self.second.record_sweep(array, stride, count, order);
     }
 }
 
@@ -508,6 +565,25 @@ mod tests {
     }
 
     #[test]
+    fn hashing_sink_sweeps_are_parameter_sensitive_and_domain_separated() {
+        let sweep = |stride, count, order| {
+            let mut s = HashingSink::new();
+            s.record_sweep(ArrayId(0), stride, count, order);
+            (s.digest(), s.events())
+        };
+        let (d, e) = sweep(4, 8, SweepOrder::Ascending);
+        assert_eq!((d, e), sweep(4, 8, SweepOrder::Ascending));
+        assert_eq!(e, 32, "events count accesses represented");
+        assert_ne!(d, sweep(2, 8, SweepOrder::Ascending).0);
+        assert_ne!(d, sweep(4, 9, SweepOrder::Ascending).0);
+        assert_ne!(d, sweep(4, 8, SweepOrder::Descending).0);
+        // Same two words as a run record, different tag.
+        let mut run = HashingSink::new();
+        run.record_run(AccessKind::Read, ArrayId(0), 4, 8);
+        assert_ne!(d, run.digest());
+    }
+
+    #[test]
     fn hashing_sink_digest_is_sha256_of_the_documented_record_stream() {
         let mut sink = HashingSink::new();
         assert_eq!(sink.digest(), Sha256::digest(b""));
@@ -519,19 +595,25 @@ mod tests {
         // Reading the digest mid-run finalises a copy: recording continues.
         let midway = sink.digest();
         sink.record_run(AccessKind::Read, ArrayId(7), 2, 6);
+        sink.record_sweep(ArrayId(7), 4, 5, SweepOrder::Descending);
 
         let mut stream = Vec::new();
-        for (tag, words) in [(2u8, vec![9u64]), (1, vec![3]), (3, vec![2, 6])] {
+        for (tag, words) in [
+            (2u8, vec![9u64]),
+            (1, vec![3]),
+            (3, vec![2, 6]),
+            (6, vec![4, 5]),
+        ] {
             stream.extend_from_slice(&7u32.to_le_bytes());
             stream.push(tag);
             for word in words {
                 stream.extend_from_slice(&word.to_le_bytes());
             }
         }
-        assert_eq!(stream.len(), 13 + 13 + 21);
+        assert_eq!(stream.len(), 13 + 13 + 21 + 21);
         assert_eq!(midway, Sha256::digest(&stream[..26]));
         assert_eq!(sink.digest(), Sha256::digest(&stream));
-        assert_eq!(sink.events(), 1 + 1 + 6);
+        assert_eq!(sink.events(), 1 + 1 + 6 + 4 * 5);
     }
 
     #[test]

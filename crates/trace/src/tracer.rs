@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::access::{Access, AccessKind, ArrayId, TraceEvent};
+use crate::access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
 use crate::counters::OpCounters;
 use crate::sink::TraceSink;
 use crate::subtrace::{SubEvent, SubTrace};
@@ -157,6 +157,19 @@ impl<S: TraceSink> Tracer<S> {
         inner
             .sink
             .record_run(AccessKind::Write, array, start, count);
+    }
+
+    /// Record one routing-network stage as a single sweep event (called by
+    /// [`TrackedBuffer::sweep_mut`]).
+    #[inline]
+    pub(crate) fn record_sweep(&self, array: ArrayId, stride: u64, count: u64, order: SweepOrder) {
+        if count == 0 {
+            return;
+        }
+        self.inner
+            .borrow_mut()
+            .sink
+            .record_sweep(array, stride, count, order);
     }
 
     /// Fold the trace fragments of a partitioned parallel pass back into

@@ -1,6 +1,6 @@
 //! Public-memory arrays whose every access is observable.
 
-use crate::access::{Access, AccessKind, ArrayId};
+use crate::access::{Access, AccessKind, ArrayId, SweepOrder};
 use crate::sink::TraceSink;
 use crate::tracer::Tracer;
 
@@ -149,6 +149,27 @@ impl<T: Copy, S: TraceSink> TrackedBuffer<T, S> {
         self.tracer
             .record_rw_runs(self.id, start as u64, count as u64);
         &mut self.data[start..start + count]
+    }
+
+    /// Batched emission for one stage of a routing network: `count` hops,
+    /// the hop at lower index `i` touching the pair `(i, i + stride)`,
+    /// visited in `order`.  Reports one sweep event and returns the window
+    /// `[0, count + stride)` the stage works on.
+    ///
+    /// The caller must perform the hops in the announced order, each one
+    /// reading both cells into local memory and writing both back (the
+    /// event's per-element expansion claims exactly that); the routing and
+    /// compaction networks do.  As with the other batched emitters, only
+    /// stages whose `(stride, count, order)` are functions of public
+    /// parameters may use this.
+    ///
+    /// # Panics
+    /// Panics if the window is out of bounds.
+    #[inline]
+    pub fn sweep_mut(&mut self, stride: usize, count: usize, order: SweepOrder) -> &mut [T] {
+        self.tracer
+            .record_sweep(self.id, stride as u64, count as u64, order);
+        &mut self.data[..count + stride]
     }
 
     /// Out-of-model mutable access to the whole array, for parallel
@@ -301,6 +322,99 @@ mod tests {
         let (lo, hi) = buf.paired_run_mut(1, 2, 0);
         assert!(lo.is_empty() && hi.is_empty());
         tracer.with_sink(|s| assert!(s.accesses().is_empty()));
+    }
+
+    /// One routing stage as the hop loops wrote it before the sweep event:
+    /// single traced reads and writes, conditional swap on local copies.
+    fn per_hop_stage<S: TraceSink>(
+        buf: &mut TrackedBuffer<u64, S>,
+        stride: usize,
+        count: usize,
+        order: SweepOrder,
+    ) {
+        let hop = |buf: &mut TrackedBuffer<u64, S>, i: usize| {
+            let (lo, hi) = (buf.read(i), buf.read(i + stride));
+            buf.write(i, lo.min(hi));
+            buf.write(i + stride, lo.max(hi));
+        };
+        match order {
+            SweepOrder::Ascending => (0..count).for_each(|i| hop(buf, i)),
+            SweepOrder::Descending => (0..count).rev().for_each(|i| hop(buf, i)),
+        }
+    }
+
+    /// The same stage over the one slice `sweep_mut` lends out.
+    fn slice_stage<S: TraceSink>(
+        buf: &mut TrackedBuffer<u64, S>,
+        stride: usize,
+        count: usize,
+        order: SweepOrder,
+    ) {
+        let win = buf.sweep_mut(stride, count, order);
+        let mut hop = |i: usize| {
+            let (lo, hi) = (win[i], win[i + stride]);
+            win[i] = lo.min(hi);
+            win[i + stride] = lo.max(hi);
+        };
+        match order {
+            SweepOrder::Ascending => (0..count).for_each(&mut hop),
+            SweepOrder::Descending => (0..count).rev().for_each(&mut hop),
+        }
+    }
+
+    #[test]
+    fn sweep_expands_to_the_per_hop_stream_in_both_orders() {
+        let data: Vec<u64> = (0..23u64).map(|i| (i * 37) % 11).collect();
+        for order in [SweepOrder::Ascending, SweepOrder::Descending] {
+            // Strides below, at and above the hop count: hops overlap their
+            // neighbours' cells in the first case and never in the last.
+            for (stride, count) in [(1usize, 22usize), (4, 19), (8, 8), (16, 7), (3, 0)] {
+                let per_hop = Tracer::new(CollectingSink::new());
+                let mut a = per_hop.alloc_from(data.clone());
+                per_hop_stage(&mut a, stride, count, order);
+
+                let swept = Tracer::new(CollectingSink::new());
+                let mut b = swept.alloc_from(data.clone());
+                slice_stage(&mut b, stride, count, order);
+
+                assert_eq!(a.as_slice(), b.as_slice(), "{order:?} {stride} {count}");
+                assert_eq!(
+                    per_hop.with_sink(|s| s.accesses().to_vec()),
+                    swept.with_sink(|s| s.accesses().to_vec()),
+                    "{order:?} stride={stride} count={count}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_digest_and_totals_depend_on_the_shape_only() {
+        use crate::sink::HashingSink;
+        let run = |data: Vec<u64>, order| {
+            let tracer = Tracer::new(HashingSink::new());
+            let mut buf = tracer.alloc_from(data);
+            slice_stage(&mut buf, 4, 12, order);
+            tracer.with_sink(|s| (s.digest(), s.events()))
+        };
+        let a = run((0..16).collect(), SweepOrder::Ascending);
+        let b = run((0..16).rev().collect(), SweepOrder::Ascending);
+        assert_eq!(a, b, "two datasets of one shape");
+        assert_eq!(a.1, 1 + 4 * 12, "alloc + four accesses per hop");
+        assert_ne!(a.0, run((0..16).collect(), SweepOrder::Descending).0);
+
+        let counting = Tracer::new(CountingSink::new());
+        let mut buf = counting.alloc_from((0..16u64).collect::<Vec<_>>());
+        slice_stage(&mut buf, 4, 12, SweepOrder::Descending);
+        let totals = counting.with_sink(|s| s.for_array(buf.id()));
+        assert_eq!((totals.reads, totals.writes), (24, 24));
+    }
+
+    #[test]
+    #[should_panic]
+    fn sweep_window_must_fit_the_array() {
+        let tracer = Tracer::new(CollectingSink::new());
+        let mut buf = tracer.alloc::<u64>(8);
+        let _ = buf.sweep_mut(4, 5, SweepOrder::Ascending);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! is too slow in practice; this bench quantifies the gap between the two
 //! practical `O(n log² n)` networks on this implementation's record type.
 //!
-//! `bitonic` is the production driver: gate runs streamed from the
-//! network's recursion, with batched trace emission and per-run counter
-//! updates.  `bitonic_per_gate` is the recursive per-gate walker (one traced
+//! `bitonic_blocked` is the production driver: the network walked in blocks
+//! of at most `bitonic::BLOCK` cells (one trace event and one counter update
+//! each, run as a local loop) with one gate run per merge level above them.
+//! `bitonic_per_gate` is the recursive per-gate walker (one traced
 //! read/write per element, one counter bump per gate), kept as the
-//! baseline that quantifies what batching per run buys.
+//! baseline that quantifies what the batching buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use obliv_primitives::sort::{bitonic, odd_even, Direction};
@@ -29,7 +30,7 @@ fn bench_networks(c: &mut Criterion) {
     for &n in &[1usize << 10, 1 << 12, 1 << 13] {
         let data = scrambled(n);
 
-        group.bench_with_input(BenchmarkId::new("bitonic", n), &data, |b, data| {
+        group.bench_with_input(BenchmarkId::new("bitonic_blocked", n), &data, |b, data| {
             b.iter_batched(
                 || Tracer::new(NullSink).alloc_from(data.clone()),
                 |mut buf| bitonic::sort_by_key(&mut buf, |x| *x),

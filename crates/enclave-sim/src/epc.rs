@@ -166,6 +166,9 @@ impl EnclaveSimulator {
     }
 }
 
+// Only `record` is implemented, on purpose: the paging model needs every
+// access in program order, so runs, sweeps and blocks reach it through the
+// trait's per-element expansions.
 impl TraceSink for EnclaveSimulator {
     fn record(&mut self, event: TraceEvent) {
         match event {

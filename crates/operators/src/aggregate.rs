@@ -73,14 +73,12 @@ pub fn oblivious_group_aggregate<S: TraceSink>(
     let mut prev_key = 0u64;
     let mut have_prev = Choice::FALSE;
     let mut acc = aggregate.identity();
-    for i in 0..n {
-        let mut r = buf.read(i);
-        tracer.bump_linear_steps(1);
+    tracer.bump_linear_steps(n as u64);
+    for r in buf.rw_run_mut(0, n) {
         let same_group = have_prev.and(Choice::eq_u64(r.key, prev_key));
         acc = u64::ct_select(same_group, acc, aggregate.identity());
         acc = aggregate.fold(acc, r.value);
         r.acc[0] = acc;
-        buf.write(i, r);
         prev_key = r.key;
         have_prev = Choice::TRUE;
     }

@@ -83,9 +83,8 @@ pub fn oblivious_join_aggregate<S: TraceSink>(
     let mut prev_key = 0u64;
     let mut have_prev = Choice::FALSE;
     let (mut c1, mut c2, mut s1, mut s2) = (0u64, 0u64, 0u64, 0u64);
-    for i in 0..n {
-        let mut r = buf.read(i);
-        tracer.bump_linear_steps(1);
+    tracer.bump_linear_steps(n as u64);
+    for r in buf.rw_run_mut(0, n) {
         let same_group = have_prev.and(Choice::eq_u64(r.key, prev_key));
         c1 = u64::ct_select(same_group, c1, 0);
         c2 = u64::ct_select(same_group, c2, 0);
@@ -99,7 +98,6 @@ pub fn oblivious_join_aggregate<S: TraceSink>(
         s2 = s2.wrapping_add(from_left.not().mask() & r.value);
 
         r.acc = [c1, c2, s1, s2];
-        buf.write(i, r);
         prev_key = r.key;
         have_prev = Choice::TRUE;
     }

@@ -911,9 +911,9 @@ fn wide_distinct_w<const W: usize, S: TraceSink>(
     bitonic::par_sort_by_key(&mut buf, |r: &WideRec<W>| r.words);
     let mut prev = [0u64; W];
     let mut have_prev = Choice::FALSE;
-    for i in 0..n {
-        let r = buf.read(i);
-        tracer.bump_linear_steps(1);
+    tracer.bump_linear_steps(n as u64);
+    for slot in buf.rw_run_mut(0, n) {
+        let r = *slot;
         let mut same = Choice::TRUE;
         for (&a, &b) in r.words.iter().zip(prev.iter()) {
             same = same.and(Choice::eq_u64(a, b));
@@ -923,7 +923,7 @@ fn wide_distinct_w<const W: usize, S: TraceSink>(
         have_prev = Choice::TRUE;
         let mut dropped = r;
         dropped.set_null();
-        buf.write(i, WideRec::ct_select(duplicate, dropped, r));
+        *slot = WideRec::ct_select(duplicate, dropped, r);
     }
 
     let compacted = oblivious_compact(buf);
@@ -1076,9 +1076,10 @@ fn wide_membership_w<const W: usize, S: TraceSink>(
     let keep_matching = Choice::from_bool(keep_matching);
     let mut witness_key = 0u64;
     let mut have_witness = Choice::FALSE;
-    for i in 0..buf.len() {
-        let r = buf.read(i);
-        tracer.bump_linear_steps(1);
+    let n = buf.len();
+    tracer.bump_linear_steps(n as u64);
+    for slot in buf.rw_run_mut(0, n) {
+        let r = *slot;
         let is_witness = Choice::eq_u64(r.tag, 2);
         witness_key = u64::ct_select(is_witness, r.cmp, witness_key);
         have_witness = is_witness.or(have_witness);
@@ -1092,7 +1093,7 @@ fn wide_membership_w<const W: usize, S: TraceSink>(
         let keep = is_witness.not().and(wanted);
         let mut dropped = r;
         dropped.set_null();
-        buf.write(i, WideRec::ct_select(keep, r, dropped));
+        *slot = WideRec::ct_select(keep, r, dropped);
     }
 
     let compacted = oblivious_compact(buf);

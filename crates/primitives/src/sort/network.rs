@@ -14,6 +14,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
+pub(crate) use obliv_trace::network::greatest_power_of_two_below;
+use obliv_trace::BlockOp;
+
 use super::Direction;
 
 /// One compare-exchange gate of a network: the pair of positions touched,
@@ -91,11 +94,11 @@ impl GateRun {
 
 /// A sorting network flattened into an iterative sequence of [`GateRun`]s.
 ///
-/// The serial sort driver streams these runs straight from the recursion
-/// and never stores them; the materialised form is what needs run
-/// *identity* — the parallel driver (wave leveling, per-run fold of
-/// sub-traces) and the access-pattern checker.  At 32 bytes per run and
-/// ≈ n·log₂ n runs it is not small: 48 MB at n = 10⁵, 578 MB at n = 10⁶.
+/// The serial sort driver walks the recursion in blocks and never stores
+/// its runs; the materialised form is what needs run *identity* — the
+/// parallel driver's wave leveling and the access-pattern checker.  At 32
+/// bytes per run and ≈ n·log₂ n runs it is not small: 48 MB at n = 10⁵,
+/// 578 MB at n = 10⁶.
 /// The flattened gate order is identical to the recursive schedule's
 /// ([`crate::sort::bitonic::schedule`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -237,40 +240,10 @@ impl Schedule {
 /// Number of comparators in a bitonic sort of `n` elements: exactly the
 /// gate count of [`crate::sort::bitonic::run_schedule`]`(n, _)`, computed in
 /// `O(log² n)` without building it (the parallel sort driver asks before
-/// every sort whether the network is worth forking).
-///
-/// A merge of `n` elements places `n − p` gates at stride `p`, the greatest
-/// power of two below `n`, then merges `p` and `n − p` elements; a merge of
-/// `2^k` elements has `k·2^(k−1)` gates, which leaves one chain of `O(log n)`
-/// links.  The sort recursion halves every range, so each of its levels
-/// holds ranges of at most two lengths, `s` and `s + 1`, and is summed with
-/// multiplicities.
+/// every sort whether the network is worth forking).  The closed form lives
+/// beside the network's recursion, in [`obliv_trace::network`].
 pub fn bitonic_comparator_count(n: usize) -> u64 {
-    fn merge_count(mut n: u64) -> u64 {
-        let mut gates = 0;
-        while n > 1 {
-            let p = greatest_power_of_two_below(n);
-            gates += (n - p) + u64::from(p.trailing_zeros()) * (p / 2);
-            n -= p;
-        }
-        gates
-    }
-    // `small` ranges of length `s` and `large` ranges of length `s + 1`.
-    let (mut s, mut small, mut large) = (n as u64, 1u64, 0u64);
-    let mut gates = 0;
-    while s >= 1 {
-        gates += small * merge_count(s) + large * merge_count(s + 1);
-        // ⌊·/2⌋ and ⌈·/2⌉ of `s` and `s + 1`: an even `s` yields two halves
-        // of length s/2 and the odd `s + 1` one of each length; an odd `s`
-        // the mirror image.
-        (small, large) = if s % 2 == 0 {
-            (2 * small + large, large)
-        } else {
-            (small, small + 2 * large)
-        };
-        s /= 2;
-    }
-    gates
+    obliv_trace::network::gate_count(n as u64, BlockOp::Sort)
 }
 
 /// Number of comparators in an odd-even mergesort of `n` elements (counting
@@ -288,13 +261,6 @@ pub fn bitonic_comparator_estimate(n: usize) -> f64 {
     let n = n as f64;
     let lg = n.log2();
     n * lg * lg / 4.0
-}
-
-/// Largest power of two strictly below `n` (assumes `n >= 2`).
-#[inline]
-pub(crate) fn greatest_power_of_two_below(n: u64) -> u64 {
-    debug_assert!(n >= 2);
-    1 << (63 - (n - 1).leading_zeros())
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //! executing waves in order (with a barrier between them) performs the same
 //! compare-exchanges on the same intermediate values as the serial walk.
 //! Runs that the leveling reorders across waves are provably disjoint, and
-//! trace emission is deferred and folded in schedule order regardless (see
-//! [`Tracer::fold_subtraces`](obliv_trace::Tracer::fold_subtraces)), so the
+//! the trace is emitted after the last wave by a walk of the network in
+//! schedule order regardless (see
+//! [`par_sort_by_key_dir`](super::bitonic::par_sort_by_key_dir)), so the
 //! observable trace is unchanged.
 //!
 //! Like the run schedule itself, the wave plan is a pure function of the

@@ -1,7 +1,8 @@
 //! Property tests of the structure the join kernel is built from: expansion
-//! as compaction + routing, and the sort driver that streams its network
-//! from the recursion.
+//! as compaction + routing, and the sort driver that walks its network in
+//! blocks.
 
+use obliv_primitives::sort::network::bitonic_comparator_count;
 use obliv_primitives::sort::{bitonic, Direction};
 use obliv_primitives::{oblivious_expand, with_parallelism, Keyed, ParCtx, SerialExecutor};
 use obliv_trace::{AccessKind, CollectingSink, CountingSink, Tracer};
@@ -150,6 +151,47 @@ fn streamed_sort_trace_is_the_flattened_schedule_and_the_parallel_fold() {
                 assert_eq!(parallel, expected, "n={n} {dir:?} chunks={chunks}");
                 assert_eq!(par_sorted, sorted, "n={n} {dir:?} chunks={chunks}");
             }
+        }
+    }
+}
+
+#[test]
+fn blocked_sort_is_the_per_gate_network_at_every_size() {
+    // Every length around the block size (a sort of up to BLOCK cells is
+    // one block, above it blocks and runs mix), and lengths straddling
+    // powers of two, where the merge recursion's two parts differ most.
+    let sizes = (0..=4 * bitonic::BLOCK + 3).chain([
+        511, 512, 513, 1023, 1024, 1025, 1036, 2047, 2049, 4095, 4097, 5000,
+    ]);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for n in sizes {
+        // Few distinct keys, every row tagged with where it started: equal
+        // outputs then mean the same permutation, ties included.
+        let input: Vec<(u64, u64)> = (0..n as u64)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 33) % 7, i)
+            })
+            .collect();
+        for dir in [Direction::Ascending, Direction::Descending] {
+            let blocked = Tracer::new(CollectingSink::new());
+            let mut buf = blocked.alloc_from(input.clone());
+            bitonic::sort_by_key_dir(&mut buf, dir, |r| r.0);
+            let trace: Vec<(AccessKind, u64)> =
+                blocked.with_sink(|s| s.accesses().iter().map(|a| (a.kind, a.index)).collect());
+            assert!(trace == flattened(n, dir), "trace n={n} {dir:?}");
+            assert_eq!(
+                blocked.counters().comparisons,
+                bitonic_comparator_count(n),
+                "comparisons n={n} {dir:?}"
+            );
+
+            let oracle = Tracer::new(CountingSink::new());
+            let mut per_gate = oracle.alloc_from(input.clone());
+            bitonic::sort_by_key_dir_per_gate(&mut per_gate, dir, |r| r.0);
+            assert!(buf.as_slice() == per_gate.as_slice(), "rows n={n} {dir:?}");
         }
     }
 }

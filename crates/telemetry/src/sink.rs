@@ -6,15 +6,16 @@
 //! the primitives layer an opt-in event-rate metric with one relaxed
 //! atomic add per record.
 
-use obliv_trace::{AccessKind, ArrayId, SweepOrder, TraceEvent, TraceSink};
+use obliv_trace::network::gate_count;
+use obliv_trace::{AccessKind, ArrayId, BlockOp, SweepOrder, TraceEvent, TraceSink};
 
 use crate::metrics::Counter;
 
 /// A [`TraceSink`] adapter that counts logical events into `events`.
 ///
-/// A coalesced run of `count` accesses counts as `count` events and a hop
-/// sweep of `count` hops as `4·count`, matching the per-element semantics of
-/// the expanded stream.
+/// A coalesced run of `count` accesses counts as `count` events, a hop
+/// sweep of `count` hops as `4·count` and a bitonic block as four per gate,
+/// matching the per-element semantics of the expanded stream.
 #[derive(Debug, Clone)]
 pub struct MeteredSink<S> {
     inner: S,
@@ -56,6 +57,12 @@ impl<S: TraceSink> TraceSink for MeteredSink<S> {
         self.events.add(4 * count);
         self.inner.record_sweep(array, stride, count, order);
     }
+
+    #[inline]
+    fn record_block(&mut self, array: ArrayId, lo: u64, n: u64, descending: bool, op: BlockOp) {
+        self.events.add(4 * gate_count(n, op));
+        self.inner.record_block(array, lo, n, descending, op);
+    }
 }
 
 // Re-exported so downstream users of the adapter can build events without
@@ -66,7 +73,7 @@ pub use obliv_trace::TraceEvent as Event;
 mod tests {
     use super::*;
     use crate::metrics::{MetricClass, MetricsRegistry};
-    use obliv_trace::{Access, CountingSink};
+    use obliv_trace::{Access, CountingSink, HashingSink};
 
     #[test]
     fn counts_records_and_runs() {
@@ -81,5 +88,38 @@ mod tests {
         sink.record_run(AccessKind::Write, ArrayId(1), 0, 9);
         sink.record_sweep(ArrayId(1), 2, 5, SweepOrder::Descending);
         assert_eq!(reg.snapshot().counter("trace_events_total", &[]), 30);
+    }
+
+    #[test]
+    fn every_composite_event_reaches_the_inner_sink_unexpanded() {
+        // A wrapper that forgot to forward a composite would hand the inner
+        // sink the default per-element expansion instead: same accesses,
+        // different records, different digest.
+        fn stream(sink: &mut impl TraceSink) {
+            sink.record(TraceEvent::Alloc {
+                array: ArrayId(0),
+                len: 80,
+            });
+            sink.record(TraceEvent::Access(Access::read(ArrayId(0), 3)));
+            sink.record_run(AccessKind::Write, ArrayId(0), 2, 9);
+            sink.record_sweep(ArrayId(0), 4, 7, SweepOrder::Ascending);
+            sink.record_block(ArrayId(0), 16, 40, true, BlockOp::Sort);
+            sink.record_block(ArrayId(0), 8, 64, false, BlockOp::Merge);
+        }
+        let mut bare = HashingSink::new();
+        stream(&mut bare);
+
+        let reg = MetricsRegistry::new();
+        let counter = reg.counter("trace_events_total", MetricClass::Content, &[]);
+        let mut metered = MeteredSink::new(HashingSink::new(), counter);
+        stream(&mut metered);
+
+        assert_eq!(metered.inner().digest(), bare.digest());
+        assert_eq!(metered.inner().events(), bare.events());
+        assert_eq!(metered.inner().records(), 6);
+        assert_eq!(
+            reg.snapshot().counter("trace_events_total", &[]),
+            bare.events()
+        );
     }
 }

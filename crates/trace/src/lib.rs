@@ -20,6 +20,12 @@
 //! | [`CountingSink`] | read/write totals per array |
 //! | [`TeeSink`] | fan out to two sinks at once |
 //!
+//! Besides single accesses a sink receives three *composite* events — a
+//! run of consecutive accesses, one stage of a routing network, one bitonic
+//! sub-network ([`network`] says which gates the last one stands for) —
+//! whose extents are functions of public parameters; each expands, by
+//! default, to the per-element stream it replaces ([`TraceSink`]).
+//!
 //! Algorithm-level operation counts (sorting-network comparisons, routing
 //! hops, linear-pass steps) are accumulated in [`OpCounters`] and drive the
 //! Table 3 reproduction.
@@ -47,6 +53,7 @@
 
 mod access;
 mod counters;
+pub mod network;
 pub mod sha256;
 mod sink;
 mod subtrace;
@@ -55,6 +62,7 @@ mod tracked;
 
 pub use access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
 pub use counters::OpCounters;
+pub use network::BlockOp;
 pub use sink::{
     AccessTotals, CollectingSink, CountingSink, HashingSink, NullSink, TeeSink, TraceSink,
 };

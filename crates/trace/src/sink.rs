@@ -18,6 +18,7 @@
 //! single running SHA-256 (format and rationale on the type).
 
 use crate::access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
+use crate::network::{self, BlockOp};
 use crate::sha256::Sha256;
 
 /// A consumer of the observable event stream.
@@ -41,7 +42,10 @@ pub trait TraceSink {
     /// the access-pattern checker's [`CollectingSink`] — observe the
     /// fully expanded per-element stream.  Sinks for which the expansion
     /// is pure overhead ([`NullSink`], [`HashingSink`], [`CountingSink`])
-    /// override this with an O(1) fold.
+    /// override this with an O(1) fold.  The same holds for the other two
+    /// composite events below; a sink that *wraps* another must forward
+    /// all three, or its inner sink is handed the expansion instead of the
+    /// event.
     fn record_run(&mut self, kind: AccessKind, array: ArrayId, start: u64, count: u64) {
         for i in 0..count {
             self.record(TraceEvent::Access(Access {
@@ -81,6 +85,32 @@ pub trait TraceSink {
             SweepOrder::Descending => (0..count).rev().for_each(&mut hop),
         }
     }
+
+    /// Record a whole bitonic sub-network as a single *block*: the sort
+    /// (or, for [`BlockOp::Merge`], only the merge) of the `n` cells `[lo,
+    /// lo + n)` of one array, ordering larger keys first if `descending`.
+    ///
+    /// Which gates that is, and in which order, is fixed by
+    /// [`network::for_each_run`]; the default implementation replays them
+    /// run by run — both windows of a run read, then both written, the
+    /// stream four [`record_run`](TraceSink::record_run) calls per run used
+    /// to produce — so order-exact sinks ([`CollectingSink`]) still see
+    /// every access.  The sinks that only fold override this in O(1) with
+    /// [`network::gate_count`].
+    ///
+    /// `lo`, `n`, the direction and the kind are all public: the sort
+    /// driver derives them from the array length alone, by the recursion
+    /// [`network::walk`] spells out.
+    fn record_block(&mut self, array: ArrayId, lo: u64, n: u64, descending: bool, op: BlockOp) {
+        let mut replay = |lo: usize, stride: usize, count: usize, _descending: bool| {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                for start in [lo, lo + stride] {
+                    self.record_run(kind, array, start as u64, count as u64);
+                }
+            }
+        };
+        network::for_each_run(lo as usize, n as usize, descending, op, &mut replay);
+    }
 }
 
 /// Discards every event. This is the configuration used for timing runs so
@@ -97,6 +127,9 @@ impl TraceSink for NullSink {
 
     #[inline(always)]
     fn record_sweep(&mut self, _array: ArrayId, _stride: u64, _count: u64, _order: SweepOrder) {}
+
+    #[inline(always)]
+    fn record_block(&mut self, _array: ArrayId, _lo: u64, _n: u64, _desc: bool, _op: BlockOp) {}
 }
 
 /// Keeps the complete event log in memory.
@@ -160,6 +193,7 @@ impl TraceSink for CollectingSink {
 /// | alloc | 13 | `array:u32 ‖ tag:u8 (2) ‖ len:u64` |
 /// | read / write run | 21 | `array:u32 ‖ tag:u8 (3 read, 4 write) ‖ start:u64 ‖ count:u64` |
 /// | hop sweep | 21 | `array:u32 ‖ tag:u8 (5 ascending, 6 descending) ‖ stride:u64 ‖ count:u64` |
+/// | bitonic block | 21 | `array:u32 ‖ tag:u8 (7 sort ↑, 8 sort ↓, 9 merge ↑, 10 merge ↓) ‖ lo:u64 ‖ n:u64` |
 ///
 /// The tag byte sits at offset 4 of every record and fixes the record's
 /// length, so the concatenation parses back into exactly one event
@@ -175,12 +209,15 @@ impl TraceSink for CollectingSink {
 /// Allocation events are folded in (tag 2) so that two programs allocating
 /// different-shaped scratch space cannot collide by accident.
 /// [`events`](HashingSink::events) counts *accesses represented* — one per
-/// single event, `count` per coalesced run, `4·count` per hop sweep — so
-/// event totals stay comparable between batched and per-element emission.
+/// single event, `count` per coalesced run, `4·count` per hop sweep, four
+/// per gate of a block — so event totals stay comparable between batched
+/// and per-element emission; [`records`](HashingSink::records) counts the
+/// records absorbed, which is what the hashing costs.
 #[derive(Debug, Clone)]
 pub struct HashingSink {
     hasher: Sha256,
     events: u64,
+    records: u64,
 }
 
 impl Default for HashingSink {
@@ -195,6 +232,7 @@ impl HashingSink {
         HashingSink {
             hasher: Sha256::new(),
             events: 0,
+            records: 0,
         }
     }
 
@@ -214,6 +252,11 @@ impl HashingSink {
         self.events
     }
 
+    /// How many records — sink calls — the digest has absorbed.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
     /// Absorb one record: `array ‖ tag ‖ words…`, tag byte at offset 4.
     #[inline]
     fn absorb<const N: usize>(&mut self, array: ArrayId, tag: u8, words: &[u64]) {
@@ -224,6 +267,7 @@ impl HashingSink {
             slot.copy_from_slice(&word.to_le_bytes());
         }
         self.hasher.update(&record);
+        self.records += 1;
     }
 }
 
@@ -259,6 +303,18 @@ impl TraceSink for HashingSink {
         };
         self.absorb::<21>(array, tag, &[stride, count]);
         self.events += 4 * count;
+    }
+
+    /// One 21-byte record per sub-network, tag bytes 7–10 (sort / merge ×
+    /// ascending / descending), domain-separated from every other record
+    /// kind.
+    fn record_block(&mut self, array: ArrayId, lo: u64, n: u64, descending: bool, op: BlockOp) {
+        let tag = match op {
+            BlockOp::Sort => 7,
+            BlockOp::Merge => 9,
+        } + u8::from(descending);
+        self.absorb::<21>(array, tag, &[lo, n]);
+        self.events += 4 * network::gate_count(n, op);
     }
 }
 
@@ -358,6 +414,11 @@ impl TraceSink for CountingSink {
         self.record_run(AccessKind::Read, array, 0, 2 * count);
         self.record_run(AccessKind::Write, array, 0, 2 * count);
     }
+
+    /// Every gate reads two cells and writes two.
+    fn record_block(&mut self, array: ArrayId, _lo: u64, n: u64, _descending: bool, op: BlockOp) {
+        self.record_sweep(array, 0, network::gate_count(n, op), SweepOrder::Ascending);
+    }
 }
 
 /// Fans one event stream out to two sinks; lets a test both collect and hash
@@ -394,6 +455,12 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     fn record_sweep(&mut self, array: ArrayId, stride: u64, count: u64, order: SweepOrder) {
         self.first.record_sweep(array, stride, count, order);
         self.second.record_sweep(array, stride, count, order);
+    }
+
+    #[inline]
+    fn record_block(&mut self, array: ArrayId, lo: u64, n: u64, descending: bool, op: BlockOp) {
+        self.first.record_block(array, lo, n, descending, op);
+        self.second.record_block(array, lo, n, descending, op);
     }
 }
 
@@ -584,6 +651,97 @@ mod tests {
     }
 
     #[test]
+    fn hashing_sink_blocks_are_parameter_sensitive_and_domain_separated() {
+        let block = |lo, n, descending, op| {
+            let mut s = HashingSink::new();
+            s.record_block(ArrayId(0), lo, n, descending, op);
+            (s.digest(), s.events())
+        };
+        let (d, e) = block(4, 8, false, BlockOp::Sort);
+        assert_eq!((d, e), block(4, 8, false, BlockOp::Sort));
+        assert_eq!(e, 4 * 24, "events count accesses represented");
+        assert_ne!(d, block(5, 8, false, BlockOp::Sort).0);
+        assert_ne!(d, block(4, 9, false, BlockOp::Sort).0);
+        assert_ne!(d, block(4, 8, true, BlockOp::Sort).0);
+        assert_ne!(d, block(4, 8, false, BlockOp::Merge).0);
+        assert_ne!(
+            block(4, 8, true, BlockOp::Sort).0,
+            block(4, 8, false, BlockOp::Merge).0
+        );
+        // Same two words as a run or a sweep record, different tag.
+        let mut run = HashingSink::new();
+        run.record_run(AccessKind::Read, ArrayId(0), 4, 8);
+        assert_ne!(d, run.digest());
+        let mut sweep = HashingSink::new();
+        sweep.record_sweep(ArrayId(0), 4, 8, SweepOrder::Ascending);
+        assert_ne!(d, sweep.digest());
+    }
+
+    #[test]
+    fn block_default_expansion_is_the_run_by_run_stream() {
+        // A sink that overrides nothing sees, for a block, what four
+        // `record_run` calls per gate run of the sub-network show it.
+        for (n, op) in [
+            (2u64, BlockOp::Sort),
+            (13, BlockOp::Sort),
+            (13, BlockOp::Merge),
+        ] {
+            let mut expanded = CollectingSink::new();
+            expanded.record_block(ArrayId(1), 5, n, true, op);
+            let mut reference = CollectingSink::new();
+            network::for_each_run(5, n as usize, true, op, &mut |lo, stride, count, _| {
+                for kind in [AccessKind::Read, AccessKind::Write] {
+                    for start in [lo, lo + stride] {
+                        reference.record_run(kind, ArrayId(1), start as u64, count as u64);
+                    }
+                }
+            });
+            assert_eq!(expanded.accesses(), reference.accesses(), "n={n} {op:?}");
+            assert_eq!(
+                expanded.len() as u64,
+                4 * network::gate_count(n, op),
+                "n={n} {op:?}"
+            );
+            // The folding sinks agree on the totals without expanding.
+            let mut counted = CountingSink::new();
+            counted.record_block(ArrayId(1), 5, n, true, op);
+            assert_eq!(counted.overall().reads, expanded.len() as u64 / 2);
+            assert_eq!(
+                counted.for_array(ArrayId(1)).writes,
+                expanded.len() as u64 / 2
+            );
+        }
+    }
+
+    #[test]
+    fn tee_sink_forwards_every_composite_unexpanded() {
+        // A tee that forgot a forward would hand its hashing side the
+        // per-element expansion: same accesses, different digest.
+        fn stream(sink: &mut impl TraceSink) {
+            sink.record(TraceEvent::Alloc {
+                array: ArrayId(0),
+                len: 80,
+            });
+            sink.record(TraceEvent::Access(Access::read(ArrayId(0), 3)));
+            sink.record_run(AccessKind::Write, ArrayId(0), 2, 9);
+            sink.record_sweep(ArrayId(0), 4, 7, SweepOrder::Ascending);
+            sink.record_block(ArrayId(0), 16, 40, true, BlockOp::Sort);
+            sink.record_block(ArrayId(0), 8, 64, false, BlockOp::Merge);
+        }
+        let mut bare = HashingSink::new();
+        stream(&mut bare);
+        let mut counted = CountingSink::new();
+        stream(&mut counted);
+        let mut tee = TeeSink::new(HashingSink::new(), CountingSink::new());
+        stream(&mut tee);
+        assert_eq!(tee.first.digest(), bare.digest());
+        assert_eq!(tee.first.events(), bare.events());
+        assert_eq!(tee.first.records(), 6);
+        assert_eq!(tee.second.overall(), counted.overall());
+        assert_eq!(tee.second.overall().total() + 1, bare.events());
+    }
+
+    #[test]
     fn hashing_sink_digest_is_sha256_of_the_documented_record_stream() {
         let mut sink = HashingSink::new();
         assert_eq!(sink.digest(), Sha256::digest(b""));
@@ -596,6 +754,7 @@ mod tests {
         let midway = sink.digest();
         sink.record_run(AccessKind::Read, ArrayId(7), 2, 6);
         sink.record_sweep(ArrayId(7), 4, 5, SweepOrder::Descending);
+        sink.record_block(ArrayId(7), 1, 8, true, BlockOp::Merge);
 
         let mut stream = Vec::new();
         for (tag, words) in [
@@ -603,6 +762,7 @@ mod tests {
             (1, vec![3]),
             (3, vec![2, 6]),
             (6, vec![4, 5]),
+            (10, vec![1, 8]),
         ] {
             stream.extend_from_slice(&7u32.to_le_bytes());
             stream.push(tag);
@@ -610,10 +770,12 @@ mod tests {
                 stream.extend_from_slice(&word.to_le_bytes());
             }
         }
-        assert_eq!(stream.len(), 13 + 13 + 21 + 21);
+        assert_eq!(stream.len(), 13 + 13 + 21 + 21 + 21);
         assert_eq!(midway, Sha256::digest(&stream[..26]));
         assert_eq!(sink.digest(), Sha256::digest(&stream));
-        assert_eq!(sink.events(), 1 + 1 + 6 + 4 * 5);
+        // A merge of 8 cells is three levels of four gates.
+        assert_eq!(sink.events(), 1 + 1 + 6 + 4 * 5 + 4 * 12);
+        assert_eq!(sink.records(), 5);
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! serial driver would have emitted, so the resulting trace — and therefore
 //! any digest over it — is bit-identical to the serial walk.
 //!
+//! The parallel bitonic *sort* does not record fragments: its trace is the
+//! serial driver's walk of the network, replayed after the last wave (see
+//! `obliv_primitives::sort::bitonic`).  Fragments serve the partitioned
+//! elementwise passes, and [`SubEvent::Exchange`] any driver that splits a
+//! single gate run — which is also how `obliv-verify` shows that a
+//! misordered fold is caught.
+//!
 //! The events are *composite* on purpose: a partition records "the gates
 //! `(lo+g, lo+stride+g)` for `g < count`" as one [`SubEvent::Exchange`]
 //! rather than `4·count` individual accesses.  Composites carry enough

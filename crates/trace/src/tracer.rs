@@ -5,6 +5,7 @@ use std::rc::Rc;
 
 use crate::access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
 use crate::counters::OpCounters;
+use crate::network::{self, BlockOp};
 use crate::sink::TraceSink;
 use crate::subtrace::{SubEvent, SubTrace};
 use crate::tracked::TrackedBuffer;
@@ -170,6 +171,21 @@ impl<S: TraceSink> Tracer<S> {
             .borrow_mut()
             .sink
             .record_sweep(array, stride, count, order);
+    }
+
+    /// Record one bitonic sub-network as a single block event and count its
+    /// gates as comparisons, in one shared-state borrow (called by
+    /// [`TrackedBuffer::block_mut`]).
+    #[inline]
+    pub(crate) fn record_block(&self, array: ArrayId, lo: u64, n: u64, desc: bool, op: BlockOp) {
+        let gates = network::gate_count(n, op);
+        if gates == 0 {
+            return;
+        }
+        let mut inner = self.inner.borrow_mut();
+        inner.counters.comparisons += gates;
+        inner.counters.compare_exchanges += gates;
+        inner.sink.record_block(array, lo, n, desc, op);
     }
 
     /// Fold the trace fragments of a partitioned parallel pass back into

@@ -1,6 +1,7 @@
 //! Public-memory arrays whose every access is observable.
 
 use crate::access::{Access, AccessKind, ArrayId, SweepOrder};
+use crate::network::BlockOp;
 use crate::sink::TraceSink;
 use crate::tracer::Tracer;
 
@@ -172,17 +173,43 @@ impl<T: Copy, S: TraceSink> TrackedBuffer<T, S> {
         &mut self.data[..count + stride]
     }
 
+    /// Batched emission for a whole bitonic sub-network: the sort (or only
+    /// the merge) of the `n` cells `[lo, lo + n)`.  Reports one block event,
+    /// adds the sub-network's gate count
+    /// ([`network::gate_count`](crate::network::gate_count)) to the
+    /// comparison counters, and returns exactly that window.
+    ///
+    /// The caller must execute the gates of
+    /// [`network::for_each_run`](crate::network::for_each_run)`(lo, n,
+    /// descending, op)`, in that order, each one reading both its cells
+    /// into local memory and writing both back (the event's per-element
+    /// expansion claims exactly that), and must not bump the comparison
+    /// counter for them again.  `lo`, `n`, the direction and the kind have
+    /// to be functions of public parameters only — the sort driver takes
+    /// them from the array length by a fixed recursion — because they are
+    /// what the trace shows of the sub-network.
+    ///
+    /// # Panics
+    /// Panics if the window is out of bounds.
+    #[inline]
+    pub fn block_mut(&mut self, lo: usize, n: usize, descending: bool, op: BlockOp) -> &mut [T] {
+        self.tracer
+            .record_block(self.id, lo as u64, n as u64, descending, op);
+        &mut self.data[lo..lo + n]
+    }
+
     /// Out-of-model mutable access to the whole array, for parallel
     /// staging.
     ///
     /// Intra-query parallel drivers copy disjoint windows out to worker
     /// scratch and copy the results back through this view; the traced
-    /// events for the pass are emitted separately via
-    /// [`Tracer::fold_subtraces`], exactly as the serial walk would have
-    /// emitted them.  Like [`as_slice`](TrackedBuffer::as_slice), this is
-    /// **not** part of the oblivious programming model and records nothing;
-    /// algorithm code must pair it with a fold that accounts for every
-    /// access.
+    /// events for the pass are emitted separately — by
+    /// [`Tracer::fold_subtraces`] for a partitioned pass, by a trace-only
+    /// walk of the network for a sort — exactly as the serial walk would
+    /// have emitted them.  Like [`as_slice`](TrackedBuffer::as_slice), this
+    /// is **not** part of the oblivious programming model and records
+    /// nothing; algorithm code must pair it with an emission that accounts
+    /// for every access.
     pub fn staging_mut(&mut self) -> &mut [T] {
         &mut self.data
     }

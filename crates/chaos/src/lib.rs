@@ -360,7 +360,9 @@ pub mod points {
     /// a partial frame and then drops the connection.
     pub const SERVER_WRITE: &str = "server/write";
     /// Batcher thread, inside the panic isolation barrier (`Panic`
-    /// exercises the re-run cascade; `Delay` = slow batch).
+    /// exercises the re-run cascade; `Delay` = slow batch).  Reached only
+    /// by queries that execute: a result-cache hit is answered on the
+    /// handler thread, behind `server/handle` but never in a batch.
     pub const SERVER_BATCHER: &str = "server/batcher";
     /// Engine worker, at job start (`Panic` = worker panic, `Delay` =
     /// artificially slow job).

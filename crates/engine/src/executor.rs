@@ -181,6 +181,17 @@ pub trait QueryExecutor: Send + Sync + std::fmt::Debug {
     /// validation — without executing anything.
     fn validate(&self, request: &QueryRequest) -> Result<(), EngineError>;
 
+    /// Answer `request` iff that needs no execution: the response
+    /// [`execute_batch`](QueryExecutor::execute_batch) would give it from a
+    /// result cache, accounted as that hit — or `None`, and nothing
+    /// happened.  A transport may call this on the thread that read the
+    /// request, skipping its hand-off to whatever executes batches.  The
+    /// default has no such answer.
+    fn cached(&self, request: &QueryRequest) -> Option<QueryResponse> {
+        let _ = request;
+        None
+    }
+
     /// Cumulative result-cache accounting (aggregated over shards for a
     /// sharded executor).
     fn cache_stats(&self) -> CacheStats;
@@ -209,6 +220,10 @@ impl QueryExecutor for Engine {
 
     fn validate(&self, request: &QueryRequest) -> Result<(), EngineError> {
         Engine::validate(self, request)
+    }
+
+    fn cached(&self, request: &QueryRequest) -> Option<QueryResponse> {
+        Engine::cached(self, request)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -255,6 +270,16 @@ struct ResultCache {
 impl ResultCache {
     fn entry_bytes(entry: &CachedQuery) -> u64 {
         (entry.rows.len() * entry.rows.schema().row_width()) as u64
+    }
+
+    /// The payload cached for `key`, if it was stamped with the live
+    /// catalog `epoch`.  Callers hold the catalog read lock they read
+    /// `epoch` under (lock order catalog → cache, everywhere).
+    fn get(&self, key: &str, epoch: u64) -> Option<Arc<CachedQuery>> {
+        match self.map.get(key) {
+            Some((cached_epoch, entry)) if *cached_epoch == epoch => Some(Arc::clone(entry)),
+            _ => None,
+        }
     }
 
     /// Insert an entry, evicting the oldest entries as needed to stay
@@ -863,11 +888,7 @@ impl Engine {
             if let Some(cache) = &self.result_cache {
                 let cache = cache.lock().expect("result cache lock poisoned");
                 for (slot, &req) in representative.iter().enumerate() {
-                    if let Some((cached_epoch, entry)) = cache.map.get(canon[req]) {
-                        if *cached_epoch == epoch {
-                            payload[slot] = Some(Arc::clone(entry));
-                        }
-                    }
+                    payload[slot] = cache.get(canon[req], epoch);
                 }
             }
             for (slot, &req) in representative.iter().enumerate() {
@@ -1097,26 +1118,51 @@ impl Engine {
                 let slot = slot_of_request[i];
                 let entry = payload[slot].as_ref().expect("every slot was filled");
                 let cached = !(fresh[slot] && representative[slot] == i);
-                if cached {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.cache_hits.inc();
-                    self.metrics.queries_cached.inc();
-                } else {
-                    self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.cache_misses.inc();
-                    self.metrics.queries_executed.inc();
-                }
-                self.metrics.rows_returned.add(entry.rows.len() as u64);
-                QueryResponse {
-                    label: request.label.clone(),
-                    rows: entry.rows.clone(),
-                    summary: entry.summary.clone(),
-                    cached,
-                    trace: Arc::clone(&entry.trace),
-                }
+                self.respond(request, entry, cached)
             })
             .collect();
         Ok(responses)
+    }
+
+    /// Fan one payload out to `request` under its own label, accounting it
+    /// as a hit (`cached`: a cache hit or an intra-batch duplicate) or as
+    /// the miss that executed it.
+    fn respond(&self, request: &QueryRequest, entry: &CachedQuery, cached: bool) -> QueryResponse {
+        if cached {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.cache_hits.inc();
+            self.metrics.queries_cached.inc();
+        } else {
+            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.metrics.cache_misses.inc();
+            self.metrics.queries_executed.inc();
+        }
+        self.metrics.rows_returned.add(entry.rows.len() as u64);
+        QueryResponse {
+            label: request.label.clone(),
+            rows: entry.rows.clone(),
+            summary: entry.summary.clone(),
+            cached,
+            trace: Arc::clone(&entry.trace),
+        }
+    }
+
+    /// Answer `request` from the result cache if the current catalog epoch
+    /// has its plan — the probe and the hit response of
+    /// [`execute_batch`](Engine::execute_batch), for one request, with no
+    /// batch formed: same rows, summary and span tree, `cached: true`, the
+    /// same hit counters.  `None` (and no side effect) on a miss, a stale
+    /// epoch or a disabled cache; deadlines are not consulted, a hit takes
+    /// no time worth budgeting.
+    pub fn cached(&self, request: &QueryRequest) -> Option<QueryResponse> {
+        let cache = self.result_cache.as_ref()?;
+        let key = request.canonical();
+        let entry = {
+            let catalog = self.catalog.read().expect("catalog lock poisoned");
+            let cache = cache.lock().expect("result cache lock poisoned");
+            cache.get(key, catalog.epoch())?
+        };
+        Some(self.respond(request, &entry, true))
     }
 
     /// Check that a request would resolve against the current catalog —
@@ -1410,6 +1456,48 @@ mod tests {
             (miss.rows.len() * miss.rows.schema().row_width()) as u64
         );
         assert_eq!(stats.evictions, 0);
+    }
+
+    /// `cached` is the batch's hit for one request — same payload, same
+    /// hit counters, no batch counted — and answers nothing else.
+    #[test]
+    fn cached_probe_answers_exactly_what_a_warm_batch_would() {
+        let engine = engine(2);
+        let request = &requests()[..1];
+        assert!(engine.cached(&request[0]).is_none(), "cold: a miss");
+        assert_eq!(engine.cache_stats(), CacheStats::default());
+        let miss = engine.execute_batch(request).unwrap().pop().unwrap();
+        let batches = |e: &Engine| e.metrics().snapshot().counter("engine_batches_total", &[]);
+        let before = batches(&engine);
+
+        let relabelled = QueryRequest::new("other", request[0].plan().clone());
+        let hit = engine.cached(&relabelled).expect("primed");
+        let batch_hit = engine.execute_batch(request).unwrap().pop().unwrap();
+        assert!(hit.cached && batch_hit.cached);
+        assert_eq!(hit.label, "other");
+        assert_eq!((&hit.rows, &hit.summary), (&miss.rows, &miss.summary));
+        assert_eq!(
+            (&hit.rows, &hit.summary),
+            (&batch_hit.rows, &batch_hit.summary)
+        );
+        assert!(Arc::ptr_eq(&hit.trace, &batch_hit.trace));
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!(batches(&engine), before + 1, "the probe is not a batch");
+
+        // A stale epoch and a disabled cache are not answered.
+        engine
+            .register_table("orders", Table::from_pairs(vec![(9, 1)]))
+            .unwrap();
+        assert!(engine.cached(&request[0]).is_none());
+        let uncached = engine_with(EngineConfig {
+            workers: 1,
+            result_cache: false,
+            ..Default::default()
+        });
+        uncached.execute_batch(request).unwrap();
+        assert!(uncached.cached(&request[0]).is_none());
+        assert_eq!(engine.cache_stats().hits, 2);
     }
 
     #[test]

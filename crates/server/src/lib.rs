@@ -12,7 +12,8 @@
 //! [`Client`] library.
 //!
 //! Everything is `std`-only — no async runtime — because the engine's
-//! unit of concurrency is the *batch*, not the socket: handlers block
+//! unit of concurrency is the *batch*, not the socket: a handler answers
+//! a result-cache hit itself and otherwise blocks
 //! cheaply on a reply channel while a couple of batcher threads feed the
 //! engine's
 //! resident worker pool.

@@ -113,7 +113,7 @@
 //! with any other version byte is answered with a typed
 //! [`ErrorKind::UnsupportedVersion`] frame naming both versions.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -233,19 +233,19 @@ pub struct QueryReply {
 }
 
 impl QueryReply {
-    /// Build the wire reply for an engine response, attaching the span
-    /// tree when the request asked for it.
+    /// Build the wire reply out of an engine response, attaching (a copy
+    /// of) the shared span tree when the request asked for it.
     pub fn from_response(
-        response: &QueryResponse,
+        response: QueryResponse,
         trace_id: u64,
         collect_trace: bool,
     ) -> QueryReply {
         QueryReply {
-            label: response.label.clone(),
+            label: response.label,
             cached: response.cached,
             trace_id,
-            summary: response.summary.clone(),
-            rows: response.rows.clone(),
+            summary: response.summary,
+            rows: response.rows,
             trace: collect_trace.then(|| response.trace.as_ref().clone()),
         }
     }
@@ -437,7 +437,10 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Write one `len:u32be body` frame.
+/// Write one `len:u32be body` frame — header and body in **one** vectored
+/// write, so an unbuffered `TCP_NODELAY` socket gets one `send` and one
+/// segment per frame instead of two, and the body is never copied.  Only a
+/// short write is followed by more.
 ///
 /// # Panics
 ///
@@ -446,8 +449,17 @@ impl std::error::Error for FrameError {}
 /// runtime condition.
 pub fn write_frame(w: &mut impl Write, body: &[u8], max: usize) -> io::Result<()> {
     assert!(body.len() <= max, "outgoing frame exceeds its bound");
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)?;
+    let header = (body.len() as u32).to_be_bytes();
+    let mut sent = 0;
+    while sent < header.len() {
+        match w.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.write_all(&body[sent - header.len()..])?;
     w.flush()
 }
 
@@ -1842,6 +1854,54 @@ mod tests {
                 max: 4,
             }) => {}
             other => panic!("expected TooLarge, got {other:?}"),
+        }
+    }
+
+    /// A writer that takes at most `cap` bytes per call and counts calls.
+    struct Throttled {
+        cap: usize,
+        calls: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Throttled {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.got.len();
+            for buf in bufs {
+                let room = self.cap - (self.got.len() - before);
+                self.got.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.got.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_short_writes_lose_nothing() {
+        let body: Vec<u8> = (0..=255).collect();
+        let mut framed = (body.len() as u32).to_be_bytes().to_vec();
+        framed.extend_from_slice(&body);
+        for (cap, calls) in [
+            (usize::MAX, 1),
+            (1, framed.len()),
+            (3, framed.len().div_ceil(3)),
+        ] {
+            let mut w = Throttled {
+                cap,
+                calls: 0,
+                got: Vec::new(),
+            };
+            write_frame(&mut w, &body, 1024).unwrap();
+            assert_eq!(w.got, framed, "cap {cap}");
+            assert_eq!(w.calls, calls, "cap {cap}");
         }
     }
 }

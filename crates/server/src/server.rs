@@ -5,26 +5,37 @@
 //!
 //! ```text
 //! accept thread ──spawns──▶ handler thread (one per connection)
-//!                               │  parse/decode, session accounting
-//!                               ▼
+//!                               │  parse/decode, session accounting,
+//!                               │  result-cache hit ──▶ reply, right here
+//!                               ▼  everything that must execute
 //!                           batcher thread ──▶ Engine::execute_batch
 //! ```
 //!
 //! Each connection gets a handler thread and an engine
 //! [`Session`] bound to the connection's auth token, so
 //! per-tenant accounting ([`SessionStats`](obliv_engine::SessionStats))
-//! works exactly as it does in-process.  Handlers do **not** execute queries themselves:
-//! they forward `(request, reply-channel)` pairs to a small pool of
+//! works exactly as it does in-process.  The rule: **a handler answers
+//! only what needs no execution.**  Past the admission gate it asks the
+//! backend's [`cached`](obliv_engine::QueryExecutor::cached) probe; a
+//! result-cache hit for the current catalog epoch comes back as the same
+//! response, with the same accounting, a batch would have produced, and
+//! is framed on the spot — two thread wake-ups (handler → batcher →
+//! handler) are too much to pay for a map lookup.  Everything else — a
+//! miss, a stale epoch, a disabled cache, a backend without a probe (the
+//! shard coordinator) — is never executed on a handler: it is forwarded
+//! as a `(request, reply-channel)` pair to a small pool of
 //! *batcher* threads ([`ServerConfig::batch_runners`]); whichever runner
 //! is idle drains everything currently queued — across all connections —
 //! and submits it as a single
 //! [`execute_batch`](obliv_engine::QueryExecutor::execute_batch) call.  Concurrent
 //! clients therefore share one engine batch and get the executor's
-//! intra-batch deduplication and result cache for free: two tenants
-//! asking the same question at the same time cost one oblivious
+//! intra-batch deduplication: two tenants asking the same cold question
+//! at the same time cost one oblivious
 //! execution.  With more than one runner, a new batch forms and executes
-//! while a long cold batch is still running, so warm µs-scale requests
-//! are not head-of-line-blocked behind it.
+//! while a long cold batch is still running, so requests that must
+//! execute are not head-of-line-blocked behind it.  Of the injection
+//! points, `server/handle` sits in front of both paths and
+//! `server/batcher` is reached by the executing one only.
 //!
 //! The engine's own worker pool is resident, so this pipeline adds no
 //! thread spawns per request anywhere: accept → handler (spawned once per
@@ -181,9 +192,9 @@ struct ServerMetrics {
     frames_written: Counter,
     /// Response bytes written (frame headers included).
     bytes_written: Counter,
-    /// Queries currently between batcher hand-off and reply.
+    /// Queries currently between admission and reply.
     requests_in_flight: Gauge,
-    /// Requests folded into each engine batch.
+    /// Requests folded into each engine batch (cache hits form none).
     batch_occupancy: Histogram,
     /// Batches that failed as a whole and were split for re-run (validated
     /// per request, innocent peers re-batched), one counter per cause:
@@ -897,8 +908,8 @@ fn torn_write<C: Connection>(conn: &mut C, response: &Response) {
 }
 
 /// Label the plan through the connection's session, attach its deadline,
-/// pass the load-shedding gate, hand it to the batcher, wait for the
-/// engine's answer, account it.
+/// pass the load-shedding gate, answer it from the result cache or hand it
+/// to the batcher and wait for the engine's answer, account it.
 fn run_query(
     inner: &Inner,
     session: &mut Session<'_>,
@@ -942,17 +953,22 @@ fn run_query(
         // the server to agree with.
         request = request.with_deadline(Instant::now() + Duration::from_millis(deadline_ms.into()));
     }
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let outcome = if batch_tx
-        .send(BatchItem {
-            request,
-            reply: reply_tx,
-        })
-        .is_err()
-    {
-        Err(mpsc::RecvError)
-    } else {
-        reply_rx.recv()
+    // A handler answers only what needs no execution: a result-cache hit
+    // for the current catalog epoch.  Everything else — a miss, a disabled
+    // cache, an executor with no probe — is the batcher's to execute.
+    let outcome = match inner.engine.cached(&request) {
+        Some(response) => Ok(Ok(response)),
+        None => {
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let item = BatchItem {
+                request,
+                reply: reply_tx,
+            };
+            match batch_tx.send(item) {
+                Ok(()) => reply_rx.recv(),
+                Err(_) => Err(mpsc::RecvError),
+            }
+        }
     };
     inner.in_flight.fetch_sub(1, Ordering::SeqCst);
     metrics.requests_in_flight.dec();
@@ -960,7 +976,7 @@ fn run_query(
         Ok(Ok(response)) => {
             session.record(&response);
             Response::Reply(Box::new(QueryReply::from_response(
-                &response,
+                response,
                 trace_id,
                 collect_trace,
             )))

@@ -11,7 +11,7 @@
 //!   protocol tests cannot flake on the environment.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -103,7 +103,8 @@ struct PipeState {
 }
 
 impl PipeBuf {
-    fn write(&self, buf: &[u8]) -> io::Result<usize> {
+    /// Append every buffer under one lock and one wake-up.
+    fn write(&self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         let mut state = self.state.lock().expect("pipe lock poisoned");
         if state.closed {
             return Err(io::Error::new(
@@ -111,9 +112,11 @@ impl PipeBuf {
                 "loopback peer is gone",
             ));
         }
-        state.data.extend(buf);
+        for buf in bufs {
+            state.data.extend(&**buf);
+        }
         self.readable.notify_all();
-        Ok(buf.len())
+        Ok(bufs.iter().map(|buf| buf.len()).sum())
     }
 
     fn read(&self, buf: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
@@ -142,9 +145,11 @@ impl PipeBuf {
             }
         }
         let n = state.data.len().min(buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = state.data.pop_front().expect("checked non-empty");
-        }
+        let (front, back) = state.data.as_slices();
+        let head = front.len().min(n);
+        buf[..head].copy_from_slice(&front[..head]);
+        buf[head..n].copy_from_slice(&back[..n - head]);
+        state.data.drain(..n);
         Ok(n)
     }
 
@@ -177,7 +182,11 @@ impl Read for PipeStream {
 
 impl Write for PipeStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.outgoing.write(buf)
+        self.outgoing.write(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.outgoing.write(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -10,15 +10,23 @@
 //! * malformed, mis-versioned and oversized frames produce typed protocol
 //!   errors without killing the server,
 //! * the connection limit back-pressures accepts instead of failing them,
+//! * a result-cache hit is answered on the connection's handler thread —
+//!   no batch forms — with the reply and the accounting the batcher gave
+//!   it, and everything that must execute (a miss, a stale epoch, a
+//!   disabled cache, an executor with no probe) still goes through the
+//!   batcher,
 //! * traces are opt-in, cache hits replay them, `EXPLAIN ANALYZE` works
 //!   over the wire, and span-tree Content fields are content-independent.
 
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-use obliv_engine::{parse_query, Engine, EngineConfig, MetricsSnapshot, QueryRequest, SpanNode};
+use obliv_engine::{
+    parse_query, CacheStats, Engine, EngineConfig, EngineError, MetricValue, MetricsRegistry,
+    MetricsSnapshot, QueryExecutor, QueryRequest, QueryResponse, SpanNode,
+};
 use obliv_join::Table;
 use obliv_server::proto::{read_frame, write_frame, Request, Response};
 use obliv_server::{Client, ClientError, ErrorKind, Server, ServerConfig, MAX_RESPONSE_FRAME};
@@ -341,6 +349,208 @@ fn server_metric_snapshots_depend_only_on_public_parameters() {
         a, b,
         "a content-classed series differs between runs that differ only in data"
     );
+}
+
+/// Engine batches the server's batcher threads have formed so far.
+fn batches_formed(server: &Server) -> u64 {
+    match server
+        .engine()
+        .metrics()
+        .snapshot()
+        .get("server_batch_occupancy", &[])
+    {
+        Some(MetricValue::Histogram(h)) => h.count,
+        other => panic!("server_batch_occupancy is a histogram, got {other:?}"),
+    }
+}
+
+/// An engine behind the trait's *default* `cached` (no probe), as a
+/// sharded coordinator is: the server must send everything to the batcher.
+#[derive(Debug)]
+struct NoProbe(Arc<Engine>);
+
+impl QueryExecutor for NoProbe {
+    fn execute_batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, EngineError> {
+        self.0.execute_batch(requests)
+    }
+    fn validate(&self, request: &QueryRequest) -> Result<(), EngineError> {
+        self.0.validate(request)
+    }
+    fn cache_stats(&self) -> CacheStats {
+        self.0.cache_stats()
+    }
+    fn metrics(&self) -> &Arc<MetricsRegistry> {
+        self.0.metrics()
+    }
+}
+
+/// A primed query's repeats are answered on the handler thread: no batch
+/// forms for them, and replies, session totals and cache totals are what
+/// the same sequence gets through the batcher (an executor without the
+/// probe).  A warm `EXPLAIN ANALYZE` still carries the span tree.
+#[test]
+fn cache_hits_skip_the_batcher_and_keep_its_reply_and_accounting() {
+    const REPEATS: u64 = 6;
+    let drive = |server: &Server| {
+        let mut client = Client::over(server.connect_loopback().unwrap(), "t");
+        let prime = client.query(ACCEPTANCE_QUERY).unwrap();
+        assert!(!prime.cached);
+        let primed = batches_formed(server);
+        for i in 1..=REPEATS {
+            let warm = client.query(ACCEPTANCE_QUERY).unwrap();
+            assert!(warm.cached);
+            assert_eq!(warm.label, format!("t/q{i}"));
+            assert_eq!(warm.rows, prime.rows);
+            assert_eq!(warm.summary, prime.summary);
+            assert!(warm.trace.is_none());
+        }
+        let explained = client
+            .query(format!("EXPLAIN ANALYZE {ACCEPTANCE_QUERY}"))
+            .unwrap();
+        assert!(explained.cached);
+        let tree = explained.trace.expect("EXPLAIN ANALYZE forces the trace");
+        assert_eq!(tree.output_rows, prime.summary.output_rows as u64);
+        let stats = client.stats().unwrap();
+        drop(client);
+        (prime, tree, stats, batches_formed(server) - primed)
+    };
+
+    let direct = Server::without_listener(wide_engine(2), ServerConfig::default());
+    let (prime, tree, stats, warm_batches) = drive(&direct);
+    assert_eq!(warm_batches, 0, "a hit must not form a batch");
+    assert_eq!(stats.session.queries, REPEATS + 2);
+    assert_eq!(stats.session.cache_hits, REPEATS + 1);
+    let rows = prime.summary.output_rows as u64;
+    assert_eq!(stats.session.output_rows, (REPEATS + 2) * rows);
+    assert_eq!(
+        stats.session.output_bytes,
+        (REPEATS + 2) * rows * prime.summary.output_row_width as u64
+    );
+    assert_eq!((stats.cache.hits, stats.cache.misses), (REPEATS + 1, 1));
+    let metrics = direct.engine().metrics().snapshot();
+    assert_eq!(
+        metrics.counter("engine_queries_total", &[("result", "cached")]),
+        REPEATS + 1
+    );
+    assert_eq!(
+        metrics.counter("engine_rows_returned_total", &[]),
+        (REPEATS + 2) * rows
+    );
+    assert_eq!(metrics.gauge("server_requests_in_flight", &[]), 0);
+
+    let batched =
+        Server::without_listener(Arc::new(NoProbe(wide_engine(2))), ServerConfig::default());
+    let (batched_prime, batched_tree, batched_stats, batched_warm) = drive(&batched);
+    assert_eq!(batched_warm, REPEATS + 1, "no probe: one batch per query");
+    assert_eq!(batched_prime.rows, prime.rows);
+    assert_eq!(
+        batched_prime.summary.trace_digest,
+        prime.summary.trace_digest
+    );
+    assert_eq!(batched_tree.without_timing(), tree.without_timing());
+    // Same totals either way, up to the timing-classed uptime.
+    assert_eq!(batched_stats.session, stats.session);
+    assert_eq!(batched_stats.cache, stats.cache);
+
+    direct.shutdown();
+    batched.shutdown();
+}
+
+/// A catalog mutation between two identical queries bumps the epoch: the
+/// second is a miss, executes through the batcher and returns the new
+/// rows, never the stale entry.
+#[test]
+fn a_stale_epoch_is_a_miss_that_goes_through_the_batcher() {
+    let engine = wide_engine(2);
+    let server = Server::without_listener(Arc::clone(&engine), ServerConfig::default());
+    let mut client = Client::over(server.connect_loopback().unwrap(), "t");
+
+    let before = client.query("SCAN orders").unwrap();
+    assert!(client.query("SCAN orders").unwrap().cached);
+    let batches = batches_formed(&server);
+
+    let replacement = wide_orders_lineitem(32, 9).orders;
+    engine
+        .register_wide_table("orders", replacement.clone())
+        .unwrap();
+    let after = client.query("SCAN orders").unwrap();
+    assert!(!after.cached, "the epoch moved: the old entry is dead");
+    assert_eq!(batches_formed(&server), batches + 1);
+    assert_eq!(after.rows.table(), &replacement);
+    assert_ne!(after.rows, before.rows);
+    assert_eq!(engine.cache_stats().misses, 2);
+
+    drop(client);
+    server.shutdown();
+}
+
+/// Two connections issuing the same cold query at once still cost one
+/// execution: a miss is never answered (or executed) on a handler thread,
+/// so the loser of the race is deduplicated in the winner's batch or hits
+/// the entry the winner published.  One runner, so the race cannot be
+/// split over two concurrently executing batches.
+#[test]
+fn simultaneous_cold_queries_still_execute_once() {
+    let engine = wide_engine(2);
+    let config = ServerConfig {
+        batch_runners: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::without_listener(Arc::clone(&engine), config);
+    let start = Arc::new(Barrier::new(2));
+    let replies: Vec<_> = ["a", "b"]
+        .map(|tenant| {
+            let conn = server.connect_loopback().unwrap();
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                let mut client = Client::over(conn, tenant);
+                start.wait();
+                client.query(ACCEPTANCE_QUERY).unwrap()
+            })
+        })
+        .into_iter()
+        .map(|t| t.join().unwrap())
+        .collect();
+    assert_eq!(
+        replies.iter().filter(|reply| reply.cached).count(),
+        1,
+        "exactly one of the two is the miss"
+    );
+    assert_eq!(replies[0].rows, replies[1].rows);
+    assert_eq!(
+        engine
+            .metrics()
+            .snapshot()
+            .counter("engine_queries_total", &[("result", "executed")]),
+        1
+    );
+    server.shutdown();
+}
+
+/// With the result cache off there is nothing a handler may answer: every
+/// query, repeats included, forms a batch and executes.
+#[test]
+fn a_disabled_result_cache_sends_every_query_through_the_batcher() {
+    let engine = Arc::new(Engine::new(EngineConfig {
+        workers: 1,
+        result_cache: false,
+        ..Default::default()
+    }));
+    engine
+        .register_table("t", Table::from_pairs((0..16u64).map(|k| (k, k * 3))))
+        .unwrap();
+    let server = Server::without_listener(engine, ServerConfig::default());
+    let mut client = Client::over(server.connect_loopback().unwrap(), "t");
+    let first = client.query("SCAN t | FILTER v>=9").unwrap();
+    for _ in 0..3 {
+        let repeat = client.query("SCAN t | FILTER v>=9").unwrap();
+        assert!(!repeat.cached);
+        assert_eq!(repeat.rows, first.rows);
+    }
+    assert_eq!(batches_formed(&server), 4);
+    assert_eq!(client.stats().unwrap().cache.misses, 4);
+    drop(client);
+    server.shutdown();
 }
 
 /// The tracing surface end to end: traces are opt-in per request, the

@@ -12,9 +12,16 @@
 //! `bitonic_per_gate` is the recursive per-gate walker (one traced
 //! read/write per element, one counter bump per gate), kept as the
 //! baseline that quantifies what the batching buys.
+//! `bitonic_fork_join_2t` is the production driver with a two-thread
+//! parallelism context installed: the network's halves fork onto two
+//! threads (see `bitonic::FORK_CELLS`).  Beside `bitonic_blocked` at the
+//! same `n` it gives the two-thread speed-up on every run.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use obliv_primitives::sort::{bitonic, odd_even, Direction};
+use obliv_primitives::{with_parallelism, ParCtx, ScopedThreads};
 use obliv_trace::{NullSink, Tracer};
 
 fn scrambled(n: usize) -> Vec<u64> {
@@ -27,7 +34,7 @@ fn bench_networks(c: &mut Criterion) {
     let mut group = c.benchmark_group("sort_network_ablation");
     group.sample_size(10);
 
-    for &n in &[1usize << 10, 1 << 12, 1 << 13] {
+    for &n in &[1usize << 10, 1 << 12, 1 << 13, 1 << 16] {
         let data = scrambled(n);
 
         group.bench_with_input(BenchmarkId::new("bitonic_blocked", n), &data, |b, data| {
@@ -37,6 +44,26 @@ fn bench_networks(c: &mut Criterion) {
                 criterion::BatchSize::SmallInput,
             )
         });
+        if n >= bitonic::FORK_CELLS {
+            group.bench_with_input(
+                BenchmarkId::new("bitonic_fork_join_2t", n),
+                &data,
+                |b, data| {
+                    b.iter_batched(
+                        || Tracer::new(NullSink).alloc_from(data.clone()),
+                        |mut buf| {
+                            let ctx = ParCtx::new(Arc::new(ScopedThreads), 2);
+                            with_parallelism(ctx, || bitonic::sort_by_key(&mut buf, |x| *x))
+                        },
+                        criterion::BatchSize::SmallInput,
+                    )
+                },
+            );
+        }
+        if n > 1 << 13 {
+            // The large size is for the two rows above only.
+            continue;
+        }
         group.bench_with_input(BenchmarkId::new("bitonic_per_gate", n), &data, |b, data| {
             b.iter_batched(
                 || Tracer::new(NullSink).alloc_from(data.clone()),

@@ -367,8 +367,8 @@ pub mod points {
     /// Engine worker, at job start (`Panic` = worker panic, `Delay` =
     /// artificially slow job).
     pub const ENGINE_WORKER: &str = "engine/worker";
-    /// One partition task of an intra-query parallel pass, just before it
-    /// executes (`Panic` = failed partition, `Delay` = straggler).
+    /// One branch of a forked sort, at its start (`Panic` = failed
+    /// branch, `Delay` = straggler).
     pub const ENGINE_PARALLEL_WORKER: &str = "engine/parallel_worker";
     /// Sharded coordinator, at batch start before any subplan is
     /// scattered (`Panic` = coordinator crash surfaced as a typed shard

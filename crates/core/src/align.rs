@@ -49,7 +49,7 @@ pub fn align_table<S: TraceSink, P: Payload>(
     }
 
     // One oblivious sort by (j, ii) puts every copy where S₁ expects it.
-    bitonic::par_sort_by_key(s2, |r: &AugRecord<P>| (r.key, r.align_idx()));
+    bitonic::sort_by_key(s2, |r: &AugRecord<P>| (r.key, r.align_idx()));
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ pub fn augment_combined<S: TraceSink, P: Payload>(
 
     // Line 3, with `d` appended: every group is a contiguous block with the
     // T₁ entries first, and each table's entries are in (j, d) order.
-    bitonic::par_sort_by_key(&mut tc, |r: &AugRecord<P>| (r.key, r.tid, r.value));
+    bitonic::sort_by_key(&mut tc, |r: &AugRecord<P>| (r.key, r.tid, r.value));
 
     // Line 4: Fill-Dimensions — two linear passes (Figure 2).
     let output_size = fill_dimensions(&mut tc, tracer);

@@ -23,12 +23,10 @@ pub type DataValue = u64;
 /// A payload must be a fixed-size, branch-free-selectable value with a
 /// total order (the augment phase sorts by `(j, tid, d)`); `u64` is the
 /// legacy pair shape and `[u64; W]` carries `W` columns at once.  The
-/// blanket impl covers both.  Payloads are additionally `Send + Sync +
-/// 'static` so the sorts that move them can partition across the engine's
-/// worker pool; every fixed-width word payload satisfies this for free.
-pub trait Payload:
-    Copy + Ord + Eq + std::fmt::Debug + std::hash::Hash + CtSelect + Send + Sync + 'static
-{
+/// blanket impl covers both.  Payloads are additionally `Send` so the
+/// sorts that move them can fork across threads; every fixed-width word
+/// payload satisfies this for free.
+pub trait Payload: Copy + Ord + Eq + std::fmt::Debug + std::hash::Hash + CtSelect + Send {
     /// The all-zero payload used for null padding records.
     fn zero() -> Self;
 }

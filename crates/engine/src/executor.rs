@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use obliv_chaos::{points, Fault, Faults};
 use obliv_join::schema::WideTable;
 use obliv_join::Table;
-use obliv_primitives::{with_parallelism, ParCtx, ParExecutor, ParTask};
+use obliv_primitives::{with_parallelism, Branch, ParCtx, ParExecutor, ScopedThreads};
 use obliv_telemetry::{
     synthetic_span, AuditRecord, Counter, Gauge, Histogram, LeakageAudit, MetricClass,
     MetricsRegistry, PhaseBreakdown, SlowQueryLog, SlowQueryRecord, SpanNode, SpanRecorder,
@@ -70,7 +70,7 @@ use crate::digest_memo::{DigestMemo, MemoUpdate, TracedWork};
 use crate::error::EngineError;
 use crate::frontend::parse_query;
 use crate::planner::ResolvedPlan;
-use crate::pool::{PoolMetrics, PoolShared, PoolTask, ScopedTask, WorkerPool};
+use crate::pool::{PoolMetrics, PoolTask, WorkerPool};
 use crate::query::{QueryRequest, QueryResponse, QuerySummary, Rows};
 use crate::session::Session;
 
@@ -80,18 +80,15 @@ pub struct EngineConfig {
     /// Number of worker threads used by [`Engine::execute_batch`].
     /// `1` degenerates to serial execution on the calling thread.
     pub workers: usize,
-    /// Maximum partitions an *individual query's* parallelisable passes
-    /// (bitonic gate runs, elementwise mark sweeps) are split into.  `1`
-    /// (the default) keeps every pass on its serial fast path; `>= 2`
-    /// installs a per-query parallelism context whose partition tasks run
-    /// on the same resident pool as whole-query jobs (the submitting
-    /// worker runs one partition itself and help-steals while waiting).
-    /// Results and trace digests are bit-identical at every setting.
+    /// Threads one query's sorts may fork across.  `1` (the default) keeps
+    /// every sort on its serial path; `>= 2` forks the halves of every
+    /// sorting network of at least `FORK_CELLS` cells
+    /// (`obliv_primitives::sort::bitonic::FORK_CELLS`) onto scoped threads,
+    /// ⌈log₂ intra_query_threads⌉ levels deep.  Each worker runs its own
+    /// query's forks, so up to `workers × intra_query_threads` threads can
+    /// run at once.  Results and trace digests are bit-identical at every
+    /// setting.
     pub intra_query_threads: usize,
-    /// Minimum gates (or elements) each partition must receive for a pass
-    /// to split; passes below `2 ×` this threshold stay serial.  Guards
-    /// the partitioned path's scratch-copy overhead on small inputs.
-    pub intra_query_min_gates: usize,
     /// Enable the `(canonical plan, catalog epoch)` result cache.  On by
     /// default; disable it to force every request through a fresh
     /// execution (e.g. for timing the uncached path).  Intra-batch
@@ -132,7 +129,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers,
             intra_query_threads: 1,
-            intra_query_min_gates: obliv_primitives::par::DEFAULT_MIN_GATES_PER_CHUNK,
             result_cache: true,
             result_cache_cap: RESULT_CACHE_CAP,
             audit_capacity: AUDIT_CAPACITY,
@@ -332,11 +328,11 @@ struct Executed {
     carry_words: usize,
     execute: Duration,
     queue_wait: Duration,
-    /// Partition tasks the query's parallelisable passes forked (0 when
-    /// intra-query parallelism is off or never engaged).
-    parallel_chunks: u64,
-    /// Nanoseconds the query spent waiting at fork-join barriers.
-    barrier_ns: u64,
+    /// Fork-joins the query's sorts made (0 when intra-query parallelism
+    /// is off or no sort was large enough to fork).
+    forks: u64,
+    /// Nanoseconds the query's forking threads spent waiting on joins.
+    join_wait_ns: u64,
     /// When execution (and digest extraction) finished on the worker; the
     /// collector derives the publish span from it.
     finished: Instant,
@@ -356,9 +352,9 @@ impl TracedWork for PlanWork<'_> {
     fn run<S: TraceSink>(&self, tracer: &Tracer<S>) -> (Rows, SpanNode) {
         let mut recorder = SpanRecorder::new("query", tracer.counters());
         // Resolution already validated the whole plan, so execution cannot
-        // fail.  With a parallelism context installed the
-        // plan's partitionable passes fan out over the pool; the folded
-        // trace (and therefore the digest) is bit-identical either way.
+        // fail.  With a parallelism context installed the plan's large
+        // sorts fork across threads; their trace (and therefore the
+        // digest) is bit-identical either way.
         // Span recording observes operator boundaries without touching the
         // tracer, so digests are unchanged by it too.
         let rows = match &self.par {
@@ -384,29 +380,25 @@ impl TracedWork for PlanWork<'_> {
     }
 }
 
-/// [`ParExecutor`] backed by the engine's resident pool: partition tasks
-/// go through the shared injector queue as scoped fork-join work, so
-/// intra-query parallelism reuses the same threads as whole-query jobs.
-/// Each partition consults the `engine/parallel_worker` fault point just
-/// before it runs.
-struct PoolParallelism {
-    shared: Arc<PoolShared<Result<Executed, String>>>,
+/// The engine's [`ParExecutor`]: the default scoped-thread join, with the
+/// `engine/parallel_worker` fault point consulted at the start of each
+/// branch.
+struct FaultedJoin {
     faults: Faults,
 }
 
-impl ParExecutor for PoolParallelism {
-    fn run(&self, tasks: Vec<ParTask>) {
-        let wrapped: Vec<ScopedTask> = tasks
-            .into_iter()
-            .map(|task| {
-                let faults = self.faults.clone();
-                Box::new(move || {
-                    consult_parallel_worker_faults(&faults);
-                    task();
-                }) as ScopedTask
-            })
-            .collect();
-        self.shared.run_scoped(wrapped);
+impl ParExecutor for FaultedJoin {
+    fn join(&self, a: &mut Branch<'_>, b: &mut Branch<'_>) {
+        ScopedThreads.join(
+            &mut || {
+                consult_parallel_worker_faults(&self.faults);
+                a()
+            },
+            &mut || {
+                consult_parallel_worker_faults(&self.faults);
+                b()
+            },
+        );
     }
 }
 
@@ -431,8 +423,8 @@ struct EngineMetrics {
     audit_records: Counter,
     workers: Gauge,
     deadline_exceeded: Counter,
-    parallel_chunks: Counter,
-    parallel_barrier_ns: Counter,
+    parallel_forks: Counter,
+    parallel_join_wait_ns: Counter,
 }
 
 /// Operation-counter label values, aligned with [`OpCounters`] fields.
@@ -487,11 +479,15 @@ impl EngineMetrics {
             audit_records: registry.counter("engine_audit_records_total", Content, &[]),
             workers: registry.gauge("engine_workers", Content, &[]),
             deadline_exceeded: registry.counter("engine_deadline_exceeded_total", Timing, &[]),
-            // Both Timing: how a query was chunked (and how long its
-            // barriers took) is scheduling, never content — digests and
-            // op counters are identical at every chunk count.
-            parallel_chunks: registry.counter("engine_parallel_chunks_total", Timing, &[]),
-            parallel_barrier_ns: registry.counter("engine_parallel_barrier_ns_total", Timing, &[]),
+            // Both Timing: how often a query's sorts forked (and how long
+            // their joins waited) is scheduling, never content — digests
+            // and op counters are identical at every thread count.
+            parallel_forks: registry.counter("engine_parallel_chunks_total", Timing, &[]),
+            parallel_join_wait_ns: registry.counter(
+                "engine_parallel_barrier_ns_total",
+                Timing,
+                &[],
+            ),
         }
     }
 }
@@ -521,15 +517,9 @@ pub struct Engine {
     /// yield `Err(label)` when the request's deadline expired before the
     /// worker could start it.
     pool: WorkerPool<Result<Executed, String>>,
-    /// The intra-query parallelism executor, present when
-    /// [`EngineConfig::intra_query_threads`] is at least 2.  Backed by the
-    /// same resident pool as whole-query jobs.
-    par_exec: Option<Arc<dyn ParExecutor>>,
-    /// Maximum partitions per parallelisable pass
+    /// Threads one query's sorts may fork across
     /// ([`EngineConfig::intra_query_threads`]).
     intra_query_threads: usize,
-    /// Engagement threshold ([`EngineConfig::intra_query_min_gates`]).
-    intra_query_min_gates: usize,
     /// Fault-injection handle ([`EngineConfig::faults`]); disabled in
     /// production, a no-op unit type without the chaos `inject` feature.
     faults: Faults,
@@ -583,22 +573,11 @@ impl Engine {
         let pool: WorkerPool<Result<Executed, String>> =
             WorkerPool::new(if workers > 1 { workers } else { 0 }, Some(pool_metrics));
         let intra_query_threads = config.intra_query_threads.max(1);
-        // With zero resident workers the scoped tasks run inline on the
-        // submitting thread — same partitioned code path (and the same
-        // fault point), no concurrency.
-        let par_exec: Option<Arc<dyn ParExecutor>> = (intra_query_threads >= 2).then(|| {
-            Arc::new(PoolParallelism {
-                shared: Arc::clone(pool.shared()),
-                faults: config.faults.clone(),
-            }) as Arc<dyn ParExecutor>
-        });
         Engine {
             catalog: RwLock::new(catalog),
             workers,
             pool,
-            par_exec,
             intra_query_threads,
-            intra_query_min_gates: config.intra_query_min_gates.max(1),
             result_cache: config
                 .result_cache
                 .then(|| Mutex::new(ResultCache::default())),
@@ -767,20 +746,22 @@ impl Engine {
             // waited for.
             execute: start.elapsed(),
             queue_wait,
-            parallel_chunks: stats.as_ref().map_or(0, |s| s.chunks()),
-            barrier_ns: stats.as_ref().map_or(0, |s| s.barrier_ns()),
+            forks: stats.as_ref().map_or(0, |s| s.forks()),
+            join_wait_ns: stats.as_ref().map_or(0, |s| s.join_wait_ns()),
             finished: Instant::now(),
         }
     }
 
     /// A fresh per-query parallelism context, when intra-query parallelism
     /// is configured (its [`ParStats`](obliv_primitives::ParStats) are
-    /// created per call, so each query's chunk/barrier accounting starts
+    /// created per call, so each query's fork/join-wait accounting starts
     /// at zero).
     fn par_ctx(&self) -> Option<ParCtx> {
-        self.par_exec.as_ref().map(|exec| {
-            ParCtx::new(Arc::clone(exec), self.intra_query_threads)
-                .with_min_gates_per_chunk(self.intra_query_min_gates)
+        (self.intra_query_threads >= 2).then(|| {
+            let exec = Arc::new(FaultedJoin {
+                faults: self.faults.clone(),
+            });
+            ParCtx::new(exec, self.intra_query_threads)
         })
     }
 
@@ -1025,8 +1006,8 @@ impl Engine {
             for (counter, span) in self.metrics.phase_ns.iter().zip(phases.in_order()) {
                 counter.add(span.as_nanos() as u64);
             }
-            self.metrics.parallel_chunks.add(run.parallel_chunks);
-            self.metrics.parallel_barrier_ns.add(run.barrier_ns);
+            self.metrics.parallel_forks.add(run.forks);
+            self.metrics.parallel_join_wait_ns.add(run.join_wait_ns);
             let trace = Arc::new(run.trace);
             if self.slow_query_threshold.is_some_and(|t| wall >= t) {
                 self.slow_log.push(SlowQueryRecord {
@@ -1226,12 +1207,12 @@ fn consult_worker_faults(faults: &Faults) {
     }
 }
 
-/// Consult the `engine/parallel_worker` injection point just before one
-/// partition of an intra-query parallel pass runs: `Panic` exercises the
-/// failed-partition path (the scope still waits for its siblings, then the
-/// panic surfaces on the query's worker as the usual contained job panic)
-/// and `Delay` makes one partition a straggler.  Compiles to nothing when
-/// the chaos `inject` feature is off.
+/// Consult the `engine/parallel_worker` injection point at the start of one
+/// branch of a forked sort: `Panic` exercises the failed-branch path (the
+/// join still waits for the other branch, then the panic surfaces on the
+/// query's worker as the usual contained job panic, payload intact) and
+/// `Delay` makes one branch a straggler.  Compiles to nothing when the
+/// chaos `inject` feature is off.
 fn consult_parallel_worker_faults(faults: &Faults) {
     match faults.hit(points::ENGINE_PARALLEL_WORKER) {
         Some(Fault::Panic) => panic!("injected: engine parallel worker panic"),

@@ -19,17 +19,9 @@
 //! [`Tracer`](obliv_trace::Tracer) exactly as the scoped workers did, so
 //! which thread runs a query (and when) can never change its trace.
 //!
-//! On top of whole-query jobs the pool serves *scoped* fork-join work
-//! ([`PoolShared::run_scoped`]): a job already running on a worker can
-//! split one oblivious pass into partitions and fan them out to its sibling
-//! workers, waiting on a latch until every partition has finished.  The
-//! submitting thread runs one partition itself and *help-steals* queued
-//! partitions while it waits, so intra-query parallelism composes with
-//! inter-query parallelism on the same resident threads instead of
-//! spawning a nested pool.  Partitions and whole-query jobs wait in two
-//! separate queues: a stealing submitter only ever takes partitions, so a
-//! query's fork-join barrier can absorb at most other queries' (bounded,
-//! pass-sized) partitions — never a stranger's whole runtime.
+//! The pool runs whole queries only.  A query whose sorts fork
+//! (`EngineConfig::intra_query_threads`) runs the extra branches on scoped
+//! threads that live for one fork of one sort, not on the pool.
 //!
 //! The pool is instrumented through [`PoolMetrics`]: queue depth (work
 //! submitted but not yet picked up), jobs executed, cumulative worker busy
@@ -49,8 +41,7 @@ use obliv_telemetry::{Counter, Gauge, Histogram};
 ///
 /// Every mutex in this module guards state that a panicking holder cannot
 /// leave logically torn: the queue mutex is held only across one push or
-/// pop, and the scope latch wraps a counter updated in one step.  Poison
-/// here would mean some
+/// pop.  Poison here would mean some
 /// *other* job panicked — which the pool already contains via
 /// `catch_unwind` — so aborting the whole process (the `unwrap` default)
 /// would turn one contained query panic into a wedged engine.
@@ -84,11 +75,6 @@ pub(crate) type JobOutput<T> = std::thread::Result<T>;
 /// worker picks it up) so per-query timing can attribute it.
 pub(crate) type PoolTask<T> = Box<dyn FnOnce(Duration) -> T + Send + 'static>;
 
-/// One partition of a scoped fork-join pass ([`PoolShared::run_scoped`]).
-/// Already wrapped with its latch bookkeeping by the submitter, so workers
-/// just call it.
-pub(crate) type ScopedTask = Box<dyn FnOnce() + Send + 'static>;
-
 /// A unit of pool work: run `task`, send its output to `reply` tagged with
 /// `slot`.  The reply receiver may already be gone (a caller that panicked
 /// between submit and collect); the send error is ignored because nobody is
@@ -103,49 +89,30 @@ pub(crate) struct Job<T: Send + 'static> {
     pub reply: mpsc::Sender<(usize, JobOutput<T>)>,
 }
 
-/// A queued unit of work plus its submission stamp (the thread that picks
-/// it up derives the queue wait from it).
-struct Queued<W> {
+/// A queued job plus its submission stamp (the thread that picks it up
+/// derives the queue wait from it).
+struct Queued<T: Send + 'static> {
     submitted: Instant,
-    work: W,
+    job: Job<T>,
 }
 
-/// The two injector queues.  Whole-query jobs and scoped partitions are
-/// kept apart so help-stealing submitters can take partitions only.
-struct Queues<T: Send + 'static> {
+/// The injector queue.
+struct Queue<T: Send + 'static> {
     /// Whole-query jobs, each with its own reply channel.
-    queries: VecDeque<Queued<Job<T>>>,
-    /// Partitions of scoped fork-join passes; completion is reported
-    /// through the latch captured inside the closure, not a channel.
-    scoped: VecDeque<Queued<ScopedTask>>,
+    jobs: VecDeque<Queued<T>>,
     /// Set once at shutdown: workers drain what is queued, then exit.
     shutdown: bool,
 }
 
-/// What a resident worker pulled from the queues.
-enum Pulled<T: Send + 'static> {
-    Query(Queued<Job<T>>),
-    Scoped(Queued<ScopedTask>),
-}
-
-/// Completion latch for one [`PoolShared::run_scoped`] scope: remaining
-/// task count plus the first panic payload any partition unwound with.
-struct ScopeLatch {
-    state: Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
-    done: Condvar,
-}
-
-/// The state shared between the pool handle, its worker threads, and any
-/// scoped-parallelism executors holding on to the pool.
+/// The state shared between the pool handle and its worker threads.
 ///
-/// Split out of [`WorkerPool`] (whose drop is the shutdown) so long-lived
-/// `Arc` holders — the engine's intra-query
-/// [`ParExecutor`](obliv_primitives::ParExecutor) — never keep the worker
-/// threads themselves alive: shutdown is still "raise the flag, join".
-pub(crate) struct PoolShared<T: Send + 'static> {
-    /// Both injector queues behind one mutex, held only while pushing or
-    /// pulling work — never while running it.
-    queues: Mutex<Queues<T>>,
+/// Split out of [`WorkerPool`] (whose drop is the shutdown) so the workers'
+/// own `Arc`s never keep the pool alive: shutdown is "raise the flag,
+/// join".
+struct PoolShared<T: Send + 'static> {
+    /// The injector queue, held only while pushing or pulling work — never
+    /// while running it.
+    queue: Mutex<Queue<T>>,
     /// Signalled on every push and at shutdown; idle workers park here.
     available: Condvar,
     /// Submission-side handles (queue depth is incremented on submit,
@@ -161,29 +128,16 @@ pub(crate) struct PoolShared<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> PoolShared<T> {
-    /// Account for one unit of work leaving the queue; returns its queue
-    /// wait.
-    fn picked_up<W>(&self, queued: &Queued<W>) -> Duration {
+    /// Run one job, with metrics.  Worker threads only.
+    fn run(&self, queued: Queued<T>) {
         let wait = queued.submitted.elapsed();
         if let Some(m) = &self.metrics {
             m.queue_depth.dec();
             m.jobs.inc();
             m.queue_wait_us.observe_duration_us(wait);
         }
-        wait
-    }
-
-    fn add_busy(&self, since: Instant) {
-        if let Some(m) = &self.metrics {
-            m.busy_ns.add(since.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Run one whole-query job, with metrics.  Worker threads only.
-    fn run_query(&self, queued: Queued<Job<T>>) {
-        let wait = self.picked_up(&queued);
         let busy = Instant::now();
-        let Job { slot, task, reply } = queued.work;
+        let Job { slot, task, reply } = queued.job;
         // A panicking task must not kill a resident worker (the pool would
         // silently shrink for the engine's lifetime).  Contain it and ship
         // the payload back: the submitter re-raises it with the original
@@ -192,43 +146,31 @@ impl<T: Send + 'static> PoolShared<T> {
         // Busy time is recorded *before* the reply ships: once the
         // submitter has drained every reply, the counters it snapshots
         // already include every job it waited for.
-        self.add_busy(busy);
+        if let Some(m) = &self.metrics {
+            m.busy_ns.add(busy.elapsed().as_nanos() as u64);
+        }
         let _ = reply.send((slot, output));
     }
 
-    /// Run one scoped partition, with metrics.  Called from worker threads
-    /// and from help-stealing scoped submitters alike; the task carries its
-    /// own `catch_unwind` + latch wrapper.
-    fn run_partition(&self, queued: Queued<ScopedTask>) {
-        self.picked_up(&queued);
-        let busy = Instant::now();
-        (queued.work)();
-        self.add_busy(busy);
-    }
-
-    /// Push one unit of work (stamped for queue-wait accounting), start the
-    /// workers if this is the first, and wake a parked one.
+    /// Push one job (stamped for queue-wait accounting), start the workers
+    /// if this is the first, and wake a parked one.
     ///
     /// # Panics
     ///
     /// Panics if called during/after shutdown (the engine drops the pool
     /// only when the engine itself is dropped, so a live `&Engine` can
     /// always submit).
-    fn enqueue<W>(
-        self: &Arc<Self>,
-        work: W,
-        queue: impl FnOnce(&mut Queues<T>) -> &mut VecDeque<Queued<W>>,
-    ) {
-        let mut queues = lock_recover(&self.queues);
-        assert!(!queues.shutdown, "worker pool is shut down");
+    fn enqueue(self: &Arc<Self>, job: Job<T>) {
+        let mut queue = lock_recover(&self.queue);
+        assert!(!queue.shutdown, "worker pool is shut down");
         if let Some(m) = &self.metrics {
             m.queue_depth.inc();
         }
-        queue(&mut queues).push_back(Queued {
+        queue.jobs.push_back(Queued {
             submitted: Instant::now(),
-            work,
+            job,
         });
-        drop(queues);
+        drop(queue);
         self.spawn.call_once(|| self.spawn_workers());
         self.available.notify_one();
     }
@@ -241,11 +183,8 @@ impl<T: Send + 'static> PoolShared<T> {
             let handle = thread::Builder::new()
                 .name(format!("obliv-engine-worker-{i}"))
                 .spawn(move || {
-                    while let Some(pulled) = shared.pull() {
-                        match pulled {
-                            Pulled::Query(job) => shared.run_query(job),
-                            Pulled::Scoped(partition) => shared.run_partition(partition),
-                        }
+                    while let Some(job) = shared.pull() {
+                        shared.run(job);
                     }
                 })
                 .expect("spawning an engine worker thread failed");
@@ -253,113 +192,26 @@ impl<T: Send + 'static> PoolShared<T> {
         }
     }
 
-    /// Block until work is available and take it — partitions first, since
-    /// each one holds up a query that is already running — or return `None`
-    /// once the pool is shut down and drained.
-    fn pull(&self) -> Option<Pulled<T>> {
-        let mut queues = lock_recover(&self.queues);
+    /// Block until a job is available and take it, or return `None` once
+    /// the pool is shut down and drained.
+    fn pull(&self) -> Option<Queued<T>> {
+        let mut queue = lock_recover(&self.queue);
         loop {
-            if let Some(partition) = queues.scoped.pop_front() {
-                return Some(Pulled::Scoped(partition));
+            if let Some(job) = queue.jobs.pop_front() {
+                return Some(job);
             }
-            if let Some(job) = queues.queries.pop_front() {
-                return Some(Pulled::Query(job));
-            }
-            if queues.shutdown {
+            if queue.shutdown {
                 return None;
             }
-            queues = self
+            queue = self
                 .available
-                .wait(queues)
+                .wait(queue)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Execute `tasks` as one fork-join scope and wait for all of them.
-    ///
-    /// The calling thread runs one task itself; the rest go through the
-    /// scoped queue so sibling workers pick them up.  While waiting, the
-    /// caller *help-steals*: it pulls queued partitions — its own scope's or
-    /// another's — and runs them inline, so a pool saturated with scopes
-    /// cannot deadlock: every submitter is also a worker for exactly the
-    /// work a barrier can be waiting on.  It never takes a whole-query job:
-    /// that would run a stranger's entire query inside this query's
-    /// barrier, and nobody's barrier waits on an unstarted query.
-    ///
-    /// Every task runs to completion even if one of them panics (a failed
-    /// partition must not leave the pool's workers occupied or the latch
-    /// unresolved); the first panic payload is re-raised on the calling
-    /// thread after the barrier.  With zero resident workers all tasks run
-    /// inline, preserving exact fork-join semantics for the serial engine.
-    pub(crate) fn run_scoped(self: &Arc<Self>, tasks: Vec<ScopedTask>) {
-        let total = tasks.len();
-        if total == 0 {
-            return;
-        }
-        let latch = Arc::new(ScopeLatch {
-            state: Mutex::new((total, None)),
-            done: Condvar::new(),
-        });
-        let wrap = |task: ScopedTask, latch: Arc<ScopeLatch>| -> ScopedTask {
-            Box::new(move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                let mut state = lock_recover(&latch.state);
-                state.0 -= 1;
-                if let Err(payload) = out {
-                    if state.1.is_none() {
-                        state.1 = Some(payload);
-                    }
-                }
-                if state.0 == 0 {
-                    latch.done.notify_all();
-                }
-            })
-        };
-
-        let mut tasks = tasks.into_iter();
-        if self.workers == 0 {
-            // Inline fork-join: same latch bookkeeping (and the same
-            // run-everything-despite-a-panic guarantee) on one thread.
-            for task in tasks {
-                wrap(task, Arc::clone(&latch))();
-            }
-        } else {
-            let run_here = tasks.next_back().expect("scope has at least one task");
-            for task in tasks {
-                self.enqueue(wrap(task, Arc::clone(&latch)), |q| &mut q.scoped);
-            }
-            wrap(run_here, Arc::clone(&latch))();
-            loop {
-                if lock_recover(&latch.state).0 == 0 {
-                    break;
-                }
-                let stolen = lock_recover(&self.queues).scoped.pop_front();
-                if let Some(partition) = stolen {
-                    self.run_partition(partition);
-                    continue;
-                }
-                let state = lock_recover(&latch.state);
-                if state.0 == 0 {
-                    break;
-                }
-                // Short timeout so partitions queued by other scopes
-                // become stealable while this one's are still running.
-                let _ = latch
-                    .done
-                    .wait_timeout(state, Duration::from_millis(1))
-                    .map(|(guard, _)| drop(guard));
-            }
-        }
-
-        let payload = lock_recover(&latch.state).1.take();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
         }
     }
 }
 
-/// A fixed-size pool of long-lived worker threads fed by one pair of
-/// shared queues: every worker pulls the next unit of work as soon as it
+/// A fixed-size pool of long-lived worker threads fed by one shared queue: every worker pulls the next unit of work as soon as it
 /// finishes the last, which gives work-stealing behaviour without
 /// per-worker deques.
 pub(crate) struct WorkerPool<T: Send + 'static> {
@@ -368,13 +220,12 @@ pub(crate) struct WorkerPool<T: Send + 'static> {
 
 impl<T: Send + 'static> WorkerPool<T> {
     /// A pool of `workers` resident threads, none of them started yet: the
-    /// first submitted job or scoped partition spawns them (zero is allowed
-    /// and never spawns — useful for a serial engine that never submits).
+    /// first submitted job spawns them (zero is allowed and never spawns —
+    /// useful for a serial engine that never submits).
     pub(crate) fn new(workers: usize, metrics: Option<PoolMetrics>) -> Self {
         let shared = Arc::new(PoolShared {
-            queues: Mutex::new(Queues {
-                queries: VecDeque::new(),
-                scoped: VecDeque::new(),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             available: Condvar::new(),
@@ -398,11 +249,6 @@ impl<T: Send + 'static> WorkerPool<T> {
         lock_recover(&self.shared.handles).len()
     }
 
-    /// The pool state scoped-parallelism executors hold on to.
-    pub(crate) fn shared(&self) -> &Arc<PoolShared<T>> {
-        &self.shared
-    }
-
     /// Submit a batch of jobs and a reply sender; outputs arrive on the
     /// corresponding receiver in completion order, tagged with each job's
     /// slot.  The caller typically drops its own clone of the reply sender
@@ -419,14 +265,11 @@ impl<T: Send + 'static> WorkerPool<T> {
         reply: &mpsc::Sender<(usize, JobOutput<T>)>,
     ) {
         for (slot, task) in jobs {
-            self.shared.enqueue(
-                Job {
-                    slot,
-                    task,
-                    reply: reply.clone(),
-                },
-                |q| &mut q.queries,
-            );
+            self.shared.enqueue(Job {
+                slot,
+                task,
+                reply: reply.clone(),
+            });
         }
     }
 }
@@ -436,7 +279,7 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
     /// is queued, then exit), then join every worker that was ever spawned
     /// so no thread outlives the engine.
     fn drop(&mut self) {
-        lock_recover(&self.shared.queues).shutdown = true;
+        lock_recover(&self.shared.queue).shutdown = true;
         self.shared.available.notify_all();
         let handles = std::mem::take(&mut *lock_recover(&self.shared.handles));
         for handle in handles {
@@ -449,7 +292,6 @@ impl<T: Send + 'static> Drop for WorkerPool<T> {
 mod tests {
     use super::*;
     use obliv_telemetry::{MetricClass, MetricsRegistry};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn pool_runs_jobs_and_tags_slots() {
@@ -491,19 +333,6 @@ mod tests {
             assert_eq!(rx.iter().count(), 4);
             assert_eq!(pool.spawned(), 2, "round {round}");
         }
-    }
-
-    #[test]
-    fn first_scoped_partition_starts_the_workers() {
-        let pool: WorkerPool<()> = WorkerPool::new(2, None);
-        assert_eq!(pool.spawned(), 0);
-        // A one-task scope runs on the submitting thread alone ...
-        pool.shared().run_scoped(vec![Box::new(|| {})]);
-        assert_eq!(pool.spawned(), 0);
-        // ... a second task has to be queued for a sibling.
-        pool.shared()
-            .run_scoped(vec![Box::new(|| {}), Box::new(|| {})]);
-        assert_eq!(pool.spawned(), 2);
     }
 
     #[test]
@@ -620,171 +449,5 @@ mod tests {
         drop(tx2);
         let out: Vec<(usize, u8)> = rx2.iter().map(|(s, r)| (s, r.unwrap())).collect();
         assert_eq!(out, vec![(1, 9)]);
-    }
-
-    #[test]
-    fn run_scoped_executes_every_task_once() {
-        let pool: WorkerPool<()> = WorkerPool::new(2, None);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<ScopedTask> = (0..16)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask
-            })
-            .collect();
-        pool.shared().run_scoped(tasks);
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-        // Scopes are reusable back to back.
-        pool.shared().run_scoped(vec![]);
-        let hits2 = Arc::clone(&hits);
-        pool.shared().run_scoped(vec![Box::new(move || {
-            hits2.fetch_add(10, Ordering::Relaxed);
-        })]);
-        assert_eq!(hits.load(Ordering::Relaxed), 26);
-    }
-
-    #[test]
-    fn run_scoped_on_a_zero_worker_pool_runs_inline() {
-        let pool: WorkerPool<()> = WorkerPool::new(0, None);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<ScopedTask> = (0..4)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask
-            })
-            .collect();
-        pool.shared().run_scoped(tasks);
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn run_scoped_panic_propagates_after_every_task_ran() {
-        let pool: WorkerPool<()> = WorkerPool::new(2, None);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let mut tasks: Vec<ScopedTask> = Vec::new();
-        for i in 0..8 {
-            let hits = Arc::clone(&hits);
-            tasks.push(Box::new(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-                if i == 3 {
-                    panic!("partition bug");
-                }
-            }));
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.shared().run_scoped(tasks)
-        }));
-        let payload = result.expect_err("the partition panic reaches the scope owner");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"partition bug"));
-        // The barrier still waited for everything: all 8 tasks ran.
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        // The pool is at full capacity afterwards: plain jobs still run.
-        let (tx, rx) = mpsc::channel();
-        pool.submit(
-            (0..4usize).map(|i| (i, Box::new(move |_wait: Duration| ()) as PoolTask<()>)),
-            &tx,
-        );
-        drop(tx);
-        assert_eq!(rx.iter().count(), 4);
-        // And so do later scopes.
-        let hits2 = Arc::clone(&hits);
-        pool.shared().run_scoped(vec![Box::new(move || {
-            hits2.fetch_add(1, Ordering::Relaxed);
-        })]);
-        assert_eq!(hits.load(Ordering::Relaxed), 9);
-    }
-
-    #[test]
-    fn scoped_submitters_help_steal_when_workers_are_busy() {
-        // One worker, held inside a whole-query job until the test releases
-        // it, with a second whole-query job (the "stranger") queued behind
-        // it: the scope's queued partitions can only finish because the
-        // submitting thread steals them — and it must steal *only* them.
-        let pool: WorkerPool<&'static str> = WorkerPool::new(1, None);
-        let (tx, rx) = mpsc::channel();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let stranger_thread = Arc::new(Mutex::new(None::<String>));
-        let ran_on = Arc::clone(&stranger_thread);
-        pool.submit(
-            [
-                (
-                    0usize,
-                    Box::new(move |_wait: Duration| {
-                        started_tx.send(()).unwrap();
-                        release_rx.recv().unwrap();
-                        "blocker"
-                    }) as PoolTask<&'static str>,
-                ),
-                (
-                    1usize,
-                    Box::new(move |_wait: Duration| {
-                        *ran_on.lock().unwrap() = thread::current().name().map(String::from);
-                        "stranger"
-                    }) as PoolTask<&'static str>,
-                ),
-            ],
-            &tx,
-        );
-        drop(tx);
-        // The only worker is now inside the blocker, so nothing but this
-        // thread can run the scope's partitions.
-        started_rx.recv().unwrap();
-
-        let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<ScopedTask> = (0..8)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask
-            })
-            .collect();
-        pool.shared().run_scoped(tasks);
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        // The barrier closed without running (or waiting for) either
-        // whole-query job: the stranger is still queued, no reply exists.
-        assert_eq!(*stranger_thread.lock().unwrap(), None);
-        assert!(rx.try_recv().is_err());
-
-        release_tx.send(()).unwrap();
-        let mut replies: Vec<(usize, &str)> = rx.iter().map(|(s, r)| (s, r.unwrap())).collect();
-        replies.sort_unstable();
-        assert_eq!(replies, vec![(0, "blocker"), (1, "stranger")]);
-        // ... and the stranger ran where whole queries belong.
-        assert_eq!(
-            stranger_thread.lock().unwrap().as_deref(),
-            Some("obliv-engine-worker-0")
-        );
-    }
-
-    #[test]
-    fn concurrent_scopes_share_the_pool() {
-        let pool: Arc<WorkerPool<()>> = Arc::new(WorkerPool::new(2, None));
-        let hits = Arc::new(AtomicUsize::new(0));
-        thread::scope(|scope| {
-            for _ in 0..4 {
-                let pool = Arc::clone(&pool);
-                let hits = Arc::clone(&hits);
-                scope.spawn(move || {
-                    for _ in 0..10 {
-                        let tasks: Vec<ScopedTask> = (0..4)
-                            .map(|_| {
-                                let hits = Arc::clone(&hits);
-                                Box::new(move || {
-                                    hits.fetch_add(1, Ordering::Relaxed);
-                                }) as ScopedTask
-                            })
-                            .collect();
-                        pool.shared().run_scoped(tasks);
-                    }
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4 * 10 * 4);
     }
 }

@@ -1,13 +1,13 @@
 //! Differential suite: intra-query parallel execution is bit-identical to
-//! serial execution for every operator, at every chunk count.
+//! serial execution for every operator, at every thread count.
 //!
-//! The parallel sort/mark drivers buffer per-partition trace fragments and
-//! fold them back in schedule order, so the trace digest — the engine's
-//! obliviousness witness — must be *exactly* the serial digest no matter
-//! how a pass was partitioned.  These tests pin that equivalence end to
-//! end through the engine (results, digests, event counts, op counters),
-//! plus its interactions with the result cache, intra-batch deduplication,
-//! and injected partition faults.
+//! A forked sort runs its gates on several threads and records its trace
+//! by the same walk of the network as a serial sort, so the trace digest —
+//! the engine's obliviousness witness — must be *exactly* the serial digest
+//! however many threads the sorts forked across.  These tests pin that
+//! equivalence end to end through the engine (results, digests, event
+//! counts, op counters), plus its interactions with the result cache,
+//! intra-batch deduplication, and injected faults in forked branches.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,12 +17,22 @@ use obliv_engine::{Engine, EngineConfig, EngineError, Plan, QueryRequest, QueryR
 use obliv_join::schema::Value;
 use obliv_join::Table;
 use obliv_operators::{Aggregate, JoinAggregate, WidePredicate};
+use obliv_primitives::sort::bitonic::FORK_CELLS;
 
-/// Deterministic pair tables big enough that every sort has multi-gate
-/// waves to partition (96- and 64-row inputs; the join's expanded
-/// intermediates are larger still).
+/// Deterministic pair tables: every sort over `orders` (two rows on each of
+/// 4 099 keys) is large enough to fork, `customers` is small, and the two
+/// share 16 keys, each on two orders and four customers, so the joins'
+/// outputs stay small.
 fn orders() -> Table {
-    (0..96u64).map(|i| (i % 12, (i * 37) % 101)).collect()
+    const {
+        assert!(
+            2 * 4099 >= FORK_CELLS,
+            "orders must be large enough to fork"
+        )
+    };
+    (0..2 * 4099u64)
+        .map(|i| (i % 4099, (i * 37) % 101))
+        .collect()
 }
 
 fn customers() -> Table {
@@ -36,8 +46,6 @@ fn engine(workers: usize, intra: usize, cache: bool) -> Engine {
     let engine = Engine::new(EngineConfig {
         workers,
         intra_query_threads: intra,
-        // Force the partitioned path even at these test sizes.
-        intra_query_min_gates: 1,
         result_cache: cache,
         ..Default::default()
     });
@@ -78,8 +86,8 @@ fn operator_requests() -> Vec<QueryRequest> {
         ),
         // The join expands both sides out of one sorted T_C, the other
         // side's rows riding along with a count of 0: a lopsided input (4
-        // customers against 96 orders) and an empty output (no order has a
-        // value of 200) are the shapes where those rows dominate.
+        // customers against 8 198 orders) and an empty output (no order has
+        // a value of 200) are the shapes where those rows dominate.
         QueryRequest::new(
             "join-lopsided",
             Plan::scan("orders").join(
@@ -168,7 +176,7 @@ fn every_operator_is_bit_identical_at_every_chunk_count() {
         let batch = par.execute_batch(&operator_requests()).unwrap();
         assert_bit_identical(&serial, &batch, &format!("intra={intra} batch"));
         // The inline (serial-scheduling) path of the same configuration
-        // must agree too: partitioning is orthogonal to job scheduling.
+        // must agree too: forking is orthogonal to job scheduling.
         let inline = engine(2, intra, false)
             .execute_serial(&operator_requests())
             .unwrap();
@@ -216,7 +224,7 @@ fn parallel_engine_actually_forks_partitions() {
     let snap = par.metrics().snapshot();
     assert!(
         snap.counter("engine_parallel_chunks_total", &[]) > 0,
-        "with intra_query_threads=4 and min_gates=1 the sorts must fork"
+        "with intra_query_threads=4 the sorts over orders must fork"
     );
     // A serial engine never forks.
     let serial = engine(2, 1, false);
@@ -284,7 +292,6 @@ fn partition_panic_fails_one_batch_and_leaves_the_pool_at_capacity() {
     let faulted = Engine::new(EngineConfig {
         workers: 2,
         intra_query_threads: 4,
-        intra_query_min_gates: 1,
         result_cache: false,
         faults,
         ..Default::default()
@@ -292,8 +299,9 @@ fn partition_panic_fails_one_batch_and_leaves_the_pool_at_capacity() {
     faulted.register_table("orders", orders()).unwrap();
     faulted.register_table("customers", customers()).unwrap();
 
-    // The injected partition panic surfaces as the batch's single failure
-    // (re-raised on the submitting thread with its original payload).
+    // The injected branch panic surfaces as the batch's single failure
+    // (re-raised through the joins and on the submitting thread with its
+    // original payload).
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         faulted.execute_batch(&operator_requests())
     }));
@@ -337,9 +345,9 @@ fn partition_panic_fails_one_batch_and_leaves_the_pool_at_capacity() {
 
 #[test]
 fn delayed_partition_surfaces_as_a_typed_deadline_error() {
-    // Inline engine (workers=1) with partitioned passes: the injected
-    // straggler delay burns the batch's deadline inside the first job's
-    // partitions, and the next job's pre-execution check converts it into
+    // Inline engine (workers=1) with forking sorts: the injected straggler
+    // delay burns the batch's deadline inside one branch of the first
+    // job's sort, and the next job's pre-execution check converts it into
     // the typed error — not a panic, not a hang.
     let faults = FaultPlan::new()
         .seed(3)
@@ -351,7 +359,6 @@ fn delayed_partition_surfaces_as_a_typed_deadline_error() {
     let engine = Engine::new(EngineConfig {
         workers: 1,
         intra_query_threads: 4,
-        intra_query_min_gates: 1,
         result_cache: false,
         faults,
         ..Default::default()
@@ -376,7 +383,7 @@ fn delayed_partition_surfaces_as_a_typed_deadline_error() {
 
 #[test]
 fn worker_and_partition_counts_do_not_change_digests() {
-    // Cross product: worker counts × chunk counts all agree on one plan.
+    // Cross product: worker counts × thread counts all agree on one plan.
     let reference = engine(1, 1, false)
         .execute_serial(&operator_requests()[1..2])
         .unwrap();

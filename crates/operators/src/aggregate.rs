@@ -65,7 +65,7 @@ pub fn oblivious_group_aggregate<S: TraceSink>(
     let records: Vec<Rec> = table.iter().map(|e| Rec::new(e.key, e.value, 0)).collect();
     let mut buf = tracer.alloc_from(records);
     let n = buf.len();
-    bitonic::par_sort_by_key(&mut buf, |r: &Rec| (r.key, r.value));
+    bitonic::sort_by_key(&mut buf, |r: &Rec| (r.key, r.value));
 
     // Forward pass: fold the running aggregate into every row (each row
     // stores the aggregate of its group's prefix; the last row of a group

@@ -75,7 +75,7 @@ pub fn oblivious_join_aggregate<S: TraceSink>(
         .collect();
     let mut buf = tracer.alloc_from(records);
     let n = buf.len();
-    bitonic::par_sort_by_key(&mut buf, |r: &Rec| (r.key, r.tid));
+    bitonic::sort_by_key(&mut buf, |r: &Rec| (r.key, r.tid));
 
     // Forward pass: running (α₁, α₂, Σ d₁, Σ d₂) per group, stored in every
     // record's accumulators so the group's last record ends up holding the

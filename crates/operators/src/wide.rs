@@ -497,15 +497,14 @@ fn wide_filter_w<const W: usize, S: TraceSink>(
         .collect();
     let mut buf: TrackedBuffer<WideRec<W>, S> = tracer.alloc_from(recs);
 
-    // Mark non-matching rows null; every slot is written back.  Rows are
-    // independent, so the pass splits across the installed parallelism
-    // context (if any).
-    obliv_primitives::par_map_pass(&mut buf, move |_, r: WideRec<W>| {
-        let keep = matcher.matches(r.cmp);
+    // Mark non-matching rows null; every slot is read and written back.
+    tracer.bump_linear_steps(n as u64);
+    for slot in buf.rw_run_mut(0, n) {
+        let r = *slot;
         let mut dropped = r;
         dropped.set_null();
-        WideRec::ct_select(keep, r, dropped)
-    });
+        *slot = WideRec::ct_select(matcher.matches(r.cmp), r, dropped);
+    }
 
     // Gather the survivors; only their count is revealed.
     let compacted = oblivious_compact(buf);
@@ -908,7 +907,7 @@ fn wide_distinct_w<const W: usize, S: TraceSink>(
 
     // Sort whole encoded rows so duplicates become adjacent, then mark
     // every row equal to its predecessor null in one fixed scan.
-    bitonic::par_sort_by_key(&mut buf, |r: &WideRec<W>| r.words);
+    bitonic::sort_by_key(&mut buf, |r: &WideRec<W>| r.words);
     let mut prev = [0u64; W];
     let mut have_prev = Choice::FALSE;
     tracer.bump_linear_steps(n as u64);
@@ -949,7 +948,7 @@ fn wide_sort_w<const W: usize, S: TraceSink>(tracer: &Tracer<S>, table: &WideTab
         })
         .collect();
     let mut buf: TrackedBuffer<[u64; W], S> = tracer.alloc_from(recs);
-    bitonic::par_sort_by_key(&mut buf, |r: &[u64; W]| *r);
+    bitonic::sort_by_key(&mut buf, |r: &[u64; W]| *r);
     let groups: Vec<Vec<u64>> = buf.into_vec().iter().map(|r| r.to_vec()).collect();
     stage_out(tracer, schema, W, &groups)
 }
@@ -1071,7 +1070,7 @@ fn wide_membership_w<const W: usize, S: TraceSink>(
 
     // Witnesses (tag 2) must precede the probed rows (tag 1) within each
     // key group, so sort by (key, tag descending).
-    bitonic::par_sort_by_key(&mut buf, |r: &WideRec<W>| (r.cmp, std::cmp::Reverse(r.tag)));
+    bitonic::sort_by_key(&mut buf, |r: &WideRec<W>| (r.cmp, std::cmp::Reverse(r.tag)));
 
     let keep_matching = Choice::from_bool(keep_matching);
     let mut witness_key = 0u64;

@@ -42,7 +42,7 @@ where
     T: Routable,
     S: TraceSink,
     K: Ord,
-    F: Fn(&T) -> K,
+    F: Fn(&T) -> K + Sync,
 {
     let tracer = buf.tracer();
     let live = count_live(&buf, &tracer);

@@ -60,9 +60,7 @@ pub use encode::{
     encode_bytes_be, encode_i64, encode_u64, MAX_BYTES_WORD,
 };
 pub use expand::{oblivious_expand, Expansion};
-pub use par::{
-    context, par_map_pass, with_parallelism, ParCtx, ParExecutor, ParStats, ParTask, SerialExecutor,
-};
+pub use par::{context, with_parallelism, Branch, ParCtx, ParExecutor, ParStats, ScopedThreads};
 pub use prp::Prp;
 pub use routable::{Keyed, Routable};
 pub use sort::{is_sorted_by_key, Direction};

@@ -1,73 +1,70 @@
 //! Intra-query parallel execution context.
 //!
-//! Oblivious passes are data-independent by construction, which makes their
-//! disjoint ranges safe to execute concurrently — but the *trace* is a
-//! single interleaved stream, so parallel drivers buffer per-partition
-//! [`SubTrace`] fragments and fold them back in
-//! schedule order (bit-identical to the serial walk by construction).
+//! A sorting network's trace is a function of its length alone, and the two
+//! halves of every bitonic sort — and of every merge after its top run —
+//! touch disjoint cells.  The recursion is therefore its own parallel
+//! schedule: the sort driver ([`crate::sort::bitonic`]) forks the two
+//! halves onto two threads over borrowed, disjoint slices and records the
+//! trace afterwards by the same walk of the network as a serial sort, so a
+//! forked sort's trace is the serial one by construction.
 //!
-//! This module provides the plumbing those drivers share:
+//! This module provides what the driver consults:
 //!
-//! * [`ParExecutor`] — how to run a batch of fork-join tasks.  The engine
-//!   installs an executor backed by its resident worker pool;
-//!   [`SerialExecutor`] runs tasks inline and exists so tests can exercise
-//!   the partitioned code path deterministically on one thread.
-//! * [`ParCtx`] — executor + chunking policy + shared [`ParStats`],
-//!   installed for the duration of a query via [`with_parallelism`] and
-//!   consulted by drivers via [`context`].  The context is thread-local:
+//! * [`ParExecutor`] — how to run two borrowed branches to completion.  The
+//!   default [`join`](ParExecutor::join) runs one of them on a scoped
+//!   thread ([`ScopedThreads`]); the engine's implementation adds a fault
+//!   point in front of each branch.
+//! * [`ParCtx`] — executor + thread budget + shared [`ParStats`], installed
+//!   for the duration of a query via [`with_parallelism`] and consulted by
+//!   the sort driver via [`context`].  The context is thread-local:
 //!   installing it on the query's worker thread parallelises exactly that
-//!   query's passes, never a neighbour's.
-//! * [`par_map_pass`] — the shared driver for elementwise
-//!   read-modify-write sweeps (mark passes, projections), the second
-//!   parallelisable pass shape next to sorting-network gate runs.
-//!
-//! Passes whose elements are *not* independent — prefix scans, carry
-//! chains, accumulators — must not use this module; they stay serial and
-//! are documented as such at their definition sites.
+//!   query's sorts, never a neighbour's.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 
-use obliv_trace::{SubTrace, TraceSink, TrackedBuffer};
+/// One branch of a fork-join: borrowed work that may run on another thread.
+pub type Branch<'a> = dyn FnMut() + Send + 'a;
 
-/// A fork-join task: owned work shipped to a worker, no borrowed state.
-pub type ParTask = Box<dyn FnOnce() + Send>;
-
-/// Strategy for executing a batch of fork-join tasks to completion.
+/// Strategy for running the two branches of one fork-join.
 ///
-/// `run` must not return before every task has finished (it is the
-/// barrier); if a task panics, the panic must propagate to the caller of
-/// `run` after the remaining tasks have still run to completion, so a
-/// failed partition never leaves the executor's workers occupied.
+/// `join` must not return before both branches have finished.  If a branch
+/// panics, the panic must propagate to the caller of `join` with its
+/// original payload, after the other branch has finished too.
 pub trait ParExecutor: Send + Sync {
-    /// Execute every task and wait for all of them.
-    fn run(&self, tasks: Vec<ParTask>);
-}
-
-/// The trivial executor: runs every task inline on the calling thread.
-///
-/// Used as the fallback when no pool is available and by tests that want
-/// the partitioned code path (chunked scratch, buffered emission, fold)
-/// without any actual concurrency.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SerialExecutor;
-
-impl ParExecutor for SerialExecutor {
-    fn run(&self, tasks: Vec<ParTask>) {
-        for task in tasks {
-            task();
-        }
+    /// Run `a` and `b`, possibly concurrently, and wait for both.
+    ///
+    /// The default runs `a` on a scoped thread and `b` on the calling
+    /// thread, then joins the thread explicitly and re-raises its panic
+    /// payload: `thread::scope`'s implicit join would replace the payload
+    /// with a generic message.
+    fn join(&self, a: &mut Branch<'_>, b: &mut Branch<'_>) {
+        thread::scope(|scope| {
+            let spawned = scope.spawn(a);
+            b();
+            if let Err(payload) = spawned.join() {
+                std::panic::resume_unwind(payload);
+            }
+        });
     }
 }
 
+/// The default executor: each fork runs one branch on a fresh scoped
+/// thread.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ScopedThreads;
+
+impl ParExecutor for ScopedThreads {}
+
 /// Cumulative parallelism counters for one query, shared between the
-/// installing engine and the drivers.
+/// installing engine and the sort driver.
 #[derive(Debug, Default)]
 pub struct ParStats {
-    chunks: AtomicU64,
-    barrier_ns: AtomicU64,
+    forks: AtomicU64,
+    join_wait_ns: AtomicU64,
 }
 
 impl ParStats {
@@ -76,98 +73,76 @@ impl ParStats {
         ParStats::default()
     }
 
-    /// Record `n` forked partition tasks.
-    pub fn add_chunks(&self, n: u64) {
-        self.chunks.fetch_add(n, Ordering::Relaxed);
+    /// Fork-joins made so far.
+    pub fn forks(&self) -> u64 {
+        self.forks.load(Ordering::Relaxed)
     }
 
-    /// Record `ns` nanoseconds spent waiting at fork-join barriers.
-    pub fn add_barrier_ns(&self, ns: u64) {
-        self.barrier_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Total partition tasks forked so far.
-    pub fn chunks(&self) -> u64 {
-        self.chunks.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent at fork-join barriers so far.
-    pub fn barrier_ns(&self) -> u64 {
-        self.barrier_ns.load(Ordering::Relaxed)
+    /// Nanoseconds the forking threads spent waiting for the other branch
+    /// after finishing their own.
+    pub fn join_wait_ns(&self) -> u64 {
+        self.join_wait_ns.load(Ordering::Relaxed)
     }
 }
 
-/// The installed parallelism policy: executor, chunk count, engagement
-/// threshold and stats sink.
+/// The installed parallelism policy: executor, thread budget and stats
+/// sink.
 #[derive(Clone)]
 pub struct ParCtx {
     exec: Arc<dyn ParExecutor>,
-    chunks: usize,
-    min_gates_per_chunk: usize,
+    threads: usize,
     stats: Arc<ParStats>,
 }
 
-/// Default engagement threshold: a pass splits only if every chunk gets at
-/// least this many gates (or elements), so small passes skip the scratch
-/// copies and stay on the serial fast path.
-pub const DEFAULT_MIN_GATES_PER_CHUNK: usize = 2048;
-
 impl ParCtx {
-    /// A context running partitions on `exec`, splitting parallelisable
-    /// passes into at most `chunks` partitions.
-    pub fn new(exec: Arc<dyn ParExecutor>, chunks: usize) -> Self {
+    /// A context forking on `exec`, with at most `threads` threads working
+    /// on one sort at a time.
+    pub fn new(exec: Arc<dyn ParExecutor>, threads: usize) -> Self {
         ParCtx {
             exec,
-            chunks,
-            min_gates_per_chunk: DEFAULT_MIN_GATES_PER_CHUNK,
+            threads,
             stats: Arc::new(ParStats::new()),
         }
     }
 
-    /// Override the engagement threshold (tests set 1 to force the
-    /// partitioned path at tiny sizes).
-    pub fn with_min_gates_per_chunk(mut self, min: usize) -> Self {
-        self.min_gates_per_chunk = min.max(1);
-        self
+    /// Maximum threads working on one sort at a time.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
-    /// Share `stats` with the caller (the engine reads it back after the
-    /// query to emit per-query Timing metrics).
-    pub fn with_stats(mut self, stats: Arc<ParStats>) -> Self {
-        self.stats = stats;
-        self
+    /// How many times a recursion may fork before every thread of the
+    /// budget is busy: ⌈log₂ threads⌉.
+    pub fn fork_depth(&self) -> u32 {
+        self.threads.max(1).next_power_of_two().trailing_zeros()
     }
 
-    /// Maximum partitions per pass.
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Minimum gates (or elements) per partition for a pass to split.
-    pub fn min_gates_per_chunk(&self) -> usize {
-        self.min_gates_per_chunk
-    }
-
-    /// The shared stats sink.
+    /// The shared stats sink (the engine reads it back after the query to
+    /// emit per-query Timing metrics).
     pub fn stats(&self) -> Arc<ParStats> {
         Arc::clone(&self.stats)
     }
 
-    /// Fork `tasks`, wait for all of them, and account the fork count and
-    /// barrier wait into the stats.
-    pub fn run_tasks(&self, tasks: Vec<ParTask>) {
-        self.stats.add_chunks(tasks.len() as u64);
-        let start = Instant::now();
-        self.exec.run(tasks);
-        self.stats.add_barrier_ns(start.elapsed().as_nanos() as u64);
+    /// Run `a` and `b` on the executor and wait for both, counting the fork
+    /// and the time this thread waited for `a` after finishing `b`.
+    pub fn join(&self, a: &mut Branch<'_>, b: &mut Branch<'_>) {
+        self.stats.forks.fetch_add(1, Ordering::Relaxed);
+        let mut b_done = None;
+        self.exec.join(a, &mut || {
+            b();
+            b_done = Some(Instant::now());
+        });
+        if let Some(done) = b_done {
+            self.stats
+                .join_wait_ns
+                .fetch_add(done.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
     }
 }
 
 impl std::fmt::Debug for ParCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParCtx")
-            .field("chunks", &self.chunks)
-            .field("min_gates_per_chunk", &self.min_gates_per_chunk)
+            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -191,155 +166,72 @@ pub fn with_parallelism<R>(ctx: ParCtx, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The currently installed context, if any.  Drivers that find `None` (or
-/// a context with fewer than two chunks) take their serial path.
+/// The currently installed context, if any.  The sort driver takes its
+/// serial path when it finds `None` or a budget of one thread.
 pub fn context() -> Option<ParCtx> {
     CTX.with(|c| c.borrow().clone())
-}
-
-/// Elementwise read-modify-write sweep over the whole buffer:
-/// `buf[i] = f(i, buf[i])` for every `i`, counted as one linear step per
-/// element.
-///
-/// The trace is one coalesced read run followed by one coalesced write run
-/// over `[0, len)` — identical whether the sweep executes serially or
-/// split across partitions, because partition fragments are folded back in
-/// offset order and coalesce into exactly those two runs.  `f` must be a
-/// pure per-element function for the parallel split to be sound; passes
-/// with carried state cannot use this driver.
-pub fn par_map_pass<T, S, F>(buf: &mut TrackedBuffer<T, S>, f: F)
-where
-    T: Copy + Send + 'static,
-    S: TraceSink,
-    F: Fn(usize, T) -> T + Send + Sync + 'static,
-{
-    let n = buf.len();
-    if n == 0 {
-        return;
-    }
-    let engaged = context().filter(|c| c.chunks() >= 2 && n >= 2 * c.min_gates_per_chunk());
-    let Some(ctx) = engaged else {
-        buf.tracer().bump_linear_steps(n as u64);
-        for (i, slot) in buf.rw_run_mut(0, n).iter_mut().enumerate() {
-            *slot = f(i, *slot);
-        }
-        return;
-    };
-
-    let tracer = buf.tracer();
-    let id = buf.id();
-    let data = buf.staging_mut();
-    let chunks = ctx.chunks().min(n);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let f = Arc::new(f);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<T>, SubTrace)>();
-    let mut tasks: Vec<ParTask> = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for i in 0..chunks {
-        let count = base + usize::from(i < extra);
-        let scratch: Vec<T> = data[start..start + count].to_vec();
-        let tx = tx.clone();
-        let f = Arc::clone(&f);
-        let offset = start;
-        tasks.push(Box::new(move || {
-            let mut scratch = scratch;
-            let mut st = SubTrace::new();
-            st.record_rw(offset as u64, scratch.len() as u64);
-            st.bump_linear_steps(scratch.len() as u64);
-            for (k, slot) in scratch.iter_mut().enumerate() {
-                *slot = f(offset + k, *slot);
-            }
-            let _ = tx.send((offset, scratch, st));
-        }));
-        start += count;
-    }
-    drop(tx);
-    ctx.run_tasks(tasks);
-
-    let mut parts: Vec<(usize, SubTrace)> = Vec::with_capacity(chunks);
-    for (offset, scratch, st) in rx.iter() {
-        data[offset..offset + scratch.len()].copy_from_slice(&scratch);
-        parts.push((offset, st));
-    }
-    parts.sort_unstable_by_key(|&(offset, _)| offset);
-    tracer.fold_subtraces(id, parts.into_iter().map(|(_, st)| st));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obliv_trace::{CollectingSink, Tracer};
 
-    fn collected(tracer: &Tracer<CollectingSink>) -> Vec<obliv_trace::Access> {
-        tracer.with_sink(|s| s.accesses().to_vec())
+    fn ctx(threads: usize) -> ParCtx {
+        ParCtx::new(Arc::new(ScopedThreads), threads)
     }
 
-    fn map_pass_trace(parallel: Option<usize>) -> (Vec<u64>, Vec<obliv_trace::Access>, u64) {
-        let tracer = Tracer::new(CollectingSink::new());
-        let mut buf = tracer.alloc_from((0..17u64).collect::<Vec<_>>());
-        let mut run = || par_map_pass(&mut buf, |i, v| v * 2 + i as u64);
-        match parallel {
-            Some(chunks) => {
-                let ctx = ParCtx::new(Arc::new(SerialExecutor), chunks).with_min_gates_per_chunk(1);
-                with_parallelism(ctx, run);
-            }
-            None => run(),
+    #[test]
+    fn join_runs_both_branches_and_accounts_the_fork() {
+        let c = ctx(2);
+        let stats = c.stats();
+        let (mut left, mut right) = (0u64, 0u64);
+        c.join(&mut || left = 1, &mut || right = 2);
+        assert_eq!((left, right), (1, 2));
+        assert_eq!(stats.forks(), 1);
+        let before = stats.join_wait_ns();
+        c.join(
+            &mut || thread::sleep(std::time::Duration::from_millis(5)),
+            &mut || {},
+        );
+        assert_eq!(stats.forks(), 2);
+        assert!(
+            stats.join_wait_ns() >= before + 1_000_000,
+            "waited on the sleeper"
+        );
+    }
+
+    #[test]
+    fn a_panicking_branch_keeps_its_payload() {
+        for spawned in [true, false] {
+            let result = std::panic::catch_unwind(|| {
+                let mut boom = || std::panic::panic_any("branch bug");
+                let mut fine = || {};
+                if spawned {
+                    ctx(2).join(&mut boom, &mut fine);
+                } else {
+                    ctx(2).join(&mut fine, &mut boom);
+                }
+            });
+            let payload = result.expect_err("the branch panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"branch bug"));
         }
-        let contents = buf.as_slice().to_vec();
-        let linear = tracer.counters().linear_steps;
-        (contents, collected(&tracer), linear)
     }
 
     #[test]
-    fn parallel_map_pass_is_bit_identical_to_serial() {
-        let (serial_data, serial_trace, serial_steps) = map_pass_trace(None);
-        for chunks in [2usize, 3, 4, 8, 32] {
-            let (data, trace, steps) = map_pass_trace(Some(chunks));
-            assert_eq!(data, serial_data, "chunks={chunks}");
-            assert_eq!(trace, serial_trace, "chunks={chunks}");
-            assert_eq!(steps, serial_steps, "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn map_pass_engagement_respects_threshold() {
-        let tracer = Tracer::new(CollectingSink::new());
-        let mut buf = tracer.alloc_from(vec![1u64; 8]);
-        let ctx = ParCtx::new(Arc::new(SerialExecutor), 4).with_min_gates_per_chunk(100);
-        let stats = ctx.stats();
-        with_parallelism(ctx, || par_map_pass(&mut buf, |_, v| v + 1));
-        assert_eq!(stats.chunks(), 0, "below threshold: no forks");
-        assert_eq!(buf.as_slice(), &[2u64; 8]);
-    }
-
-    #[test]
-    fn run_tasks_accounts_chunks_and_barrier_time() {
-        let ctx = ParCtx::new(Arc::new(SerialExecutor), 4);
-        let stats = ctx.stats();
-        ctx.run_tasks(vec![Box::new(|| {}), Box::new(|| {})]);
-        assert_eq!(stats.chunks(), 2);
-        // Barrier time is monotone; with SerialExecutor it may legitimately
-        // round to zero, so only check it accumulates across calls.
-        let first = stats.barrier_ns();
-        ctx.run_tasks(vec![Box::new(|| {
-            std::thread::sleep(std::time::Duration::from_millis(1))
-        })]);
-        assert!(stats.barrier_ns() >= first);
-        assert_eq!(stats.chunks(), 3);
+    fn fork_depth_is_the_ceiling_of_log2_threads() {
+        let depths: Vec<u32> = [0, 1, 2, 3, 4, 5, 8, 9].map(|t| ctx(t).fork_depth()).into();
+        assert_eq!(depths, vec![0, 0, 1, 2, 2, 3, 3, 4]);
     }
 
     #[test]
     fn with_parallelism_restores_previous_context() {
         assert!(context().is_none());
-        let outer = ParCtx::new(Arc::new(SerialExecutor), 2);
-        with_parallelism(outer, || {
-            assert_eq!(context().expect("outer installed").chunks(), 2);
-            let inner = ParCtx::new(Arc::new(SerialExecutor), 8);
-            with_parallelism(inner, || {
-                assert_eq!(context().expect("inner installed").chunks(), 8);
+        with_parallelism(ctx(2), || {
+            assert_eq!(context().expect("outer installed").threads(), 2);
+            with_parallelism(ctx(8), || {
+                assert_eq!(context().expect("inner installed").threads(), 8);
             });
-            assert_eq!(context().expect("outer restored").chunks(), 2);
+            assert_eq!(context().expect("outer restored").threads(), 2);
         });
         assert!(context().is_none());
     }
@@ -347,8 +239,7 @@ mod tests {
     #[test]
     fn context_is_restored_after_a_panic() {
         let result = std::panic::catch_unwind(|| {
-            let ctx = ParCtx::new(Arc::new(SerialExecutor), 2);
-            with_parallelism(ctx, || panic!("boom"));
+            with_parallelism(ctx(2), || panic!("boom"));
         });
         assert!(result.is_err());
         assert!(context().is_none(), "panic must not leak the context");

@@ -13,7 +13,10 @@ use crate::ct::CtSelect;
 /// Destinations are **1-based**, exactly as in Algorithm 3: `dest() == 0`
 /// marks a null / discarded element (`f̂(∅) = 0`), and a real element with
 /// destination `d ≥ 1` must end up at array position `d − 1`.
-pub trait Routable: Copy + CtSelect {
+///
+/// Elements are `Send` so that the sorts which move them can fork across
+/// threads.
+pub trait Routable: Copy + CtSelect + Send {
     /// The element's 1-based destination index; 0 for null elements.
     fn dest(&self) -> u64;
 
@@ -70,7 +73,7 @@ impl<T: Copy + CtSelect> CtSelect for Keyed<T> {
     }
 }
 
-impl<T: Copy + CtSelect + Default> Routable for Keyed<T> {
+impl<T: Copy + CtSelect + Default + Send> Routable for Keyed<T> {
     fn dest(&self) -> u64 {
         self.dest
     }

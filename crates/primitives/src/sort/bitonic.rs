@@ -9,23 +9,33 @@
 //!
 //! ## Execution strategy
 //!
-//! The recursion — `sort` halves in opposite directions, `merge` at the
-//! greatest power of two below `n` — is spelled out once, in
-//! [`obliv_trace::network`], and the serial driver walks it down to
+//! A sort takes two steps.  The first runs the gates: one plain recursion
+//! over the buffer's cells (`sort_window`, `merge_window`), which is the
+//! network — halves sorted in opposite directions, then a merge at the
+//! greatest power of two below `n`.  The second records the trace: one walk
+//! of the same recursion, spelled out in [`obliv_trace::network`], down to
 //! sub-networks of at most [`BLOCK`] cells.  Such a *block* (a whole
 //! sub-sort, or the tail of a larger merge) is one trace event and one
-//! comparison-counter update ([`TrackedBuffer::block_mut`]) and runs as a
-//! plain recursive loop over the slice it was lent; a merge level above
-//! `BLOCK` is a *gate run*, one batched trace transaction over its two
+//! comparison-counter update ([`TrackedBuffer::block_mut`]); a merge level
+//! above `BLOCK` is a *gate run*, one batched trace transaction over its two
 //! strided windows ([`TrackedBuffer::paired_run_mut`]).  Nothing is
 //! materialised, so a sort costs no memory beyond its input, and which
-//! steps a sort takes depends on its (public) length alone.  An order-exact
-//! sink expands a block back into its runs, so the per-element trace is
-//! the one a run-by-run driver would emit.  [`run_schedule`] collects the
-//! network's runs from the same recursion for the consumers that need run
-//! identity (the parallel driver's wave plan, `verify::access`).
-//! [`sort_by_key_dir_per_gate`] keeps the per-gate walk around as the
-//! differential-testing oracle and ablation baseline.
+//! steps it records depends on its (public) length alone.  An order-exact
+//! sink expands a block back into its runs, so the per-element trace is the
+//! one a run-by-run driver would emit.
+//!
+//! With a [parallelism context](crate::par::context) installed, the first
+//! step forks: the two half-sorts of a sub-network of at least
+//! [`FORK_CELLS`] cells run on two threads over the two borrowed halves,
+//! and so do the two halves of a merge's top run and its two sub-merges,
+//! to a depth of ⌈log₂ threads⌉.  The forked branches touch disjoint cells
+//! and run the same gates, so the contents are the serial sort's; the
+//! second step is unchanged, so the trace and counters are too.
+//!
+//! [`run_schedule`] collects the network's runs from the same recursion
+//! for the consumers that need run identity (`verify::access`, the kernel
+//! structure tests).  [`sort_by_key_dir_per_gate`] keeps the per-gate walk
+//! around as the differential-testing oracle and ablation baseline.
 //!
 //! The compare-exchange *swap* is branch-free ([`CtSelect`]); the
 //! *comparison* is whatever `K: Ord` compiles to, and tuple keys compare
@@ -40,18 +50,13 @@
 //! (use [`core::cmp::Reverse`] for descending components), plus an overall
 //! [`Direction`].
 
-use std::sync::{mpsc, Arc};
-
 use obliv_trace::network::{self as shape, Step};
 use obliv_trace::{BlockOp, TraceSink, TrackedBuffer};
 
-use super::network::{
-    self, bitonic_comparator_count, greatest_power_of_two_below, GateRun, RunSchedule, Schedule,
-};
-use super::wave;
+use super::network::{greatest_power_of_two_below, GateRun, RunSchedule, Schedule};
 use super::{compare_exchange, Direction};
 use crate::ct::{Choice, CtSelect};
-use crate::par::{self, ParTask};
+use crate::par::{self, ParCtx};
 
 /// Sort `buf` in place, ascending by `key`.
 ///
@@ -66,63 +71,65 @@ use crate::par::{self, ParTask};
 /// ```
 pub fn sort_by_key<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, key: F)
 where
-    T: Copy + CtSelect,
+    T: Copy + CtSelect + Send,
     S: TraceSink,
     K: Ord,
-    F: Fn(&T) -> K,
+    F: Fn(&T) -> K + Sync,
 {
     sort_by_key_dir(buf, Direction::Ascending, key);
 }
 
-/// Largest sub-network the drivers hand out as one block: large enough
-/// that the per-step costs (a tracer borrow, a closure dispatch, a trace
-/// record) vanish beside its `O(n log² n)` gates.  Sizes from 16 to 512
-/// measured within 6 % of each other on the join kernel, so the value is
-/// not delicate; it is a constant rather than an option because the block
-/// cut is part of the trace — two runs compare equal only if they cut
-/// their blocks at the same size.
+/// Largest sub-network the trace walk records as one block: large enough
+/// that the per-step costs (a tracer borrow, a trace record) vanish beside
+/// its `O(n log² n)` gates.  Sizes from 16 to 512 measured within 6 % of
+/// each other on the join kernel, so the value is not delicate; it is a
+/// constant rather than an option because the block cut is part of the
+/// trace — two runs compare equal only if they cut their blocks at the same
+/// size.
 pub const BLOCK: usize = 64;
+
+/// Smallest sub-network, in cells, whose two halves a forking sort runs on
+/// two threads: a fork costs a thread spawn and a join, which a sort of
+/// fewer cells does not earn back.  Unlike [`BLOCK`] it never changes a
+/// trace — the trace comes from the same walk whether the gates forked or
+/// not — only where the threads are spent.
+pub const FORK_CELLS: usize = 8192;
 
 /// Sort `buf` in place in the given direction by `key`.
 ///
-/// Walks the network in blocks of at most [`BLOCK`] cells and, above them,
-/// one gate run per merge level (see the module docs).  Block and run
-/// boundaries are a pure function of the (public) length, so the batched
-/// trace remains a function of public parameters only.
+/// Runs the network's gates over the buffer's cells — forking them across
+/// the installed [parallelism context](crate::par::context), if any — and
+/// then records its trace and comparison counts by one walk of the network
+/// in blocks of at most [`BLOCK`] cells and, above them, one gate run per
+/// merge level (see the module docs).  Block and run boundaries are a pure
+/// function of the (public) length, so the batched trace remains a function
+/// of public parameters only, forked or not.
 pub fn sort_by_key_dir<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, dir: Direction, key: F)
 where
-    T: Copy + CtSelect,
+    T: Copy + CtSelect + Send,
     S: TraceSink,
     K: Ord,
-    F: Fn(&T) -> K,
+    F: Fn(&T) -> K + Sync,
 {
-    drive(
-        buf,
-        dir,
-        |win, descending, op| match op {
-            BlockOp::Sort => sort_window(win, descending, &key),
-            BlockOp::Merge => merge_window(win, descending, &key),
-        },
-        |lo_win, hi_win, descending| exchange_windows(lo_win, hi_win, descending, &key),
-    );
+    let descending = dir == Direction::Descending;
+    let cells = buf.as_mut_slice();
+    match par::context().filter(|ctx| ctx.fork_depth() > 0) {
+        Some(ctx) => Fork {
+            ctx: &ctx,
+            key: &key,
+        }
+        .sort(cells, descending, ctx.fork_depth()),
+        None => sort_window(cells, descending, &key),
+    }
+    record(buf, descending);
 }
 
-/// Walk the network sorting `buf` in direction `dir`, emitting its trace
-/// and counting its comparisons step by step, and hand each step's cells to
-/// `block` (the window of a sub-network, its direction and kind) or `run`
-/// (the two windows of a gate run and its direction) to execute.  The
-/// parallel driver, whose gates have already run, passes two no-ops.
-fn drive<T, S>(
-    buf: &mut TrackedBuffer<T, S>,
-    dir: Direction,
-    mut block: impl FnMut(&mut [T], bool, BlockOp),
-    mut run: impl FnMut(&mut [T], &mut [T], bool),
-) where
-    T: Copy,
-    S: TraceSink,
-{
+/// Record the trace and comparison counts of the network sorting `buf` in
+/// direction `descending`, whose gates have already run: one block event
+/// per sub-network of at most [`BLOCK`] cells, one gate run per merge level
+/// above them, in the network's execution order.
+fn record<T: Copy, S: TraceSink>(buf: &mut TrackedBuffer<T, S>, descending: bool) {
     let tracer = buf.tracer();
-    let descending = dir == Direction::Descending;
     shape::walk(
         0,
         buf.len(),
@@ -135,22 +142,20 @@ fn drive<T, S>(
                 n,
                 descending,
                 op,
-            } => block(buf.block_mut(lo, n, descending, op), descending, op),
+            } => {
+                buf.block_mut(lo, n, descending, op);
+            }
             Step::Run {
-                lo,
-                stride,
-                count,
-                descending,
+                lo, stride, count, ..
             } => {
                 tracer.bump_comparisons(count as u64);
-                let (lo_win, hi_win) = buf.paired_run_mut(lo, stride, count);
-                run(lo_win, hi_win, descending);
+                buf.paired_run_mut(lo, stride, count);
             }
         },
     );
 }
 
-/// The sorting network over one block's window, gate for gate what
+/// The sorting network over `win`, gate for gate what
 /// [`shape::for_each_run`] lists for [`BlockOp::Sort`].
 fn sort_window<T, K>(win: &mut [T], descending: bool, key: &impl Fn(&T) -> K)
 where
@@ -166,8 +171,8 @@ where
     merge_window(win, descending, key);
 }
 
-/// The merge network over one block's window ([`BlockOp::Merge`]): the
-/// first `n − m` cells against the cells from `m` on, then both parts.
+/// The merge network over `win` ([`BlockOp::Merge`]): the first `n − m`
+/// cells against the cells from `m` on, then both parts.
 fn merge_window<T, K>(win: &mut [T], descending: bool, key: &impl Fn(&T) -> K)
 where
     T: Copy + CtSelect,
@@ -184,10 +189,9 @@ where
     merge_window(tail, descending, key);
 }
 
-/// Compare-exchange the paired windows of one (sub-)run on local copies:
-/// gate `g` orders `lo_win[g]` against `hi_win[g]`, branch-free, for as many
-/// gates as the shorter window holds.  Shared by the serial driver above
-/// and both arms of the parallel driver.
+/// Compare-exchange the paired windows of one (part of a) gate run on
+/// local copies: gate `g` orders `lo_win[g]` against `hi_win[g]`,
+/// branch-free, for as many gates as the shorter window holds.
 #[inline]
 fn exchange_windows<T, K>(
     lo_win: &mut [T],
@@ -212,161 +216,82 @@ fn exchange_windows<T, K>(
     }
 }
 
-/// One partition of a run assigned to a fork-join task: a contiguous range
-/// of `count` gates of one schedule run, starting at absolute lower
-/// position `lo`.
-#[derive(Debug, Clone, Copy)]
-struct SubRun {
-    lo: usize,
-    stride: usize,
-    count: usize,
-    descending: bool,
+/// The gate recursion of [`sort_window`] and [`merge_window`], forking its
+/// independent halves across a parallelism context while `depth` forks
+/// remain and each branch covers at least half of [`FORK_CELLS`].  The
+/// gates are the serial recursion's; only disjoint ones run concurrently.
+struct Fork<'a, F> {
+    ctx: &'a ParCtx,
+    key: &'a F,
 }
 
-/// Sort `buf` in place, ascending by `key`, using the installed
-/// [parallelism context](crate::par::context) if any.
-///
-/// Falls back to [`sort_by_key`] (bit-identical trace, same contents) when
-/// no context is installed or the network is too small to split.
-pub fn par_sort_by_key<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, key: F)
-where
-    T: Copy + CtSelect + Send + 'static,
-    S: TraceSink,
-    K: Ord,
-    F: Fn(&T) -> K + Send + Sync + 'static,
-{
-    par_sort_by_key_dir(buf, Direction::Ascending, key);
+/// Whether a fork branch over `cells` cells is worth its own thread.
+fn worth_forking(cells: usize) -> bool {
+    2 * cells >= FORK_CELLS
 }
 
-/// Sort `buf` in place in the given direction by `key`, executing the
-/// network's waves of independent runs across the installed parallelism
-/// context.
-///
-/// The schedule is leveled into waves of pairwise-disjoint runs
-/// ([`wave::cached_wave_plan`]); each wave's gates are split into balanced
-/// partitions ([`network::GateRun::partition`] arithmetic), they execute
-/// concurrently on owned scratch copies, and a barrier separates waves.
-/// **No trace is emitted while waves execute**: after the last wave the
-/// serial driver's own walk of the network runs once more with nothing
-/// left to execute, so the emitted trace — blocks, runs, order, counters,
-/// digest — is [`sort_by_key_dir`]'s by construction, whatever the waves
-/// and partitions were.
-///
-/// The stronger bounds (`Send + 'static` on `T`, `Send + Sync + 'static`
-/// on `F`) exist because partitions run on pool workers; serial call sites
-/// keep using [`sort_by_key_dir`] unchanged.
-pub fn par_sort_by_key_dir<T, S, K, F>(buf: &mut TrackedBuffer<T, S>, dir: Direction, key: F)
-where
-    T: Copy + CtSelect + Send + 'static,
-    S: TraceSink,
-    K: Ord,
-    F: Fn(&T) -> K + Send + Sync + 'static,
-{
-    let n = buf.len();
-    if n <= 1 {
-        return;
+impl<F> Fork<'_, F> {
+    fn sort<T, K>(&self, win: &mut [T], descending: bool, depth: u32)
+    where
+        T: Copy + CtSelect + Send,
+        K: Ord,
+        F: Fn(&T) -> K + Sync,
+    {
+        if depth == 0 || !worth_forking(win.len() / 2) {
+            return sort_window(win, descending, self.key);
+        }
+        let (head, tail) = win.split_at_mut(win.len() / 2);
+        self.ctx
+            .join(&mut || self.sort(head, !descending, depth - 1), &mut || {
+                self.sort(tail, descending, depth - 1)
+            });
+        self.merge(win, descending, depth);
     }
-    let Some(ctx) = par::context().filter(|c| c.chunks() >= 2) else {
-        return sort_by_key_dir(buf, dir, key);
-    };
-    // Decided from the closed-form gate count: a network too small to fork
-    // never materialises its schedule.
-    if bitonic_comparator_count(n) < 2 * ctx.min_gates_per_chunk() as u64 {
-        return sort_by_key_dir(buf, dir, key);
-    }
-    let sched = network::cached_bitonic_runs(n, dir);
-    let plan = wave::cached_wave_plan(n, dir);
-    let key = Arc::new(key);
-    let runs = sched.runs();
-    let data = buf.staging_mut();
 
-    for wave_runs in plan.waves() {
-        let wave_gates: usize = wave_runs.iter().map(|&ri| runs[ri as usize].count).sum();
-        let per_chunk = wave_gates
-            .div_ceil(ctx.chunks())
-            .max(ctx.min_gates_per_chunk());
-
-        // Pack the wave's runs into tasks of ~per_chunk gates, splitting
-        // runs where needed (partition arithmetic: a sub-run is a valid
-        // GateRun at lo + offset).
-        let mut task_jobs: Vec<Vec<SubRun>> = Vec::new();
-        let mut current: Vec<SubRun> = Vec::new();
-        let mut current_gates = 0usize;
-        for &ri in wave_runs {
-            let run = runs[ri as usize];
-            let mut off = 0usize;
-            while off < run.count {
-                let take = (per_chunk - current_gates).min(run.count - off);
-                current.push(SubRun {
-                    lo: run.lo + off,
-                    stride: run.stride,
-                    count: take,
-                    descending: run.descending,
+    fn merge<T, K>(&self, win: &mut [T], descending: bool, depth: u32)
+    where
+        T: Copy + CtSelect + Send,
+        K: Ord,
+        F: Fn(&T) -> K + Sync,
+    {
+        if depth == 0 || !worth_forking(win.len() / 2) {
+            return merge_window(win, descending, self.key);
+        }
+        let m = greatest_power_of_two_below(win.len() as u64) as usize;
+        let (head, tail) = win.split_at_mut(m);
+        self.exchange(head, tail, descending, depth);
+        if worth_forking(tail.len()) {
+            self.ctx
+                .join(&mut || self.merge(head, descending, depth - 1), &mut || {
+                    self.merge(tail, descending, depth - 1)
                 });
-                current_gates += take;
-                off += take;
-                if current_gates >= per_chunk {
-                    task_jobs.push(std::mem::take(&mut current));
-                    current_gates = 0;
-                }
-            }
-        }
-        if !current.is_empty() {
-            task_jobs.push(current);
-        }
-
-        if task_jobs.len() < 2 {
-            // The wave is too small to be worth forking: execute its runs
-            // in place.
-            for &ri in wave_runs {
-                let run = runs[ri as usize];
-                let (head, tail) = data.split_at_mut(run.lo + run.stride);
-                exchange_windows(
-                    &mut head[run.lo..run.lo + run.count],
-                    &mut tail[..run.count],
-                    run.descending,
-                    key.as_ref(),
-                );
-            }
-            continue;
-        }
-
-        let (tx, rx) = mpsc::channel::<(SubRun, Vec<T>)>();
-        let mut tasks: Vec<ParTask> = Vec::with_capacity(task_jobs.len());
-        for jobs in task_jobs {
-            // Ship owned scratch: [lo window | hi window] per sub-run,
-            // copied out untraced (the final walk accounts for every
-            // access).
-            let owned: Vec<(SubRun, Vec<T>)> = jobs
-                .into_iter()
-                .map(|sub| {
-                    let mut scratch = Vec::with_capacity(2 * sub.count);
-                    scratch.extend_from_slice(&data[sub.lo..sub.lo + sub.count]);
-                    scratch.extend_from_slice(&data[sub.lo + sub.stride..][..sub.count]);
-                    (sub, scratch)
-                })
-                .collect();
-            let tx = tx.clone();
-            let key = Arc::clone(&key);
-            tasks.push(Box::new(move || {
-                for (sub, mut scratch) in owned {
-                    let (lo_win, hi_win) = scratch.split_at_mut(sub.count);
-                    exchange_windows(lo_win, hi_win, sub.descending, key.as_ref());
-                    let _ = tx.send((sub, scratch));
-                }
-            }));
-        }
-        drop(tx);
-        ctx.run_tasks(tasks);
-
-        for (sub, scratch) in rx.iter() {
-            data[sub.lo..sub.lo + sub.count].copy_from_slice(&scratch[..sub.count]);
-            data[sub.lo + sub.stride..][..sub.count].copy_from_slice(&scratch[sub.count..]);
+        } else {
+            // A short tail: only the head merge is worth the threads.
+            self.merge(head, descending, depth);
+            merge_window(tail, descending, self.key);
         }
     }
 
-    // Every gate has run; what is left of the serial driver is its trace.
-    drive(buf, dir, |_, _, _| {}, |_, _, _| {});
+    /// The top run of a merge, `hi_win.len()` gates, split into two
+    /// contiguous gate ranges.
+    fn exchange<T, K>(&self, lo_win: &mut [T], hi_win: &mut [T], descending: bool, depth: u32)
+    where
+        T: Copy + CtSelect + Send,
+        K: Ord,
+        F: Fn(&T) -> K + Sync,
+    {
+        let count = hi_win.len();
+        // Each half of the run touches `count` cells.
+        if depth == 0 || !worth_forking(count) {
+            return exchange_windows(lo_win, hi_win, descending, self.key);
+        }
+        let (lo_head, lo_tail) = lo_win.split_at_mut(count / 2);
+        let (hi_head, hi_tail) = hi_win.split_at_mut(count / 2);
+        self.ctx.join(
+            &mut || self.exchange(lo_head, hi_head, descending, depth - 1),
+            &mut || self.exchange(lo_tail, hi_tail, descending, depth - 1),
+        );
+    }
 }
 
 /// The recursive per-gate driver: identical gate order and semantics, but
@@ -443,11 +368,9 @@ pub fn schedule(n: usize) -> Schedule {
 }
 
 /// The network flattened into maximal same-stride gate runs, each carrying
-/// its merge direction — exactly the gates the serial driver executes, in
-/// its order, from the same recursion.  The concatenation of the runs' gates equals
-/// [`schedule`]`(n)` exactly.
-///
-/// Use [`network::cached_bitonic_runs`] for the memoised variant.
+/// its merge direction — exactly the gates a sort executes, in the order
+/// its trace records them, from the same recursion.  The concatenation of
+/// the runs' gates equals [`schedule`]`(n)` exactly.
 pub fn run_schedule(n: usize, dir: Direction) -> RunSchedule {
     let mut sched = RunSchedule::new();
     let descending = dir == Direction::Descending;
@@ -581,7 +504,7 @@ mod tests {
         // The streamed driver's collected trace is precisely the expansion
         // of the public run schedule: per run, a read of each window then a
         // write of each window.  (`tests/kernel_structure.rs` sweeps every
-        // n < 200 against the parallel driver as well.)
+        // n < 200, and forked sorts at sizes that fork.)
         for n in [0usize, 1, 2, 3, 5, 8, 13] {
             let sched = run_schedule(n, Direction::Ascending);
             let tracer = Tracer::new(CollectingSink::new());
@@ -642,63 +565,87 @@ mod tests {
         assert_eq!(a, c);
     }
 
+    /// Contents, collected access stream, counters and fork count of one
+    /// sort of `input`, forked over `threads` threads when given.
+    fn traced_sort<T>(
+        input: &[T],
+        dir: Direction,
+        threads: Option<usize>,
+        key: impl Fn(&T) -> (u64, u64) + Sync,
+    ) -> (
+        Vec<T>,
+        Vec<obliv_trace::Access>,
+        obliv_trace::OpCounters,
+        u64,
+    )
+    where
+        T: Copy + CtSelect + Send,
+    {
+        use crate::par::{with_parallelism, ScopedThreads};
+        use std::sync::Arc;
+
+        let tracer = Tracer::new(CollectingSink::new());
+        let mut buf = tracer.alloc_from(input.to_vec());
+        let ctx = ParCtx::new(Arc::new(ScopedThreads), threads.unwrap_or(1));
+        let stats = ctx.stats();
+        match threads {
+            Some(_) => with_parallelism(ctx, || sort_by_key_dir(&mut buf, dir, key)),
+            None => sort_by_key_dir(&mut buf, dir, key),
+        }
+        let accesses = tracer.with_sink(|s| s.accesses().to_vec());
+        (buf.into_vec(), accesses, tracer.counters(), stats.forks())
+    }
+
     #[test]
     fn par_sort_without_context_is_the_serial_driver() {
-        let tracer = Tracer::new(CollectingSink::new());
-        let mut buf = tracer.alloc_from(vec![5u64, 1, 4, 1, 3]);
-        par_sort_by_key(&mut buf, |x| *x);
-        assert_eq!(buf.as_slice(), &[1, 1, 3, 4, 5]);
-
-        let reference = Tracer::new(CollectingSink::new());
-        let mut rbuf = reference.alloc_from(vec![5u64, 1, 4, 1, 3]);
-        sort_by_key(&mut rbuf, |x| *x);
-        assert_eq!(
-            tracer.with_sink(|s| s.accesses().to_vec()),
-            reference.with_sink(|s| s.accesses().to_vec())
-        );
+        // No context, or a budget of one thread: nothing forks, and the
+        // sort is the serial one.
+        let input: Vec<(u64, u64)> = (0..2 * FORK_CELLS as u64).map(|i| (i % 5, i)).collect();
+        let serial = traced_sort(&input, Direction::Ascending, None, |r| *r);
+        let one = traced_sort(&input, Direction::Ascending, Some(1), |r| *r);
+        assert_eq!(one.3, 0, "one thread never forks");
+        assert_eq!((one.0, one.1, one.2), (serial.0, serial.1, serial.2));
     }
 
     #[test]
     fn par_sort_is_bit_identical_to_serial_at_every_chunk_count() {
-        use crate::par::{with_parallelism, ParCtx, SerialExecutor};
-        use std::sync::Arc;
-
-        for n in [2usize, 3, 5, 8, 13, 33, 64, 100, 129] {
+        // Around the cutoff and well above it, both directions, thread
+        // budgets that are and are not powers of two, and a tuple key with
+        // ties (every record tagged with where it started, so equal
+        // contents mean the same permutation): the forked sort is the
+        // serial driver in contents, collected access stream and counters,
+        // and both are the per-gate oracle in contents and counters (its
+        // stream interleaves each gate's reads and writes, the drivers'
+        // batch them per run).
+        for n in [
+            FORK_CELLS - 1,
+            FORK_CELLS,
+            FORK_CELLS + 1,
+            2 * FORK_CELLS + 3,
+            10_007,
+        ] {
+            let input: Vec<((u64, u64), u64)> = (0..n as u64)
+                .map(|i| (((i * 2_654_435_761) % 7, (i * 40_503) % 3), i))
+                .collect();
+            let key = |r: &((u64, u64), u64)| r.0;
             for dir in [Direction::Ascending, Direction::Descending] {
-                let input: Vec<u64> = (0..n as u64).map(|x| (x * 2654435761) % 23).collect();
+                let oracle = Tracer::new(CollectingSink::new());
+                let mut per_gate = oracle.alloc_from(input.clone());
+                sort_by_key_dir_per_gate(&mut per_gate, dir, key);
+                let serial = traced_sort(&input, dir, None, key);
+                assert!(serial.0 == per_gate.as_slice(), "serial rows n={n} {dir:?}");
+                assert_eq!(serial.2, oracle.counters(), "serial counters n={n} {dir:?}");
+                let expected = &serial.1;
 
-                let serial = Tracer::new(CollectingSink::new());
-                let mut sbuf = serial.alloc_from(input.clone());
-                sort_by_key_dir(&mut sbuf, dir, |x| *x);
-                let serial_trace = serial.with_sink(|s| s.accesses().to_vec());
-
-                for chunks in [1usize, 2, 4, 8] {
-                    let parallel = Tracer::new(CollectingSink::new());
-                    let mut pbuf = parallel.alloc_from(input.clone());
-                    let ctx =
-                        ParCtx::new(Arc::new(SerialExecutor), chunks).with_min_gates_per_chunk(1);
-                    let stats = ctx.stats();
-                    with_parallelism(ctx, || par_sort_by_key_dir(&mut pbuf, dir, |x| *x));
-                    assert_eq!(
-                        pbuf.as_slice(),
-                        sbuf.as_slice(),
-                        "contents n={n} {dir:?} chunks={chunks}"
-                    );
-                    assert_eq!(
-                        parallel.with_sink(|s| s.accesses().to_vec()),
-                        serial_trace,
-                        "trace n={n} {dir:?} chunks={chunks}"
-                    );
-                    assert_eq!(
-                        parallel.counters(),
-                        serial.counters(),
-                        "counters n={n} {dir:?} chunks={chunks}"
-                    );
-                    // Tiny networks legitimately never fork (every wave is
-                    // below two gates); larger ones must.
-                    if chunks >= 2 && n >= 16 {
-                        assert!(stats.chunks() > 0, "forked n={n} {dir:?} chunks={chunks}");
-                    }
+                for threads in [2usize, 3, 4, 8] {
+                    let (rows, trace, counters, forks) =
+                        traced_sort(&input, dir, Some(threads), key);
+                    let what = format!("n={n} {dir:?} threads={threads}");
+                    assert!(rows == serial.0, "rows {what}");
+                    assert!(&trace == expected, "trace {what}");
+                    assert_eq!(counters, serial.2, "counters {what}");
+                    // The cutoff decides whether anything forks at all.
+                    assert_eq!(forks > 0, n >= FORK_CELLS, "forks {what}");
                 }
             }
         }
@@ -706,38 +653,44 @@ mod tests {
 
     #[test]
     fn par_sort_runs_on_real_threads() {
-        use crate::par::{with_parallelism, ParCtx, ParExecutor, ParTask};
-        use std::sync::Arc;
+        use crate::par::{with_parallelism, Branch, ParExecutor, ScopedThreads};
+        use std::collections::HashSet;
+        use std::sync::{Arc, Mutex};
+        use std::thread::{self, ThreadId};
 
-        // A throwaway executor that actually spawns: proves the Send
-        // bounds and the barrier do what they claim (the engine's pool
-        // executor is exercised in the engine's differential suite).
-        struct SpawningExecutor;
-        impl ParExecutor for SpawningExecutor {
-            fn run(&self, tasks: Vec<ParTask>) {
-                std::thread::scope(|scope| {
-                    for task in tasks {
-                        scope.spawn(task);
-                    }
-                });
+        // The default join, with every branch noting the thread it ran on.
+        #[derive(Default)]
+        struct Witness(Mutex<HashSet<ThreadId>>);
+        impl ParExecutor for Witness {
+            fn join(&self, a: &mut Branch<'_>, b: &mut Branch<'_>) {
+                let note = || self.0.lock().unwrap().insert(thread::current().id());
+                ScopedThreads.join(
+                    &mut || {
+                        note();
+                        a()
+                    },
+                    &mut || {
+                        note();
+                        b()
+                    },
+                );
             }
         }
 
-        let input: Vec<u64> = (0..257u64).map(|x| (x * 2654435761) % 101).collect();
-        let serial = Tracer::new(CollectingSink::new());
-        let mut sbuf = serial.alloc_from(input.clone());
-        sort_by_key(&mut sbuf, |x| *x);
+        let input: Vec<u64> = (0..4 * FORK_CELLS as u64)
+            .map(|x| (x * 2_654_435_761) % 101)
+            .collect();
+        let witness = Arc::new(Witness::default());
+        let tracer = Tracer::new(CountingSink::new());
+        let mut buf = tracer.alloc_from(input.clone());
+        let ctx = ParCtx::new(Arc::clone(&witness) as Arc<dyn ParExecutor>, 4);
+        with_parallelism(ctx, || sort_by_key(&mut buf, |x| *x));
 
-        let parallel = Tracer::new(CollectingSink::new());
-        let mut pbuf = parallel.alloc_from(input);
-        let ctx = ParCtx::new(Arc::new(SpawningExecutor), 4).with_min_gates_per_chunk(1);
-        with_parallelism(ctx, || par_sort_by_key(&mut pbuf, |x| *x));
-
-        assert_eq!(pbuf.as_slice(), sbuf.as_slice());
-        assert_eq!(
-            parallel.with_sink(|s| s.accesses().to_vec()),
-            serial.with_sink(|s| s.accesses().to_vec())
-        );
+        let mut expected = input;
+        expected.sort_unstable();
+        assert_eq!(buf.as_slice(), expected.as_slice());
+        let threads = witness.0.lock().unwrap().len();
+        assert!(threads >= 4, "gates ran on {threads} threads");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 pub mod bitonic;
 pub mod network;
 pub mod odd_even;
-pub mod wave;
 
 use obliv_trace::{TraceSink, TrackedBuffer};
 

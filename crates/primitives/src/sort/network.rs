@@ -10,14 +10,8 @@
 //!   counts without running anything,
 //! * the enclave simulator can replay a schedule against its cost model.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
-
 pub(crate) use obliv_trace::network::greatest_power_of_two_below;
 use obliv_trace::BlockOp;
-
-use super::Direction;
 
 /// One compare-exchange gate of a network: the pair of positions touched,
 /// with `lo < hi`.
@@ -58,47 +52,15 @@ impl GateRun {
             hi: self.lo + self.stride + g,
         })
     }
-
-    /// Split the run into at most `chunks` disjoint sub-runs that cover
-    /// every gate exactly once, in execution order.
-    ///
-    /// The gates of a run are mutually independent (each touches a distinct
-    /// `(lo+g, lo+stride+g)` pair), so the sub-runs can execute
-    /// concurrently; concatenating the sub-runs' [`gates`](GateRun::gates)
-    /// reproduces this run's gate sequence exactly.  Sub-run sizes are
-    /// balanced: they differ by at most one gate.  `chunks` is clamped to
-    /// `[1, count]` — asking for more chunks than gates yields one
-    /// single-gate sub-run per gate, and `chunks = 0` is treated as 1.
-    pub fn partition(&self, chunks: usize) -> Vec<GateRun> {
-        let chunks = chunks.clamp(1, self.count.max(1));
-        let base = self.count / chunks;
-        let extra = self.count % chunks;
-        let mut parts = Vec::with_capacity(chunks);
-        let mut offset = 0;
-        for i in 0..chunks {
-            let take = base + usize::from(i < extra);
-            if take == 0 {
-                continue;
-            }
-            parts.push(GateRun {
-                lo: self.lo + offset,
-                stride: self.stride,
-                count: take,
-                descending: self.descending,
-            });
-            offset += take;
-        }
-        parts
-    }
 }
 
 /// A sorting network flattened into an iterative sequence of [`GateRun`]s.
 ///
-/// The serial sort driver walks the recursion in blocks and never stores
-/// its runs; the materialised form is what needs run *identity* — the
-/// parallel driver's wave leveling and the access-pattern checker.  At 32
-/// bytes per run and ≈ n·log₂ n runs it is not small: 48 MB at n = 10⁵,
-/// 578 MB at n = 10⁶.
+/// The sort driver walks the recursion in blocks and never stores its
+/// runs; the materialised form is for what needs run *identity* — the
+/// access-pattern checker and the kernel structure tests.  At 32 bytes per
+/// run and ≈ n·log₂ n runs it is not small: 48 MB at n = 10⁵, 578 MB at
+/// n = 10⁶.
 /// The flattened gate order is identical to the recursive schedule's
 /// ([`crate::sort::bitonic::schedule`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -133,75 +95,6 @@ impl RunSchedule {
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
-}
-
-/// Upper bound on distinct `(n, direction)` entries each registry level
-/// retains.  Requests beyond the cap still get a schedule — it just isn't
-/// memoised — so a workload cycling through many distinct input sizes
-/// cannot grow the registries without bound.
-const SCHEDULE_REGISTRY_CAP: usize = 64;
-
-/// Registry key `(n, descending)` → memoised schedule.
-type ScheduleMap = HashMap<(usize, bool), Arc<RunSchedule>>;
-
-thread_local! {
-    /// Per-thread front cache: a worker repeats parallel sorts of the same
-    /// length without taking any lock.
-    static THREAD_REGISTRY: RefCell<ScheduleMap> = RefCell::new(HashMap::new());
-}
-
-/// Process-wide second level, shared across threads.  Short-lived worker
-/// threads (the engine pool spawns a fresh scope per batch) start with an
-/// empty thread-local cache but find schedules already built by earlier
-/// batches here, behind a read lock taken once per sort.
-fn shared_registry() -> &'static RwLock<ScheduleMap> {
-    static SHARED: OnceLock<RwLock<ScheduleMap>> = OnceLock::new();
-    SHARED.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Look up `key` in the shared registry, building (and publishing) the
-/// schedule on a miss.
-fn shared_bitonic_runs(key: (usize, bool), n: usize, dir: Direction) -> Arc<RunSchedule> {
-    if let Some(sched) = shared_registry()
-        .read()
-        .expect("schedule registry poisoned")
-        .get(&key)
-    {
-        return Arc::clone(sched);
-    }
-    let sched = Arc::new(crate::sort::bitonic::run_schedule(n, dir));
-    let mut map = shared_registry()
-        .write()
-        .expect("schedule registry poisoned");
-    if map.len() < SCHEDULE_REGISTRY_CAP {
-        // A racing thread may have inserted meanwhile; keep the first.
-        return Arc::clone(map.entry(key).or_insert(sched));
-    }
-    sched
-}
-
-/// The bitonic network's [`RunSchedule`] for `n` elements sorted in
-/// direction `dir`, memoised per thread with a process-wide fallback.  Only
-/// the parallel sort driver (once it has decided to fork) and the
-/// access-pattern checker materialise schedules; the serial driver does not.
-///
-/// Schedules are pure functions of the *public* pair `(n, dir)`, so after
-/// first use the per-sort cost of the schedule drops to a thread-local
-/// hash lookup (no lock); a fresh thread pays one read-locked lookup to
-/// adopt schedules built by earlier threads.
-pub fn cached_bitonic_runs(n: usize, dir: Direction) -> Arc<RunSchedule> {
-    let key = (n, dir == Direction::Descending);
-    THREAD_REGISTRY.with(|registry| {
-        let mut map = registry.borrow_mut();
-        if let Some(sched) = map.get(&key) {
-            return Arc::clone(sched);
-        }
-        let sched = shared_bitonic_runs(key, n, dir);
-        if map.len() < SCHEDULE_REGISTRY_CAP {
-            map.insert(key, Arc::clone(&sched));
-        }
-        sched
-    })
 }
 
 /// The full schedule of a sorting network over `len` elements.
@@ -239,9 +132,8 @@ impl Schedule {
 
 /// Number of comparators in a bitonic sort of `n` elements: exactly the
 /// gate count of [`crate::sort::bitonic::run_schedule`]`(n, _)`, computed in
-/// `O(log² n)` without building it (the parallel sort driver asks before
-/// every sort whether the network is worth forking).  The closed form lives
-/// beside the network's recursion, in [`obliv_trace::network`].
+/// `O(log² n)` without building it.  The closed form lives beside the
+/// network's recursion, in [`obliv_trace::network`].
 pub fn bitonic_comparator_count(n: usize) -> u64 {
     obliv_trace::network::gate_count(n as u64, BlockOp::Sort)
 }
@@ -265,6 +157,7 @@ pub fn bitonic_comparator_estimate(n: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::Direction;
     use super::*;
 
     #[test]
@@ -369,75 +262,6 @@ mod tests {
                 assert!(r.lo + r.stride + r.count <= n, "n={n} run {r:?}");
             }
         }
-    }
-
-    #[test]
-    fn registry_memoises_per_length_and_direction() {
-        let a = cached_bitonic_runs(37, Direction::Ascending);
-        let b = cached_bitonic_runs(37, Direction::Ascending);
-        assert!(Arc::ptr_eq(&a, &b), "same (n, dir) shares one schedule");
-        let d = cached_bitonic_runs(37, Direction::Descending);
-        assert_eq!(a.gate_count(), d.gate_count());
-        // Directions differ per run, not in shape.
-        assert_eq!(a.runs().len(), d.runs().len());
-        assert!(a
-            .runs()
-            .iter()
-            .zip(d.runs())
-            .all(|(x, y)| x.descending != y.descending
-                && (x.lo, x.stride, x.count) == (y.lo, y.stride, y.count)));
-    }
-
-    #[test]
-    fn uncached_sizes_beyond_the_cap_still_get_schedules() {
-        // Drive well past the cap; every call must still return a correct
-        // schedule whether or not it was memoised.
-        for n in 1000..1000 + SCHEDULE_REGISTRY_CAP + 8 {
-            let sched = cached_bitonic_runs(n, Direction::Ascending);
-            assert_eq!(sched.gate_count(), bitonic_comparator_count(n), "n={n}");
-        }
-    }
-
-    #[test]
-    fn partition_covers_every_gate_exactly_once_in_order() {
-        let run = GateRun {
-            lo: 3,
-            stride: 8,
-            count: 7,
-            descending: true,
-        };
-        for chunks in [1usize, 2, 3, 4, 7, 9, 100] {
-            let parts = run.partition(chunks);
-            assert!(parts.len() <= chunks.max(1));
-            assert!(parts.iter().all(|p| p.stride == 8 && p.descending));
-            // Balanced: sizes differ by at most one gate.
-            let max = parts.iter().map(|p| p.count).max().unwrap();
-            let min = parts.iter().map(|p| p.count).min().unwrap();
-            assert!(max - min <= 1, "chunks={chunks}");
-            let flat: Vec<Gate> = parts.iter().flat_map(|p| p.gates()).collect();
-            let original: Vec<Gate> = run.gates().collect();
-            assert_eq!(flat, original, "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn partition_degenerate_inputs() {
-        let run = GateRun {
-            lo: 0,
-            stride: 4,
-            count: 1,
-            descending: false,
-        };
-        assert_eq!(run.partition(0), vec![run]);
-        assert_eq!(run.partition(1), vec![run]);
-        assert_eq!(run.partition(5), vec![run]);
-        let empty = GateRun {
-            lo: 0,
-            stride: 1,
-            count: 0,
-            descending: false,
-        };
-        assert!(empty.partition(3).is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use obliv_primitives::sort::network::bitonic_comparator_count;
 use obliv_primitives::sort::{bitonic, Direction};
-use obliv_primitives::{oblivious_expand, with_parallelism, Keyed, ParCtx, SerialExecutor};
+use obliv_primitives::{oblivious_expand, with_parallelism, Keyed, ParCtx, ScopedThreads};
 use obliv_trace::{AccessKind, CollectingSink, CountingSink, Tracer};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -123,15 +123,17 @@ fn flattened(n: usize, dir: Direction) -> Vec<(AccessKind, u64)> {
 fn sort_trace(
     input: &[u64],
     dir: Direction,
-    chunks: Option<usize>,
+    threads: Option<usize>,
 ) -> (Vec<u64>, Vec<(AccessKind, u64)>) {
     let tracer = Tracer::new(CollectingSink::new());
     let mut buf = tracer.alloc_from(input.to_vec());
-    match chunks {
+    match threads {
         None => bitonic::sort_by_key_dir(&mut buf, dir, |x| *x),
-        Some(chunks) => {
-            let ctx = ParCtx::new(Arc::new(SerialExecutor), chunks).with_min_gates_per_chunk(1);
-            with_parallelism(ctx, || bitonic::par_sort_by_key_dir(&mut buf, dir, |x| *x));
+        Some(threads) => {
+            let ctx = ParCtx::new(Arc::new(ScopedThreads), threads);
+            let stats = ctx.stats();
+            with_parallelism(ctx, || bitonic::sort_by_key_dir(&mut buf, dir, |x| *x));
+            assert!(stats.forks() > 0, "n={} threads={threads}", input.len());
         }
     }
     let accesses = tracer.with_sink(|s| s.accesses().iter().map(|a| (a.kind, a.index)).collect());
@@ -140,16 +142,27 @@ fn sort_trace(
 
 #[test]
 fn streamed_sort_trace_is_the_flattened_schedule_and_the_parallel_fold() {
-    for n in 0..200usize {
+    // Every n < 200 serially; the forked driver where it forks, around
+    // the cutoff and across a power of two.
+    let forking = [
+        bitonic::FORK_CELLS,
+        bitonic::FORK_CELLS + 1,
+        2 * bitonic::FORK_CELLS + 3,
+        10_007,
+    ];
+    for n in (0..200usize).chain(forking) {
         let input: Vec<u64> = (0..n as u64).map(|x| (x * 2_654_435_761) % 23).collect();
         for dir in [Direction::Ascending, Direction::Descending] {
             let expected = flattened(n, dir);
             let (sorted, serial) = sort_trace(&input, dir, None);
-            assert_eq!(serial, expected, "serial n={n} {dir:?}");
-            for chunks in [2, 4] {
-                let (par_sorted, parallel) = sort_trace(&input, dir, Some(chunks));
-                assert_eq!(parallel, expected, "n={n} {dir:?} chunks={chunks}");
-                assert_eq!(par_sorted, sorted, "n={n} {dir:?} chunks={chunks}");
+            assert!(serial == expected, "serial n={n} {dir:?}");
+            if n < bitonic::FORK_CELLS {
+                continue;
+            }
+            for threads in [2, 3, 4] {
+                let (par_sorted, parallel) = sort_trace(&input, dir, Some(threads));
+                assert!(parallel == expected, "n={n} {dir:?} threads={threads}");
+                assert_eq!(par_sorted, sorted, "n={n} {dir:?} threads={threads}");
             }
         }
     }

@@ -220,73 +220,6 @@ proptest! {
     }
 
     #[test]
-    fn partition_is_disjoint_and_covers_every_gate_exactly_once(
-        // Arbitrary run shape (odd sizes included) and chunk counts both
-        // below and far above the gate count.
-        (stride, count) in (1usize..64).prop_flat_map(|stride| (Just(stride), 0..=stride)),
-        chunks in 0usize..100,
-        lo in 0usize..32,
-        descending in any::<bool>(),
-    ) {
-        use obliv_primitives::sort::network::{Gate, GateRun};
-        let run = GateRun { lo, stride, count, descending };
-        let parts = run.partition(chunks);
-
-        // Every part is a valid sub-run of the original.
-        for p in &parts {
-            prop_assert!(p.count >= 1);
-            prop_assert!(p.count <= p.stride);
-            prop_assert_eq!(p.stride, stride);
-            prop_assert_eq!(p.descending, descending);
-            prop_assert!(p.lo >= lo && p.lo + p.count <= lo + count);
-        }
-        // At most `chunks` parts, balanced to within one gate.
-        prop_assert!(parts.len() <= chunks.max(1));
-        if parts.len() > 1 {
-            let max = parts.iter().map(|p| p.count).max().unwrap();
-            let min = parts.iter().map(|p| p.count).min().unwrap();
-            prop_assert!(max - min <= 1);
-        }
-        // Disjoint cover, in order: concatenating the parts' gates
-        // reproduces the run's gate sequence exactly (so no gate is lost,
-        // duplicated, or reordered).
-        let flat: Vec<Gate> = parts.iter().flat_map(|p| p.gates()).collect();
-        let original: Vec<Gate> = run.gates().collect();
-        prop_assert_eq!(flat, original);
-        // Gate mass — and therefore the per-run comparison count the
-        // parallel driver books — is preserved.
-        let total: usize = parts.iter().map(|p| p.count).sum();
-        prop_assert_eq!(total, count);
-    }
-
-    #[test]
-    fn partitioned_parallel_sort_is_trace_identical_to_serial(
-        values in prop::collection::vec(any::<u64>(), 0..=96),
-        chunks in 1usize..10,
-        descending in any::<bool>(),
-    ) {
-        use obliv_primitives::{with_parallelism, ParCtx, SerialExecutor};
-        use std::sync::Arc;
-
-        let dir = if descending { Direction::Descending } else { Direction::Ascending };
-        let serial = Tracer::new(CollectingSink::new());
-        let mut sbuf = serial.alloc_from(values.clone());
-        bitonic::sort_by_key_dir(&mut sbuf, dir, |x| *x);
-
-        let parallel = Tracer::new(CollectingSink::new());
-        let mut pbuf = parallel.alloc_from(values);
-        let ctx = ParCtx::new(Arc::new(SerialExecutor), chunks).with_min_gates_per_chunk(1);
-        with_parallelism(ctx, || bitonic::par_sort_by_key_dir(&mut pbuf, dir, |x| *x));
-
-        prop_assert_eq!(pbuf.as_slice(), sbuf.as_slice());
-        prop_assert_eq!(
-            parallel.with_sink(|s| s.accesses().to_vec()),
-            serial.with_sink(|s| s.accesses().to_vec())
-        );
-        prop_assert_eq!(parallel.counters(), serial.counters());
-    }
-
-    #[test]
     fn comparison_counts_are_input_independent(
         a in prop::collection::vec(any::<u64>(), 1..150),
         seed in any::<u64>(),
@@ -299,5 +232,40 @@ proptest! {
             tracer.counters()
         };
         prop_assert_eq!(count(a), count(b));
+    }
+}
+
+proptest! {
+    // Sorts of ten thousand cells and more: fewer cases than above.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn partitioned_parallel_sort_is_trace_identical_to_serial(
+        values in prop::collection::vec(0u64..64, bitonic::FORK_CELLS - 1..=2 * bitonic::FORK_CELLS + 3),
+        threads in 2usize..9,
+        descending in any::<bool>(),
+    ) {
+        use obliv_primitives::{with_parallelism, ParCtx, ScopedThreads};
+        use std::sync::Arc;
+
+        // Few distinct keys and a start position riding along: equal rows
+        // mean the same permutation, ties included.
+        let rows: Vec<(u64, u64)> = values.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
+        let dir = if descending { Direction::Descending } else { Direction::Ascending };
+        let sort = |ctx: Option<ParCtx>| {
+            let tracer = Tracer::new(HashingSink::new());
+            let mut buf = tracer.alloc_from(rows.clone());
+            match ctx {
+                Some(ctx) => with_parallelism(ctx, || bitonic::sort_by_key_dir(&mut buf, dir, |r| r.0)),
+                None => bitonic::sort_by_key_dir(&mut buf, dir, |r| r.0),
+            }
+            let (digest, events) = tracer.with_sink(|s| (s.digest(), s.events()));
+            (buf.into_vec(), digest, events, tracer.counters())
+        };
+        let ctx = ParCtx::new(Arc::new(ScopedThreads), threads);
+        let stats = ctx.stats();
+        let forked = sort(Some(ctx));
+        prop_assert_eq!(forked, sort(None));
+        prop_assert_eq!(stats.forks() > 0, values.len() >= bitonic::FORK_CELLS);
     }
 }

@@ -56,7 +56,6 @@ mod counters;
 pub mod network;
 pub mod sha256;
 mod sink;
-mod subtrace;
 mod tracer;
 mod tracked;
 
@@ -66,7 +65,6 @@ pub use network::BlockOp;
 pub use sink::{
     AccessTotals, CollectingSink, CountingSink, HashingSink, NullSink, TeeSink, TraceSink,
 };
-pub use subtrace::{SubEvent, SubTrace};
 pub use tracer::Tracer;
 pub use tracked::TrackedBuffer;
 

@@ -7,7 +7,6 @@ use crate::access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
 use crate::counters::OpCounters;
 use crate::network::{self, BlockOp};
 use crate::sink::TraceSink;
-use crate::subtrace::{SubEvent, SubTrace};
 use crate::tracked::TrackedBuffer;
 
 /// Shared recording state for one logical program run.
@@ -145,9 +144,7 @@ impl<S: TraceSink> Tracer<S> {
     /// Record an elementwise read-modify-write sweep of `[start,
     /// start+count)` — one coalesced read run followed by one coalesced
     /// write run, in a single sink transaction (called by
-    /// [`TrackedBuffer::rw_run_mut`] and by [`fold_subtraces`]).
-    ///
-    /// [`fold_subtraces`]: Tracer::fold_subtraces
+    /// [`TrackedBuffer::rw_run_mut`]).
     #[inline]
     pub(crate) fn record_rw_runs(&self, array: ArrayId, start: u64, count: u64) {
         if count == 0 {
@@ -186,81 +183,6 @@ impl<S: TraceSink> Tracer<S> {
         inner.counters.comparisons += gates;
         inner.counters.compare_exchanges += gates;
         inner.sink.record_block(array, lo, n, desc, op);
-    }
-
-    /// Fold the trace fragments of a partitioned parallel pass back into
-    /// this tracer, reproducing the serial emission bit-for-bit.
-    ///
-    /// `parts` must be supplied **in schedule order** (partition 0 of the
-    /// pass first, then partition 1, …).  Adjacent fragments whose composite
-    /// events are contiguous — an [`SubEvent::Exchange`] continuing the
-    /// previous one at the same stride, or an [`SubEvent::Rw`] continuing
-    /// the previous sweep — coalesce into a single whole-pass event before
-    /// emission, so a pass that the serial driver records as one
-    /// `record_exchange_runs` (or one read run + one write run) is recorded
-    /// identically here no matter how many partitions executed it.
-    ///
-    /// A *misordered* fold fails to coalesce: the fragments are emitted as
-    /// separate, out-of-order runs, the expanded access stream differs from
-    /// the serial walk, and every digest or checker downstream rejects it.
-    /// That failure mode is deliberate — correctness of the fold order is
-    /// part of what the obliviousness checkers certify.
-    ///
-    /// Counter deltas accumulated by the partitions are summed into this
-    /// tracer's [`OpCounters`].
-    pub fn fold_subtraces(&self, array: ArrayId, parts: impl IntoIterator<Item = SubTrace>) {
-        let mut pending: Option<SubEvent> = None;
-        let mut folded = OpCounters::zero();
-        for part in parts {
-            folded = folded + part.counters();
-            for &event in part.events() {
-                pending = match (pending, event) {
-                    (None, e) => Some(e),
-                    (
-                        Some(SubEvent::Exchange { lo, stride, count }),
-                        SubEvent::Exchange {
-                            lo: lo2,
-                            stride: stride2,
-                            count: count2,
-                        },
-                    ) if stride2 == stride && lo2 == lo + count => Some(SubEvent::Exchange {
-                        lo,
-                        stride,
-                        count: count + count2,
-                    }),
-                    (
-                        Some(SubEvent::Rw { start, count }),
-                        SubEvent::Rw {
-                            start: start2,
-                            count: count2,
-                        },
-                    ) if start2 == start + count => Some(SubEvent::Rw {
-                        start,
-                        count: count + count2,
-                    }),
-                    (Some(prev), e) => {
-                        self.emit_subevent(array, prev);
-                        Some(e)
-                    }
-                };
-            }
-        }
-        if let Some(prev) = pending {
-            self.emit_subevent(array, prev);
-        }
-        let mut inner = self.inner.borrow_mut();
-        inner.counters = inner.counters + folded;
-    }
-
-    fn emit_subevent(&self, array: ArrayId, event: SubEvent) {
-        match event {
-            SubEvent::Exchange { lo, stride, count } => {
-                self.record_exchange_runs(array, lo, stride, count);
-            }
-            SubEvent::Rw { start, count } => {
-                self.record_rw_runs(array, start, count);
-            }
-        }
     }
 
     /// Current snapshot of the operation counters.
@@ -394,93 +316,5 @@ mod tests {
         let clone = tracer.clone();
         clone.bump_linear_steps(4);
         assert_eq!(tracer.counters().linear_steps, 4);
-    }
-
-    fn collected(tracer: &Tracer<CollectingSink>) -> Vec<(AccessKind, u64)> {
-        tracer.with_sink(|s| s.accesses().iter().map(|a| (a.kind, a.index)).collect())
-    }
-
-    #[test]
-    fn folded_exchange_partitions_match_serial_paired_run() {
-        // Serial reference: one 4-gate run at lo=0, stride=4.
-        let serial = Tracer::new(CollectingSink::new());
-        let mut sbuf = serial.alloc::<u64>(8);
-        serial.bump_comparisons(4);
-        let _ = sbuf.paired_run_mut(0, 4, 4);
-
-        // Parallel: the same run split into two 2-gate partitions, folded
-        // back in schedule order.
-        let parallel = Tracer::new(CollectingSink::new());
-        let pbuf = parallel.alloc::<u64>(8);
-        let mut p0 = crate::subtrace::SubTrace::new();
-        p0.bump_comparisons(2);
-        p0.record_exchange(0, 4, 2);
-        let mut p1 = crate::subtrace::SubTrace::new();
-        p1.bump_comparisons(2);
-        p1.record_exchange(2, 4, 2);
-        parallel.fold_subtraces(pbuf.id(), [p0, p1]);
-
-        assert_eq!(collected(&serial), collected(&parallel));
-        assert_eq!(serial.counters(), parallel.counters());
-    }
-
-    #[test]
-    fn misordered_fold_diverges_from_serial() {
-        let serial = Tracer::new(CollectingSink::new());
-        let mut sbuf = serial.alloc::<u64>(8);
-        let _ = sbuf.paired_run_mut(0, 4, 4);
-
-        let parallel = Tracer::new(CollectingSink::new());
-        let pbuf = parallel.alloc::<u64>(8);
-        let mut p0 = crate::subtrace::SubTrace::new();
-        p0.record_exchange(0, 4, 2);
-        let mut p1 = crate::subtrace::SubTrace::new();
-        p1.record_exchange(2, 4, 2);
-        // Deliberately folded out of schedule order.
-        parallel.fold_subtraces(pbuf.id(), [p1, p0]);
-
-        assert_ne!(collected(&serial), collected(&parallel));
-    }
-
-    #[test]
-    fn folded_rw_partitions_match_serial_sweep() {
-        let serial = Tracer::new(CollectingSink::new());
-        let mut sbuf = serial.alloc::<u64>(6);
-        serial.bump_linear_steps(6);
-        let _ = sbuf.rw_run_mut(0, 6);
-
-        let parallel = Tracer::new(CollectingSink::new());
-        let pbuf = parallel.alloc::<u64>(6);
-        let parts: Vec<crate::subtrace::SubTrace> = [(0u64, 2u64), (2, 2), (4, 2)]
-            .iter()
-            .map(|&(start, count)| {
-                let mut st = crate::subtrace::SubTrace::new();
-                st.record_rw(start, count);
-                st.bump_linear_steps(count);
-                st
-            })
-            .collect();
-        parallel.fold_subtraces(pbuf.id(), parts);
-
-        assert_eq!(collected(&serial), collected(&parallel));
-        assert_eq!(serial.counters(), parallel.counters());
-    }
-
-    #[test]
-    fn fold_keeps_distinct_passes_separate() {
-        // Two different runs (different strides) must not coalesce even when
-        // positionally adjacent.
-        let tracer = Tracer::new(CollectingSink::new());
-        let buf = tracer.alloc::<u64>(8);
-        let mut p0 = crate::subtrace::SubTrace::new();
-        p0.record_exchange(0, 2, 2);
-        p0.record_exchange(4, 1, 1);
-        tracer.fold_subtraces(buf.id(), [p0]);
-
-        let reference = Tracer::new(CollectingSink::new());
-        let mut rbuf = reference.alloc::<u64>(8);
-        let _ = rbuf.paired_run_mut(0, 2, 2);
-        let _ = rbuf.paired_run_mut(4, 1, 1);
-        assert_eq!(collected(&tracer), collected(&reference));
     }
 }

@@ -181,10 +181,11 @@ impl<T: Copy, S: TraceSink> TrackedBuffer<T, S> {
     ///
     /// The caller must execute the gates of
     /// [`network::for_each_run`](crate::network::for_each_run)`(lo, n,
-    /// descending, op)`, in that order, each one reading both its cells
-    /// into local memory and writing both back (the event's per-element
-    /// expansion claims exactly that), and must not bump the comparison
-    /// counter for them again.  `lo`, `n`, the direction and the kind have
+    /// descending, op)` — before or after this call; the sort driver has
+    /// run them when it records the block — each one reading both its
+    /// cells into local memory and writing both back (the event's
+    /// per-element expansion claims exactly that), and must not bump the
+    /// comparison counter for them again.  `lo`, `n`, the direction and the kind have
     /// to be functions of public parameters only — the sort driver takes
     /// them from the array length by a fixed recursion — because they are
     /// what the trace shows of the sub-network.
@@ -198,19 +199,16 @@ impl<T: Copy, S: TraceSink> TrackedBuffer<T, S> {
         &mut self.data[lo..lo + n]
     }
 
-    /// Out-of-model mutable access to the whole array, for parallel
-    /// staging.
+    /// Out-of-model mutable access to the whole array.
     ///
-    /// Intra-query parallel drivers copy disjoint windows out to worker
-    /// scratch and copy the results back through this view; the traced
-    /// events for the pass are emitted separately — by
-    /// [`Tracer::fold_subtraces`] for a partitioned pass, by a trace-only
-    /// walk of the network for a sort — exactly as the serial walk would
-    /// have emitted them.  Like [`as_slice`](TrackedBuffer::as_slice), this
-    /// is **not** part of the oblivious programming model and records
-    /// nothing; algorithm code must pair it with an emission that accounts
-    /// for every access.
-    pub fn staging_mut(&mut self) -> &mut [T] {
+    /// The sort driver runs a network's gates over this view — serially or
+    /// on several threads — and then records the network's trace by a walk
+    /// of the same network ([`block_mut`](TrackedBuffer::block_mut),
+    /// [`paired_run_mut`](TrackedBuffer::paired_run_mut)).  Like
+    /// [`as_slice`](TrackedBuffer::as_slice), this is **not** part of the
+    /// oblivious programming model and records nothing; algorithm code must
+    /// pair it with an emission that accounts for every access.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 

@@ -9,14 +9,15 @@
 //! claims to have executed, confirm that the stream is exactly the serial
 //! reference walk of that schedule.
 //!
-//! This is what keeps the intra-query parallel sort honest: partitions
-//! buffer their accesses as
-//! [`SubTrace`](obliv_trace::SubTrace) fragments and fold them
-//! back in schedule order, and the folded stream must be indistinguishable
-//! from the serial walk.  A *correctly* folded parallel trace passes this
-//! checker; a fold applied out of order emits its runs at the wrong
-//! offsets and is rejected at the first diverging access — the regression
-//! tests below pin both directions.
+//! The schedules are the real sort's own ([`bitonic::run_schedule`] walks
+//! the recursion the sort executes), and the tests below run the real
+//! executor, serially and forked across threads: a forked sort runs its
+//! gates on several threads and records its trace afterwards by one walk of
+//! the network, and that stream must be indistinguishable from the serial
+//! one.  A stream with runs missing, duplicated or out of place is rejected
+//! at the first diverging access.
+//!
+//! [`bitonic::run_schedule`]: obliv_primitives::sort::bitonic::run_schedule
 
 use obliv_primitives::sort::network::RunSchedule;
 use obliv_trace::{Access, ArrayId};
@@ -67,8 +68,8 @@ impl std::error::Error for AccessCheckError {}
 
 /// The serial reference walk of `schedule` over `array`: for every gate
 /// run, a read run over each of its two windows followed by a write run
-/// over each — the exact emission order of the serial sort driver (and of
-/// a correctly folded parallel execution).
+/// over each — the exact emission order of the sort driver, forked or
+/// not.
 pub fn expected_sort_accesses(array: ArrayId, schedule: &RunSchedule) -> Vec<Access> {
     let mut expected = Vec::with_capacity(4 * schedule.gate_count() as usize);
     for run in schedule.runs() {
@@ -121,27 +122,30 @@ pub fn check_sort_accesses(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obliv_primitives::sort::network::cached_bitonic_runs;
-    use obliv_primitives::sort::{bitonic, Direction};
-    use obliv_primitives::{with_parallelism, ParCtx, SerialExecutor};
-    use obliv_trace::{CollectingSink, SubTrace, Tracer};
+    use obliv_primitives::sort::bitonic::{self, run_schedule, FORK_CELLS};
+    use obliv_primitives::sort::Direction;
+    use obliv_primitives::{with_parallelism, ParCtx, ScopedThreads};
+    use obliv_trace::{CollectingSink, Tracer};
     use std::sync::Arc;
 
     const N: usize = 32;
 
-    fn input() -> Vec<u64> {
-        (0..N as u64).map(|i| (i * 29) % 17).collect()
+    fn input(n: usize) -> Vec<u64> {
+        (0..n as u64).map(|i| (i * 29) % 17).collect()
     }
 
     /// Accesses recorded while sorting only (the allocation is an event,
-    /// not an access, so the stream is purely the sort's).
-    fn sorted_accesses(par_chunks: Option<usize>) -> Vec<Access> {
+    /// not an access, so the stream is purely the sort's), forked over
+    /// `threads` threads when given.
+    fn sorted_accesses(n: usize, threads: Option<usize>) -> Vec<Access> {
         let tracer = Tracer::new(CollectingSink::new());
-        let mut buf = tracer.alloc_from(input());
-        match par_chunks {
-            Some(chunks) => {
-                let ctx = ParCtx::new(Arc::new(SerialExecutor), chunks).with_min_gates_per_chunk(1);
-                with_parallelism(ctx, || bitonic::par_sort_by_key(&mut buf, |v: &u64| *v));
+        let mut buf = tracer.alloc_from(input(n));
+        match threads {
+            Some(threads) => {
+                let ctx = ParCtx::new(Arc::new(ScopedThreads), threads);
+                let stats = ctx.stats();
+                with_parallelism(ctx, || bitonic::sort_by_key(&mut buf, |v: &u64| *v));
+                assert!(stats.forks() > 0, "n={n} forks");
             }
             None => bitonic::sort_by_key(&mut buf, |v| *v),
         }
@@ -150,88 +154,45 @@ mod tests {
 
     #[test]
     fn serial_sort_trace_is_the_reference_walk() {
-        let schedule = cached_bitonic_runs(N, Direction::Ascending);
-        let accesses = sorted_accesses(None);
+        let schedule = run_schedule(N, Direction::Ascending);
+        let accesses = sorted_accesses(N, None);
         let array = accesses[0].array;
         check_sort_accesses(array, &schedule, &accesses).expect("serial walk is the reference");
     }
 
     #[test]
-    fn folded_parallel_sort_trace_passes() {
-        let schedule = cached_bitonic_runs(N, Direction::Ascending);
-        for chunks in [2usize, 4, 8] {
-            let accesses = sorted_accesses(Some(chunks));
-            let array = accesses[0].array;
-            check_sort_accesses(array, &schedule, &accesses)
-                .unwrap_or_else(|e| panic!("chunks={chunks}: {e}"));
+    fn forked_sort_trace_is_the_reference_walk() {
+        let schedule = run_schedule(FORK_CELLS, Direction::Ascending);
+        let expected = expected_sort_accesses(ArrayId(0), &schedule);
+        for threads in [2usize, 4] {
+            let accesses = sorted_accesses(FORK_CELLS, Some(threads));
+            check_against_reference(&expected, &accesses)
+                .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
         }
     }
 
     #[test]
-    fn misordered_fold_is_rejected() {
-        // Replay the first run of the real schedule from two partition
-        // fragments folded in the WRONG order; the emitted runs land at
-        // the wrong offsets and the checker pins the first divergence.
-        let schedule = cached_bitonic_runs(N, Direction::Ascending);
-        let run = *schedule
-            .runs()
-            .iter()
-            .find(|r| r.count >= 2)
-            .expect("a 32-element network has multi-gate runs");
-        let parts = run.partition(2);
-
-        let fold = |reversed: bool| {
-            let tracer = Tracer::new(CollectingSink::new());
-            let buf = tracer.alloc_from(input());
-            let mut frags: Vec<SubTrace> = parts
-                .iter()
-                .map(|p| {
-                    let mut st = SubTrace::new();
-                    st.record_exchange(p.lo as u64, p.stride as u64, p.count as u64);
-                    st
-                })
-                .collect();
-            if reversed {
-                frags.reverse();
-            }
-            tracer.fold_subtraces(buf.id(), frags);
-            tracer.with_sink(|s| s.accesses().to_vec())
-        };
-
-        // Reference: the serial walk of just this run.
-        let expected: Vec<Access> = {
-            let array = ArrayId(0);
-            let (lo, hi, count) = (
-                run.lo as u64,
-                (run.lo + run.stride) as u64,
-                run.count as u64,
-            );
-            let mut v = Vec::new();
-            for start in [lo, hi] {
-                v.extend((start..start + count).map(|i| Access::read(array, i)));
-            }
-            for start in [lo, hi] {
-                v.extend((start..start + count).map(|i| Access::write(array, i)));
-            }
-            v
-        };
-
-        let good = fold(false);
-        check_against_reference(&expected, &good).expect("in-order fold matches the serial walk");
-
-        let bad = fold(true);
-        let err = check_against_reference(&expected, &bad)
-            .expect_err("a misordered fold must be rejected");
-        assert!(
-            matches!(err, AccessCheckError::Divergence { .. }),
-            "same length, wrong offsets: {err}"
-        );
+    fn misplaced_runs_are_a_divergence() {
+        // The real stream with two of its runs swapped: same length, the
+        // first access of the earlier run now out of place.
+        let schedule = run_schedule(N, Direction::Ascending);
+        let mut accesses = sorted_accesses(N, None);
+        let array = accesses[0].array;
+        let runs = schedule.runs();
+        let first = 4 * runs[0].count;
+        let second = 4 * runs[1].count;
+        assert_eq!(first, second, "the first two runs are single-gate sorts");
+        accesses[..first + second].rotate_left(first);
+        assert!(matches!(
+            check_sort_accesses(array, &schedule, &accesses),
+            Err(AccessCheckError::Divergence { at: 0, .. })
+        ));
     }
 
     #[test]
     fn missing_runs_are_a_length_mismatch() {
-        let schedule = cached_bitonic_runs(N, Direction::Ascending);
-        let accesses = sorted_accesses(None);
+        let schedule = run_schedule(N, Direction::Ascending);
+        let accesses = sorted_accesses(N, None);
         let array = accesses[0].array;
         let truncated = &accesses[..accesses.len() - 4];
         assert!(matches!(

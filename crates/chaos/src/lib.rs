@@ -359,13 +359,9 @@ pub mod points {
     /// Connection handler, before writing a response frame.  `Torn` writes
     /// a partial frame and then drops the connection.
     pub const SERVER_WRITE: &str = "server/write";
-    /// Batcher thread, inside the panic isolation barrier (`Panic`
-    /// exercises the re-run cascade; `Delay` = slow batch).  Reached only
-    /// by queries that execute: a result-cache hit is answered on the
-    /// handler thread, behind `server/handle` but never in a batch.
-    pub const SERVER_BATCHER: &str = "server/batcher";
-    /// Engine worker, at job start (`Panic` = worker panic, `Delay` =
-    /// artificially slow job).
+    /// Engine job start, on a pool worker or inline on the submitting
+    /// thread — a server's connection handler for every wire query
+    /// (`Panic` = worker panic, `Delay` = artificially slow job).
     pub const ENGINE_WORKER: &str = "engine/worker";
     /// One branch of a forked sort, at its start (`Panic` = failed
     /// branch, `Delay` = straggler).
@@ -474,11 +470,11 @@ mod tests {
     #[test]
     fn first_matching_rule_wins() {
         let faults = FaultPlan::new()
-            .once(points::SERVER_BATCHER, Fault::Panic)
-            .with_probability(points::SERVER_BATCHER, 1000, Fault::Error)
+            .once(points::SERVER_HANDLE, Fault::Panic)
+            .with_probability(points::SERVER_HANDLE, 1000, Fault::Error)
             .build();
-        assert_eq!(faults.hit(points::SERVER_BATCHER), Some(Fault::Panic));
+        assert_eq!(faults.hit(points::SERVER_HANDLE), Some(Fault::Panic));
         // After the window passes, the 1000‰ rule fires every time.
-        assert_eq!(faults.hit(points::SERVER_BATCHER), Some(Fault::Error));
+        assert_eq!(faults.hit(points::SERVER_HANDLE), Some(Fault::Error));
     }
 }

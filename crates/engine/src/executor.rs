@@ -173,21 +173,6 @@ pub trait QueryExecutor: Send + Sync + std::fmt::Debug {
     /// Execute a batch of requests; responses in submission order.
     fn execute_batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, EngineError>;
 
-    /// Check that `request` would resolve — name resolution plus schema
-    /// validation — without executing anything.
-    fn validate(&self, request: &QueryRequest) -> Result<(), EngineError>;
-
-    /// Answer `request` iff that needs no execution: the response
-    /// [`execute_batch`](QueryExecutor::execute_batch) would give it from a
-    /// result cache, accounted as that hit — or `None`, and nothing
-    /// happened.  A transport may call this on the thread that read the
-    /// request, skipping its hand-off to whatever executes batches.  The
-    /// default has no such answer.
-    fn cached(&self, request: &QueryRequest) -> Option<QueryResponse> {
-        let _ = request;
-        None
-    }
-
     /// Cumulative result-cache accounting (aggregated over shards for a
     /// sharded executor).
     fn cache_stats(&self) -> CacheStats;
@@ -212,14 +197,6 @@ pub trait QueryExecutor: Send + Sync + std::fmt::Debug {
 impl QueryExecutor for Engine {
     fn execute_batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, EngineError> {
         Engine::execute_batch(self, requests)
-    }
-
-    fn validate(&self, request: &QueryRequest) -> Result<(), EngineError> {
-        Engine::validate(self, request)
-    }
-
-    fn cached(&self, request: &QueryRequest) -> Option<QueryResponse> {
-        Engine::cached(self, request)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -514,9 +491,9 @@ pub struct Engine {
     workers: usize,
     /// The resident worker pool (empty — no threads — for a 1-worker
     /// engine, whose batches run inline on the calling thread).  Jobs
-    /// yield `Err(label)` when the request's deadline expired before the
-    /// worker could start it.
-    pool: WorkerPool<Result<Executed, String>>,
+    /// yield `None` when the request's deadline expired before the worker
+    /// could start it.
+    pool: WorkerPool<Option<Executed>>,
     /// Threads one query's sorts may fork across
     /// ([`EngineConfig::intra_query_threads`]).
     intra_query_threads: usize,
@@ -570,7 +547,7 @@ impl Engine {
             ),
         };
         // A 1-worker engine executes inline; don't park an idle thread.
-        let pool: WorkerPool<Result<Executed, String>> =
+        let pool: WorkerPool<Option<Executed>> =
             WorkerPool::new(if workers > 1 { workers } else { 0 }, Some(pool_metrics));
         let intra_query_threads = config.intra_query_threads.max(1);
         Engine {
@@ -601,8 +578,8 @@ impl Engine {
     }
 
     /// The engine's metrics registry.  Shared (`Arc`) so other layers —
-    /// the network server registers its connection and batcher series here
-    /// — contribute to one process-wide snapshot.
+    /// the network server registers its connection and request series
+    /// here — contribute to one process-wide snapshot.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
@@ -904,26 +881,21 @@ impl Engine {
         let fresh_slots: Vec<usize> = jobs.iter().map(|job| job.slot).collect();
         let mut executed: Vec<Option<(Executed, Instant)>> = Vec::new();
         executed.resize_with(representative.len(), || None);
+        // The worker-start deadline check uses the slot's representative
+        // request; admission already covered every duplicate individually.
+        let deadline_of = |slot: usize| requests[representative[slot]].deadline();
+        let expired = |slot: usize| {
+            self.metrics.deadline_exceeded.inc();
+            EngineError::DeadlineExceeded {
+                label: requests[representative[slot]].label.clone(),
+            }
+        };
         if parallel && self.pool.workers() > 0 && jobs.len() > 1 {
             let (reply_tx, reply_rx) = mpsc::channel();
             self.pool.submit(
                 jobs.into_iter().map(|FreshJob { slot, plan, shape }| {
-                    // The worker-start deadline check uses the slot's
-                    // representative request; admission already covered
-                    // every duplicate individually.
-                    let rep = &requests[representative[slot]];
-                    let label = rep.label.clone();
-                    let deadline = rep.deadline();
-                    let faults = self.faults.clone();
-                    let par = self.par_ctx();
-                    let memo = self.digest_memo.clone();
-                    let task: PoolTask<Result<Executed, String>> = Box::new(move |wait| {
-                        consult_worker_faults(&faults);
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            return Err(label);
-                        }
-                        Ok(Engine::run_plan(&plan, &shape, &memo, wait, par))
-                    });
+                    let task: PoolTask<Option<Executed>> =
+                        Box::new(self.job(plan, shape, deadline_of(slot)));
                     (slot, task)
                 }),
                 &reply_tx,
@@ -937,40 +909,25 @@ impl Engine {
             // the end (letting sibling jobs finish cleanly) and then fails
             // the batch before anything is finalised.
             drop(reply_tx);
-            let mut expired: Option<String> = None;
+            let mut first_expired: Option<usize> = None;
             for (slot, entry) in reply_rx.iter().take(fresh_slots.len()) {
                 match entry {
-                    Ok(Ok(entry)) => executed[slot] = Some((entry, Instant::now())),
-                    Ok(Err(label)) => {
-                        if expired.is_none() {
-                            expired = Some(label);
-                        }
+                    Ok(Some(entry)) => executed[slot] = Some((entry, Instant::now())),
+                    Ok(None) => {
+                        first_expired.get_or_insert(slot);
                     }
                     Err(cause) => std::panic::resume_unwind(cause),
                 }
             }
-            if let Some(label) = expired {
-                self.metrics.deadline_exceeded.inc();
-                return Err(EngineError::DeadlineExceeded { label });
+            if let Some(slot) = first_expired {
+                return Err(expired(slot));
             }
         } else {
             for FreshJob { slot, plan, shape } in jobs {
-                consult_worker_faults(&self.faults);
-                let rep = &requests[representative[slot]];
-                if rep.deadline().is_some_and(|d| Instant::now() >= d) {
-                    self.metrics.deadline_exceeded.inc();
-                    return Err(EngineError::DeadlineExceeded {
-                        label: rep.label.clone(),
-                    });
+                match self.job(plan, shape, deadline_of(slot))(Duration::ZERO) {
+                    Some(entry) => executed[slot] = Some((entry, Instant::now())),
+                    None => return Err(expired(slot)),
                 }
-                let entry = Engine::run_plan(
-                    &plan,
-                    &shape,
-                    &self.digest_memo,
-                    Duration::ZERO,
-                    self.par_ctx(),
-                );
-                executed[slot] = Some((entry, Instant::now()));
             }
         }
 
@@ -1105,6 +1062,28 @@ impl Engine {
         Ok(responses)
     }
 
+    /// The body of one fresh job, the same on a pool worker (called with
+    /// its queue wait) and inline (called with `Duration::ZERO`): the
+    /// `engine/worker` injection point, the worker-start deadline check,
+    /// then the traced execution.  `None` iff `deadline` had passed.
+    fn job(
+        &self,
+        plan: ResolvedPlan,
+        shape: String,
+        deadline: Option<Instant>,
+    ) -> impl FnOnce(Duration) -> Option<Executed> + Send + 'static {
+        let faults = self.faults.clone();
+        let par = self.par_ctx();
+        let memo = Arc::clone(&self.digest_memo);
+        move |wait| {
+            consult_worker_faults(&faults);
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            Some(Engine::run_plan(&plan, &shape, &memo, wait, par))
+        }
+    }
+
     /// Fan one payload out to `request` under its own label, accounting it
     /// as a hit (`cached`: a cache hit or an intra-batch duplicate) or as
     /// the miss that executed it.
@@ -1126,36 +1105,6 @@ impl Engine {
             cached,
             trace: Arc::clone(&entry.trace),
         }
-    }
-
-    /// Answer `request` from the result cache if the current catalog epoch
-    /// has its plan — the probe and the hit response of
-    /// [`execute_batch`](Engine::execute_batch), for one request, with no
-    /// batch formed: same rows, summary and span tree, `cached: true`, the
-    /// same hit counters.  `None` (and no side effect) on a miss, a stale
-    /// epoch or a disabled cache; deadlines are not consulted, a hit takes
-    /// no time worth budgeting.
-    pub fn cached(&self, request: &QueryRequest) -> Option<QueryResponse> {
-        let cache = self.result_cache.as_ref()?;
-        let key = request.canonical();
-        let entry = {
-            let catalog = self.catalog.read().expect("catalog lock poisoned");
-            let cache = cache.lock().expect("result cache lock poisoned");
-            cache.get(key, catalog.epoch())?
-        };
-        Some(self.respond(request, &entry, true))
-    }
-
-    /// Check that a request would resolve against the current catalog —
-    /// name resolution plus full schema validation — without executing
-    /// anything.  Cheap (table clones are `Arc` bumps) and read-only.
-    ///
-    /// The network server uses this to pick the offending requests out of
-    /// a failed mixed-tenant batch so the valid remainder can re-run as
-    /// one parallel batch.
-    pub fn validate(&self, request: &QueryRequest) -> Result<(), EngineError> {
-        let catalog = self.catalog.read().expect("catalog lock poisoned");
-        request.plan().resolve(&catalog).map(|_| ())
     }
 
     /// Execute `query` (with or without a leading `EXPLAIN ANALYZE` verb)
@@ -1346,9 +1295,9 @@ mod tests {
         let engine = engine(2);
         assert_eq!(engine.pool.workers(), 2);
         assert_eq!(engine.pool.spawned(), 0, "construction parks no thread");
-        // Neither does validating, nor a batch with a single distinct plan
-        // (it runs inline on the caller).
-        engine.validate(&requests()[0]).unwrap();
+        // Neither does a catalog read, nor a batch with a single distinct
+        // plan (it runs inline on the caller).
+        assert!(engine.table_meta("orders").is_some());
         engine.execute_batch(&requests()[..1]).unwrap();
         assert_eq!(engine.pool.spawned(), 0);
         // Two distinct misses go to the pool, which starts its workers.
@@ -1437,48 +1386,6 @@ mod tests {
             (miss.rows.len() * miss.rows.schema().row_width()) as u64
         );
         assert_eq!(stats.evictions, 0);
-    }
-
-    /// `cached` is the batch's hit for one request — same payload, same
-    /// hit counters, no batch counted — and answers nothing else.
-    #[test]
-    fn cached_probe_answers_exactly_what_a_warm_batch_would() {
-        let engine = engine(2);
-        let request = &requests()[..1];
-        assert!(engine.cached(&request[0]).is_none(), "cold: a miss");
-        assert_eq!(engine.cache_stats(), CacheStats::default());
-        let miss = engine.execute_batch(request).unwrap().pop().unwrap();
-        let batches = |e: &Engine| e.metrics().snapshot().counter("engine_batches_total", &[]);
-        let before = batches(&engine);
-
-        let relabelled = QueryRequest::new("other", request[0].plan().clone());
-        let hit = engine.cached(&relabelled).expect("primed");
-        let batch_hit = engine.execute_batch(request).unwrap().pop().unwrap();
-        assert!(hit.cached && batch_hit.cached);
-        assert_eq!(hit.label, "other");
-        assert_eq!((&hit.rows, &hit.summary), (&miss.rows, &miss.summary));
-        assert_eq!(
-            (&hit.rows, &hit.summary),
-            (&batch_hit.rows, &batch_hit.summary)
-        );
-        assert!(Arc::ptr_eq(&hit.trace, &batch_hit.trace));
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
-        assert_eq!(batches(&engine), before + 1, "the probe is not a batch");
-
-        // A stale epoch and a disabled cache are not answered.
-        engine
-            .register_table("orders", Table::from_pairs(vec![(9, 1)]))
-            .unwrap();
-        assert!(engine.cached(&request[0]).is_none());
-        let uncached = engine_with(EngineConfig {
-            workers: 1,
-            result_cache: false,
-            ..Default::default()
-        });
-        uncached.execute_batch(request).unwrap();
-        assert!(uncached.cached(&request[0]).is_none());
-        assert_eq!(engine.cache_stats().hits, 2);
     }
 
     #[test]
@@ -1610,22 +1517,6 @@ mod tests {
                 ..Default::default()
             }
         );
-    }
-
-    #[test]
-    fn validate_checks_resolution_without_executing() {
-        let engine = engine(2);
-        let good = QueryRequest::new("g", Plan::scan("orders"));
-        assert!(engine.validate(&good).is_ok());
-        let bad = QueryRequest::new("b", Plan::scan("ghost"));
-        assert_eq!(
-            engine.validate(&bad).unwrap_err(),
-            EngineError::UnknownTable {
-                name: "ghost".into()
-            }
-        );
-        // Validation never executes or caches anything.
-        assert_eq!(engine.cache_stats(), CacheStats::default());
     }
 
     #[test]

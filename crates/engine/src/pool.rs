@@ -8,8 +8,10 @@
 //! spawned once, by the first unit of work the pool is handed, pull work
 //! from a shared injector queue for the rest of the engine's lifetime, and
 //! shut down gracefully (drain, then join) when the engine is dropped.  An
-//! engine that only ever validates plans or serves result-cache hits — a
-//! coordinator's gather engine, most of the time — never starts a thread,
+//! engine that only ever serves result-cache hits or one-plan batches — a
+//! network server's engine (each wire query is its own one-request batch,
+//! run inline on the connection's handler), a coordinator's gather engine
+//! most of the time — never starts a thread,
 //! and constructing an [`Engine`](crate::Engine) costs no `thread::spawn`.
 //!
 //! Concurrent batches share the same workers: each submitted job carries

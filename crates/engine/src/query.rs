@@ -325,8 +325,8 @@ pub struct QueryRequest {
     /// Memoised [`Plan::canonical`] rendering, computed on first use.
     /// The executor reads the canonical form once per request per batch
     /// (cache key + intra-batch dedup); memoising it here means a
-    /// re-submitted request — the warm-cache serving path, and the server's
-    /// batcher — renders its plan exactly once, ever.
+    /// re-submitted request — the warm-cache serving path — renders its
+    /// plan exactly once, ever.
     canonical: std::sync::OnceLock<String>,
     /// Time a text front end spent producing this plan, attributed to the
     /// `parse` phase of the summary when the request executes fresh.  Zero

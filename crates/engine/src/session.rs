@@ -106,9 +106,10 @@ impl<'engine> Session<'engine> {
     /// Label a plan as this session's next request *without* queueing it:
     /// the label is `tenant/qN`, where `N` counts every request this
     /// session has ever issued.  Callers that execute requests out of band
-    /// — the network server batches requests from many sessions into one
-    /// engine batch — use `issue` + [`record`](Session::record) in place of
-    /// [`queue`](Session::queue) + [`run`](Session::run).
+    /// — the network server executes each wire request as a one-request
+    /// batch on its connection's handler — use `issue` +
+    /// [`record`](Session::record) in place of [`queue`](Session::queue) +
+    /// [`run`](Session::run).
     pub fn issue(&mut self, plan: Plan) -> QueryRequest {
         let label = format!("{}/q{}", self.tenant, self.issued);
         self.issued += 1;

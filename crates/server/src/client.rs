@@ -3,8 +3,8 @@
 //! One [`Client`] wraps one connection (TCP or loopback) and speaks the
 //! strict request/response protocol: every call writes one frame and
 //! blocks for the answering frame.  Concurrency comes from opening more
-//! clients — the server batches concurrent requests across connections
-//! into shared engine batches.
+//! clients — the server executes each connection's requests on that
+//! connection's own handler thread, concurrently with the others.
 //!
 //! For resilience against transient failures (connection resets, server
 //! restarts, shed load), wrap connection establishment in a

@@ -7,16 +7,14 @@
 //! exposes: a versioned, length-prefixed binary wire protocol
 //! ([`proto`]), a TCP (and in-memory loopback) connection server
 //! ([`Server`]) that maps connections to engine
-//! [`Session`](obliv_engine::Session)s and batches in-flight requests
-//! *across connections* into shared engine batches, and a blocking
+//! [`Session`](obliv_engine::Session)s and executes each connection's
+//! requests on that connection's handler thread, and a blocking
 //! [`Client`] library.
 //!
-//! Everything is `std`-only — no async runtime — because the engine's
-//! unit of concurrency is the *batch*, not the socket: a handler answers
-//! a result-cache hit itself and otherwise blocks
-//! cheaply on a reply channel while a couple of batcher threads feed the
-//! engine's
-//! resident worker pool.
+//! Everything is `std`-only — no async runtime: a connection has at most
+//! one request in flight, and its handler thread executes it as a
+//! one-request engine batch (a result-cache hit and a cold execution
+//! alike) and frames the answer.
 //!
 //! ## What the protocol does and does not leak
 //!
@@ -66,7 +64,7 @@
 //! |--------|----------|
 //! | [`proto`] | frame format, request/response codecs, typed error frames |
 //! | [`transport`] | the [`transport::Connection`] trait, TCP, in-memory [`transport::loopback`] |
-//! | [`server`] | [`Server`], [`ServerConfig`] — accept loop, sessions, the cross-connection batcher |
+//! | [`server`] | [`Server`], [`ServerConfig`] — accept loop, sessions, per-connection handlers |
 //! | [`client`] | [`Client`], [`ClientError`], [`RetryingClient`] — the blocking client library |
 //!
 //! ## Resilience

@@ -267,7 +267,11 @@ pub enum ErrorKind {
     /// The engine rejected the query (parse error, unknown table, schema
     /// validation, …); the message carries the engine's rendering.
     Query,
-    /// The server is shutting down and no longer executes queries.
+    /// The server is shutting down and no longer executes queries.  A
+    /// protocol-v6 kind this server no longer emits (its handlers answer
+    /// every admitted query, and shutdown closes connections instead);
+    /// kept for wire compatibility and for the retry classification of
+    /// clients talking to servers that do emit it.
     Shutdown,
     /// The server failed internally while executing the query (a bug, not
     /// a property of the request); the connection stays usable.
@@ -1710,7 +1714,7 @@ mod tests {
                     value: MetricValue::Counter(42),
                 },
                 MetricSample {
-                    name: "server_batch_occupancy".into(),
+                    name: "engine_batch_requests".into(),
                     labels: vec![],
                     class: MetricClass::Timing,
                     value: MetricValue::Histogram(HistogramSnapshot {

@@ -1,45 +1,35 @@
-//! The connection server: accept loop, per-connection sessions, and the
-//! cross-connection request batcher.
+//! The connection server: accept loop and per-connection handlers, each
+//! executing its own connection's queries.
 //!
 //! ## Threading model
 //!
 //! ```text
 //! accept thread ──spawns──▶ handler thread (one per connection)
 //!                               │  parse/decode, session accounting,
-//!                               │  result-cache hit ──▶ reply, right here
-//!                               ▼  everything that must execute
-//!                           batcher thread ──▶ Engine::execute_batch
+//!                               ▼  admission gate, deadline stamp
+//!                           QueryExecutor::execute_batch(&[request])
+//!                               │  (result-cache hit or execution,
+//!                               ▼   on this thread)
+//!                           reply
 //! ```
 //!
 //! Each connection gets a handler thread and an engine
 //! [`Session`] bound to the connection's auth token, so
 //! per-tenant accounting ([`SessionStats`](obliv_engine::SessionStats))
-//! works exactly as it does in-process.  The rule: **a handler answers
-//! only what needs no execution.**  Past the admission gate it asks the
-//! backend's [`cached`](obliv_engine::QueryExecutor::cached) probe; a
-//! result-cache hit for the current catalog epoch comes back as the same
-//! response, with the same accounting, a batch would have produced, and
-//! is framed on the spot — two thread wake-ups (handler → batcher →
-//! handler) are too much to pay for a map lookup.  Everything else — a
-//! miss, a stale epoch, a disabled cache, a backend without a probe (the
-//! shard coordinator) — is never executed on a handler: it is forwarded
-//! as a `(request, reply-channel)` pair to a small pool of
-//! *batcher* threads ([`ServerConfig::batch_runners`]); whichever runner
-//! is idle drains everything currently queued — across all connections —
-//! and submits it as a single
-//! [`execute_batch`](obliv_engine::QueryExecutor::execute_batch) call.  Concurrent
-//! clients therefore share one engine batch and get the executor's
-//! intra-batch deduplication: two tenants asking the same cold question
-//! at the same time cost one oblivious
-//! execution.  With more than one runner, a new batch forms and executes
-//! while a long cold batch is still running, so requests that must
-//! execute are not head-of-line-blocked behind it.  Of the injection
-//! points, `server/handle` sits in front of both paths and
-//! `server/batcher` is reached by the executing one only.
+//! works exactly as it does in-process.  A handler executes its own
+//! connection's queries: past the admission gate it submits the one
+//! request as a one-element
+//! [`execute_batch`](obliv_engine::QueryExecutor::execute_batch) and frames
+//! the answer.  A one-request batch runs inline on the calling thread, so
+//! a result-cache hit and a cold execution take the same path with no
+//! thread hand-off.  Every query already runs on its own tracer, whose
+//! trace is a function of public sizes only, so co-scheduling the queries
+//! of different connections would buy nothing for obliviousness; the
+//! result cache answers every repeat of an executed plan.
 //!
-//! The engine's own worker pool is resident, so this pipeline adds no
-//! thread spawns per request anywhere: accept → handler (spawned once per
-//! connection) → batchers (spawned once) → engine workers (spawned once).
+//! The engine's worker pool is resident, so this pipeline adds no thread
+//! spawns per request: accept → handler (spawned once per connection) →
+//! engine (inline, or its resident pool for intra-query forks).
 //!
 //! ## Backpressure
 //!
@@ -47,28 +37,26 @@
 //! time.  The accept thread blocks once the limit is reached — further
 //! clients queue in the OS accept backlog and are admitted as slots free
 //! up — so a connection flood cannot spawn unbounded threads or sessions.
+//! A connection has at most one request in flight, so at most
+//! `min(max_connections, max_in_flight)` queries execute at once.
 //!
 //! ## Failure containment
 //!
-//! The backend fails a whole batch up front if *any* request
-//! in it cannot be resolved.  That contract is right for one caller's
-//! batch, but the batcher's batches mix tenants, so on a batch error it
-//! falls back to executing each request alone: the offending request gets
-//! its typed error frame and every innocent peer still gets its answer.
+//! A query that fails fails alone: the engine's typed error becomes that
+//! request's typed error frame, and a panicking execution is caught on
+//! the handler and answered with a typed [`ErrorKind::Internal`] frame —
+//! the in-flight slot is released and the connection keeps serving.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use obliv_chaos::{points, Fault, Faults};
-use obliv_engine::{
-    parse_statement, EngineError, Plan, QueryExecutor, QueryRequest, QueryResponse, Session,
-    Statement,
-};
-use obliv_telemetry::{Counter, Gauge, Histogram, MetricClass, MetricsRegistry};
+use obliv_engine::{parse_statement, EngineError, Plan, QueryExecutor, Session, Statement};
+use obliv_telemetry::{Counter, Gauge, MetricClass, MetricsRegistry};
 
 use crate::proto::{
     is_version_error, read_frame, write_frame, ErrorKind, FrameError, QueryReply, Request,
@@ -77,34 +65,33 @@ use crate::proto::{
 use crate::transport::{loopback, Connection, PipeStream};
 
 /// Server construction options.
+///
+/// Each connection has at most one request in flight and its handler
+/// executes that request itself, so at most
+/// `min(max_connections, max_in_flight)` queries execute at once.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum concurrently served connections; further accepts wait in
-    /// the OS backlog until a slot frees up.
+    /// Maximum concurrently served connections (one handler thread each);
+    /// further accepts wait in the OS backlog until a slot frees up.
     pub max_connections: usize,
-    /// Maximum requests the batcher folds into one engine batch.
-    pub max_batch: usize,
-    /// Number of batcher threads.  With one, a long cold batch
-    /// head-of-line-blocks requests that arrive mid-execution; with two
-    /// or more, the next batch forms and executes while the previous one
-    /// is still running (per-connection ordering is unaffected: each
-    /// connection has at most one request in flight).
-    pub batch_runners: usize,
-    /// Maximum queries simultaneously queued or executing across all
-    /// connections.  A query arriving past the bound is *shed*: answered
-    /// immediately with a typed [`ErrorKind::Overloaded`] frame carrying
-    /// [`shed_retry_after_ms`](ServerConfig::shed_retry_after_ms), instead
-    /// of queueing without bound (the pre-overload failure mode: every
-    /// handler blocked, memory growing, no client told why).
+    /// Maximum queries simultaneously executing across all connections.
+    /// A query arriving past the bound is *shed*: answered immediately
+    /// with a typed [`ErrorKind::Overloaded`] frame carrying
+    /// [`shed_retry_after_ms`](ServerConfig::shed_retry_after_ms).
+    ///
+    /// Only binds below [`max_connections`](ServerConfig::max_connections):
+    /// a connection has at most one request in flight, so with the
+    /// defaults (256 against 64 connections) shedding never fires and the
+    /// connection gate is the one that holds.
     pub max_in_flight: usize,
     /// The `retry_after_ms` backoff hint stamped on shed-load
     /// [`ErrorKind::Overloaded`] frames.  A configured public constant —
     /// it reveals nothing about current load beyond the shed itself.
     pub shed_retry_after_ms: u32,
     /// Fault-injection handle consulted at the server's injection points
-    /// (`server/accept`, `server/read`, `server/handle`, `server/write`,
-    /// `server/batcher`).  Defaults to disabled; a zero-sized no-op in
-    /// builds without the chaos `inject` feature.
+    /// (`server/accept`, `server/read`, `server/handle`, `server/write`).
+    /// Defaults to disabled; a zero-sized no-op in builds without the
+    /// chaos `inject` feature.
     pub faults: Faults,
 }
 
@@ -112,8 +99,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            max_batch: 64,
-            batch_runners: 2,
             max_in_flight: 256,
             shed_retry_after_ms: 25,
             faults: Faults::default(),
@@ -124,9 +109,8 @@ impl Default for ServerConfig {
 /// Acquire `mutex`, recovering from poisoning.
 ///
 /// Every mutex in this module guards state whose invariants hold at every
-/// await-free step (a connection count, a handler list, a channel
-/// receiver), so a panic while holding one cannot leave it logically torn.
-/// Poison therefore only means "some handler panicked" — already a
+/// await-free step (a connection count, a handler list), so a panic while
+/// holding one cannot leave it logically torn.  Poison therefore only means "some handler panicked" — already a
 /// contained event (the slot guard released its slot) — and propagating it
 /// would escalate one crashed connection into a wedged server.
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -194,28 +178,14 @@ struct ServerMetrics {
     bytes_written: Counter,
     /// Queries currently between admission and reply.
     requests_in_flight: Gauge,
-    /// Requests folded into each engine batch (cache hits form none).
-    batch_occupancy: Histogram,
-    /// Batches that failed as a whole and were split for re-run (validated
-    /// per request, innocent peers re-batched), one counter per cause:
-    /// `resolution` (a typed submission error poisoned the mixed-tenant
-    /// batch), `panic` (an execution or injected panic was contained),
-    /// `deadline` (a request's budget expired and aborted the batch).
-    rerun_resolution: Counter,
-    rerun_panic: Counter,
-    rerun_deadline: Counter,
     /// Queries answered with `Overloaded` at the admission bound.
     shed: Counter,
     accept_errors: ErrorMeter,
-    reply_errors: ErrorMeter,
 }
 
 impl ServerMetrics {
     fn new(registry: &MetricsRegistry) -> ServerMetrics {
         use MetricClass::Timing;
-        let rerun = |cause: &'static str| {
-            registry.counter("server_batch_reruns_total", Timing, &[("cause", cause)])
-        };
         ServerMetrics {
             connections_opened: registry.counter("server_connections_opened_total", Timing, &[]),
             connections_active: registry.gauge("server_connections_active", Timing, &[]),
@@ -224,44 +194,24 @@ impl ServerMetrics {
             frames_written: registry.counter("server_frames_written_total", Timing, &[]),
             bytes_written: registry.counter("server_bytes_written_total", Timing, &[]),
             requests_in_flight: registry.gauge("server_requests_in_flight", Timing, &[]),
-            batch_occupancy: registry.histogram("server_batch_occupancy", Timing, &[]),
-            rerun_resolution: rerun("resolution"),
-            rerun_panic: rerun("panic"),
-            rerun_deadline: rerun("deadline"),
             shed: registry.counter("server_shed_total", Timing, &[]),
             accept_errors: ErrorMeter::new(registry, "accept"),
-            reply_errors: ErrorMeter::new(registry, "reply_drop"),
         }
     }
-}
-
-/// Why the batcher could not answer one request.
-enum BatchError {
-    /// The engine rejected it (typed submission error).
-    Engine(EngineError),
-    /// Its execution panicked; the panic was contained on the batcher.
-    Execution,
-}
-
-/// One queued query: the labelled request plus the channel its handler is
-/// blocked on.
-struct BatchItem {
-    request: QueryRequest,
-    reply: mpsc::Sender<Result<QueryResponse, BatchError>>,
 }
 
 /// State shared by the accept loop, handlers and the front object.
 struct Inner {
     engine: Arc<dyn QueryExecutor>,
     config: ServerConfig,
-    metrics: Arc<ServerMetrics>,
+    metrics: ServerMetrics,
     /// Currently served connections (the backpressure gate).
     active: Mutex<usize>,
     slot_freed: Condvar,
     shutdown: AtomicBool,
-    /// Queries currently queued or executing (the load-shedding gate;
-    /// unlike the connection gate this one never blocks — it answers
-    /// `Overloaded` instead).
+    /// Queries currently executing (the load-shedding gate; unlike the
+    /// connection gate this one never blocks — it answers `Overloaded`
+    /// instead).
     in_flight: AtomicUsize,
     /// When the server was constructed; `OK_STATS` reports whole seconds
     /// since then.
@@ -323,10 +273,7 @@ type HandlerSlot = (thread::JoinHandle<()>, Box<dyn FnOnce() + Send>);
 pub struct Server {
     inner: Arc<Inner>,
     addr: Option<SocketAddr>,
-    /// The server's own injector handle; `None` once shut down.
-    batch_tx: Option<mpsc::Sender<BatchItem>>,
     accept: Option<thread::JoinHandle<()>>,
-    batchers: Vec<thread::JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<HandlerSlot>>>,
 }
 
@@ -346,15 +293,11 @@ impl Server {
         server.addr = Some(local);
 
         let inner = Arc::clone(&server.inner);
-        let batch_tx = server
-            .batch_tx
-            .clone()
-            .expect("freshly constructed server has a batcher");
         let handlers = Arc::clone(&server.handlers);
         server.accept = Some(
             thread::Builder::new()
                 .name("obliv-server-accept".into())
-                .spawn(move || accept_loop(listener, inner, batch_tx, handlers))
+                .spawn(move || accept_loop(listener, inner, handlers))
                 .expect("spawning the accept thread failed"),
         );
         Ok(server)
@@ -362,28 +305,14 @@ impl Server {
 
     /// A server with no TCP listener; clients attach through
     /// [`connect_loopback`](Server::connect_loopback).  Useful in tests
-    /// and embedded setups where no port should be opened.
+    /// and embedded setups where no port should be opened.  Spawns no
+    /// thread until a client attaches.
     pub fn without_listener<B: QueryExecutor + 'static>(
         engine: Arc<B>,
         config: ServerConfig,
     ) -> Server {
         let engine: Arc<dyn QueryExecutor> = engine;
-        let metrics = Arc::new(ServerMetrics::new(engine.metrics()));
-        let (batch_tx, batch_rx) = mpsc::channel::<BatchItem>();
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-        let max_batch = config.max_batch.max(1);
-        let batchers = (0..config.batch_runners.max(1))
-            .map(|i| {
-                let engine = Arc::clone(&engine);
-                let batch_rx = Arc::clone(&batch_rx);
-                let metrics = Arc::clone(&metrics);
-                let faults = config.faults.clone();
-                thread::Builder::new()
-                    .name(format!("obliv-server-batcher-{i}"))
-                    .spawn(move || run_batcher(engine, batch_rx, max_batch, metrics, faults))
-                    .expect("spawning a batcher thread failed")
-            })
-            .collect();
+        let metrics = ServerMetrics::new(engine.metrics());
         Server {
             inner: Arc::new(Inner {
                 engine,
@@ -396,9 +325,7 @@ impl Server {
                 started: Instant::now(),
             }),
             addr: None,
-            batch_tx: Some(batch_tx),
             accept: None,
-            batchers,
             handlers: Arc::new(Mutex::new(Vec::new())),
         }
     }
@@ -419,10 +346,6 @@ impl Server {
     /// [`max_connections`](ServerConfig::max_connections) exactly like a
     /// TCP accept, and this call blocks while the server is at the limit.
     pub fn connect_loopback(&self) -> io::Result<PipeStream> {
-        let batch_tx = self
-            .batch_tx
-            .clone()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "server is shut down"))?;
         if !self.inner.claim_slot() {
             return Err(io::Error::new(
                 io::ErrorKind::NotConnected,
@@ -437,7 +360,7 @@ impl Server {
             .name("obliv-server-conn".into())
             .spawn(move || {
                 let guard = SlotGuard(inner);
-                handle_connection(&guard.0, server_end, batch_tx);
+                handle_connection(&guard.0, server_end);
             })
             .expect("spawning a connection handler failed");
         let mut handlers = lock_recover(&self.handlers);
@@ -448,8 +371,8 @@ impl Server {
 
     /// Stop the server: stop accepting, close every still-open connection
     /// (handlers blocked on idle peers are woken with end-of-stream and
-    /// exit; requests already executing finish and answer first), then
-    /// retire the batcher.  The engine is untouched and stays usable.
+    /// exit; requests already executing finish and answer first).  The
+    /// engine is untouched and stays usable.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -485,12 +408,6 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
-        // All handler-held injector clones are gone now; dropping ours
-        // disconnects the batchers' queue and they exit.
-        self.batch_tx.take();
-        for batcher in self.batchers.drain(..) {
-            let _ = batcher.join();
-        }
     }
 }
 
@@ -510,12 +427,7 @@ impl std::fmt::Debug for Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    inner: Arc<Inner>,
-    batch_tx: mpsc::Sender<BatchItem>,
-    handlers: Arc<Mutex<Vec<HandlerSlot>>>,
-) {
+fn accept_loop(listener: TcpListener, inner: Arc<Inner>, handlers: Arc<Mutex<Vec<HandlerSlot>>>) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -558,160 +470,16 @@ fn accept_loop(
         }
         let closer = stream.closer();
         let handler_inner = Arc::clone(&inner);
-        let tx = batch_tx.clone();
         let handle = thread::Builder::new()
             .name("obliv-server-conn".into())
             .spawn(move || {
                 let guard = SlotGuard(handler_inner);
-                handle_connection(&guard.0, stream, tx);
+                handle_connection(&guard.0, stream);
             })
             .expect("spawning a connection handler failed");
         let mut handlers = lock_recover(&handlers);
         handlers.retain(|(h, _)| !h.is_finished());
         handlers.push((handle, closer));
-    }
-}
-
-/// A cross-connection batcher: drain whatever is queued, execute it as
-/// one engine batch, fan the responses back to the waiting handlers.
-/// Several runners share the queue, so a new batch can form and execute
-/// while a long one is still running on another runner.
-fn run_batcher(
-    engine: Arc<dyn QueryExecutor>,
-    rx: Arc<Mutex<mpsc::Receiver<BatchItem>>>,
-    max_batch: usize,
-    metrics: Arc<ServerMetrics>,
-    faults: Faults,
-) {
-    // A handler that hung up (its connection died mid-query) cannot
-    // receive its reply; count the drop instead of ignoring it.
-    let deliver = |reply: &mpsc::Sender<Result<QueryResponse, BatchError>>,
-                   result: Result<QueryResponse, BatchError>| {
-        if reply.send(result).is_err() {
-            metrics
-                .reply_errors
-                .note("a handler hung up before its reply could be delivered");
-        }
-    };
-    loop {
-        // Hold the queue lock only while assembling a batch, never while
-        // executing one.
-        let items = {
-            let rx = lock_recover(&rx);
-            match rx.recv() {
-                Ok(first) => {
-                    let mut items = vec![first];
-                    while items.len() < max_batch {
-                        match rx.try_recv() {
-                            Ok(item) => items.push(item),
-                            Err(_) => break,
-                        }
-                    }
-                    items
-                }
-                Err(_) => return, // channel closed: shutdown
-            }
-        };
-        metrics.batch_occupancy.observe(items.len() as u64);
-        let (requests, replies): (Vec<_>, Vec<_>) = items
-            .into_iter()
-            .map(|item| (item.request, item.reply))
-            .unzip();
-        // The batcher must survive anything a batch does: a panic here
-        // would zombify the whole server (connections alive, every query
-        // answered "shutting down").  `catch_unwind` contains it.  The
-        // `server/batcher` injection point sits inside the barrier so an
-        // injected panic exercises exactly the containment a real
-        // execution panic would.
-        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match faults.hit(points::SERVER_BATCHER) {
-                Some(Fault::Panic) => panic!("injected: batcher panic"),
-                Some(Fault::Delay(delay)) => thread::sleep(delay),
-                _ => {}
-            }
-            engine.execute_batch(&requests)
-        }));
-        match batch {
-            Ok(Ok(responses)) => {
-                for (reply, response) in replies.iter().zip(responses) {
-                    deliver(reply, Ok(response));
-                }
-            }
-            ref failed @ (Ok(Err(_)) | Err(_)) => {
-                // Record why the batch is being split before re-running it,
-                // per cause: a contained panic, an expired deadline, or a
-                // typed submission (resolution) error.
-                match failed {
-                    Err(_) => metrics.rerun_panic.inc(),
-                    Ok(Err(EngineError::DeadlineExceeded { .. })) => {
-                        metrics.rerun_deadline.inc();
-                    }
-                    _ => metrics.rerun_resolution.inc(),
-                }
-                // The engine fails a whole batch up front on one bad
-                // request, and a panicking execution fails it too; the
-                // batch mixes tenants, so isolate the failure.  Validation
-                // (resolution without execution, cheap) picks out the
-                // offending requests — they get their typed errors, and an
-                // already-expired deadline gets its typed error here too —
-                // and the valid remainder re-runs as *one* batch, keeping
-                // the engine pool's parallelism and the intra-batch dedup
-                // for the innocent peers.
-                let mut valid: Vec<BatchItem> = Vec::with_capacity(requests.len());
-                for (request, reply) in requests.into_iter().zip(replies) {
-                    match engine.validate(&request) {
-                        Ok(()) if request.deadline().is_some_and(|d| Instant::now() >= d) => {
-                            let label = request.label.clone();
-                            deliver(
-                                &reply,
-                                Err(BatchError::Engine(EngineError::DeadlineExceeded { label })),
-                            );
-                        }
-                        Ok(()) => valid.push(BatchItem { request, reply }),
-                        Err(e) => {
-                            deliver(&reply, Err(BatchError::Engine(e)));
-                        }
-                    }
-                }
-                if valid.is_empty() {
-                    continue;
-                }
-                let (requests, replies): (Vec<_>, Vec<_>) = valid
-                    .into_iter()
-                    .map(|item| (item.request, item.reply))
-                    .unzip();
-                let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine.execute_batch(&requests)
-                }));
-                match retry {
-                    Ok(Ok(responses)) => {
-                        for (reply, response) in replies.iter().zip(responses) {
-                            deliver(reply, Ok(response));
-                        }
-                    }
-                    // Rare: a catalog mutation raced between validation
-                    // and re-execution, or an execution panicked.  Last
-                    // resort is per-request isolation.
-                    Ok(Err(_)) | Err(_) => {
-                        for (request, reply) in requests.into_iter().zip(replies) {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    engine
-                                        .execute_batch(std::slice::from_ref(&request))
-                                        .map(|mut rs| rs.pop().expect("one response per request"))
-                                }));
-                            deliver(
-                                &reply,
-                                match result {
-                                    Ok(result) => result.map_err(BatchError::Engine),
-                                    Err(_) => Err(BatchError::Execution),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -736,7 +504,7 @@ impl<C: Connection> Drop for StreamGuard<C> {
 
 /// Serve one connection until the peer closes, the transport fails, or
 /// framing is lost.
-fn handle_connection<C: Connection>(inner: &Inner, conn: C, batch_tx: mpsc::Sender<BatchItem>) {
+fn handle_connection<C: Connection>(inner: &Inner, conn: C) {
     let mut guard = StreamGuard(conn);
     let conn = &mut guard.0;
     let engine: &dyn QueryExecutor = inner.engine.as_ref();
@@ -849,17 +617,11 @@ fn handle_connection<C: Connection>(inner: &Inner, conn: C, batch_tx: mpsc::Send
                 // normally and forces the span tree onto the reply,
                 // whatever the request's `collect_trace` flag said.
                 Ok(Statement::ExplainAnalyze(plan)) => {
-                    run_query(inner, session, plan, deadline_ms, trace_id, true, &batch_tx)
+                    run_query(inner, session, plan, deadline_ms, trace_id, true)
                 }
-                Ok(Statement::Query(plan)) => run_query(
-                    inner,
-                    session,
-                    plan,
-                    deadline_ms,
-                    trace_id,
-                    collect_trace,
-                    &batch_tx,
-                ),
+                Ok(Statement::Query(plan)) => {
+                    run_query(inner, session, plan, deadline_ms, trace_id, collect_trace)
+                }
                 Err(e) => Response::Error(WireError::new(ErrorKind::Query, e.to_string())),
             },
             Request::QueryPlan {
@@ -868,15 +630,7 @@ fn handle_connection<C: Connection>(inner: &Inner, conn: C, batch_tx: mpsc::Send
                 trace_id,
                 collect_trace,
                 ..
-            } => run_query(
-                inner,
-                session,
-                plan,
-                deadline_ms,
-                trace_id,
-                collect_trace,
-                &batch_tx,
-            ),
+            } => run_query(inner, session, plan, deadline_ms, trace_id, collect_trace),
         };
         // `server/write`: `Torn` ships a partial frame and drops the
         // connection (the client sees a mid-frame EOF); `Disconnect`
@@ -908,8 +662,8 @@ fn torn_write<C: Connection>(conn: &mut C, response: &Response) {
 }
 
 /// Label the plan through the connection's session, attach its deadline,
-/// pass the load-shedding gate, answer it from the result cache or hand it
-/// to the batcher and wait for the engine's answer, account it.
+/// pass the load-shedding gate, execute it as a one-request batch on this
+/// thread, account it.
 fn run_query(
     inner: &Inner,
     session: &mut Session<'_>,
@@ -917,18 +671,10 @@ fn run_query(
     deadline_ms: u32,
     trace_id: u64,
     collect_trace: bool,
-    batch_tx: &mpsc::Sender<BatchItem>,
 ) -> Response {
     let metrics = &inner.metrics;
-    let shutting_down = || {
-        Response::Error(WireError::new(
-            ErrorKind::Shutdown,
-            "server is shutting down",
-        ))
-    };
-    // Admission control: reserve an in-flight slot or shed.  The counter
-    // is reserved *before* the queue send so the bound covers queued and
-    // executing queries alike, and released on every exit path below.
+    // Admission control: reserve an in-flight slot or shed.  Released
+    // after the execution below, on its panic path too.
     let occupied = inner.in_flight.fetch_add(1, Ordering::SeqCst);
     if occupied >= inner.config.max_in_flight {
         inner.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -948,32 +694,21 @@ fn run_query(
 
     let mut request = session.issue(plan);
     if deadline_ms > 0 {
-        // Stamped at admission, so the budget covers queueing *and*
-        // execution — exactly what a client timing out on its read wants
-        // the server to agree with.
+        // Stamped at admission, so the budget covers the whole execution —
+        // exactly what a client timing out on its read wants the server to
+        // agree with.
         request = request.with_deadline(Instant::now() + Duration::from_millis(deadline_ms.into()));
     }
-    // A handler answers only what needs no execution: a result-cache hit
-    // for the current catalog epoch.  Everything else — a miss, a disabled
-    // cache, an executor with no probe — is the batcher's to execute.
-    let outcome = match inner.engine.cached(&request) {
-        Some(response) => Ok(Ok(response)),
-        None => {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let item = BatchItem {
-                request,
-                reply: reply_tx,
-            };
-            match batch_tx.send(item) {
-                Ok(()) => reply_rx.recv(),
-                Err(_) => Err(mpsc::RecvError),
-            }
-        }
-    };
+    // A panicking execution must not take the connection down with it:
+    // `catch_unwind` turns it into this request's typed `Internal` frame.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        inner.engine.execute_batch(std::slice::from_ref(&request))
+    }));
     inner.in_flight.fetch_sub(1, Ordering::SeqCst);
     metrics.requests_in_flight.dec();
     match outcome {
-        Ok(Ok(response)) => {
+        Ok(Ok(mut responses)) => {
+            let response = responses.pop().expect("one response per request");
             session.record(&response);
             Response::Reply(Box::new(QueryReply::from_response(
                 response,
@@ -981,17 +716,14 @@ fn run_query(
                 collect_trace,
             )))
         }
-        Ok(Err(BatchError::Engine(e @ EngineError::DeadlineExceeded { .. }))) => {
+        Ok(Err(e @ EngineError::DeadlineExceeded { .. })) => {
             Response::Error(WireError::new(ErrorKind::DeadlineExceeded, e.to_string()))
         }
-        Ok(Err(BatchError::Engine(e))) => {
-            Response::Error(WireError::new(ErrorKind::Query, e.to_string()))
-        }
-        Ok(Err(BatchError::Execution)) => Response::Error(WireError::new(
+        Ok(Err(e)) => Response::Error(WireError::new(ErrorKind::Query, e.to_string())),
+        Err(_) => Response::Error(WireError::new(
             ErrorKind::Internal,
             "query execution failed on the server (internal error)",
         )),
-        Err(_) => shutting_down(),
     }
 }
 

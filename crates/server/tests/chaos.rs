@@ -13,14 +13,16 @@
 //!    a protocol desync on a fresh connection, or a crashed server.
 //! 3. **Faults never perturb the leakage surface**: `Content`-class
 //!    metric snapshots and audit exports are bit-identical with and
-//!    without a fault schedule (retries, reruns and delays land only in
-//!    `Timing`-class series).
+//!    without a fault schedule (retries, aborted executions and delays
+//!    land only in `Timing`-class series).
 //!
 //! Scenarios: torn response frame, mid-session disconnect, engine worker
-//! panic, slow job + deadline, batcher panic, accept failure (TCP),
-//! overload shedding, slow handler + client read timeout, shutdown under
-//! load, resolution rerun, and a seeded randomized storm
-//! (`CHAOS_SEED=<u64>` reproduces a CI run exactly; the seed is printed).
+//! panic, slow job + deadline, accept failure (TCP), overload shedding,
+//! slow handler + client read timeout, shutdown under load, unknown
+//! table, aborted executions and span trees, and a seeded randomized
+//! storm (`CHAOS_SEED=<u64>` reproduces a CI run exactly; the seed is
+//! printed).  Scenario numbers are stable; 5 (a batcher-thread panic) went
+//! with the batcher.
 
 use std::sync::Arc;
 use std::thread;
@@ -122,8 +124,9 @@ fn injected_disconnect_mid_session_is_end_of_stream_and_server_survives() {
     server.shutdown();
 }
 
-/// Scenario 3: an engine worker panic is contained by the batcher, the
-/// batch re-runs, and the client still gets its answer.
+/// Scenario 3: an engine worker panic is contained on the connection's
+/// handler as a typed `Internal` frame; the in-flight slot is freed and the
+/// same connection answers the client's re-run of the query.
 #[test]
 fn injected_worker_panic_is_contained_and_rerun_answers_the_client() {
     let engine_faults = FaultPlan::new()
@@ -131,29 +134,40 @@ fn injected_worker_panic_is_contained_and_rerun_answers_the_client() {
         .once(points::ENGINE_WORKER, Fault::Panic)
         .build();
     let engine = chaos_engine(1, engine_faults);
-    let server = Server::without_listener(Arc::clone(&engine), ServerConfig::default());
+    let server = Server::without_listener(
+        Arc::clone(&engine),
+        ServerConfig {
+            max_in_flight: 1,
+            ..Default::default()
+        },
+    );
 
     let mut c = client(&server, "t");
-    let reply = c.query(JOIN_QUERY).unwrap();
-    assert_eq!(reply.label, "t/q0");
+    match c.query(JOIN_QUERY) {
+        Err(ClientError::Server(e)) => assert_eq!(e.kind, ErrorKind::Internal),
+        other => panic!("expected a typed internal frame, got {other:?}"),
+    }
     let snap = engine.metrics().snapshot();
+    assert_eq!(snap.gauge("server_requests_in_flight", &[]), 0);
+
+    // The one in-flight slot was released (a leak would shed this), and
+    // the same connection stays in sync for the re-run.
+    let reply = c.query(JOIN_QUERY).unwrap();
+    assert_eq!(reply.label, "t/q1");
+    assert!(!reply.cached, "the aborted execution published nothing");
     assert_eq!(
-        snap.counter("server_batch_reruns_total", &[("cause", "panic")]),
-        1
-    );
-    assert_eq!(
-        snap.counter("server_batch_reruns_total", &[("cause", "resolution")]),
+        engine
+            .metrics()
+            .snapshot()
+            .counter("server_shed_total", &[]),
         0
     );
-
-    // Same connection stays in sync for a clean follow-up.
-    c.query(SCAN_QUERY).unwrap();
     server.shutdown();
 }
 
 /// Scenario 4: a slow job blowing through its `deadline_ms` budget comes
 /// back as a typed `DeadlineExceeded` frame, with the deadline accounted
-/// in engine metrics and the rerun cause labelled.
+/// in engine metrics.
 #[test]
 fn slow_job_past_its_deadline_gets_a_typed_deadline_frame() {
     let engine_faults = FaultPlan::new()
@@ -176,39 +190,10 @@ fn slow_job_past_its_deadline_gets_a_typed_deadline_frame() {
     }
     let snap = engine.metrics().snapshot();
     assert!(snap.counter("engine_deadline_exceeded_total", &[]) >= 1);
-    assert_eq!(
-        snap.counter("server_batch_reruns_total", &[("cause", "deadline")]),
-        1
-    );
 
     // Without a deadline the same connection gets the answer.
     let reply = c.query(JOIN_QUERY).unwrap();
     assert_eq!(reply.label, "t/q1");
-    server.shutdown();
-}
-
-/// Scenario 5: a panic on the batcher thread itself (before the engine is
-/// even reached) is contained and the rerun still answers the client.
-#[test]
-fn injected_batcher_panic_is_contained_and_rerun_answers() {
-    let faults = FaultPlan::new()
-        .seed(5)
-        .once(points::SERVER_BATCHER, Fault::Panic)
-        .build();
-    let engine = chaos_engine(2, Faults::default());
-    let server = Server::without_listener(Arc::clone(&engine), config_with(faults));
-
-    let mut c = client(&server, "t");
-    let reply = c.query(JOIN_QUERY).unwrap();
-    assert_eq!(reply.label, "t/q0");
-    assert_eq!(
-        engine
-            .metrics()
-            .snapshot()
-            .counter("server_batch_reruns_total", &[("cause", "panic")]),
-        1
-    );
-    c.query(COUNT_QUERY).unwrap();
     server.shutdown();
 }
 
@@ -245,21 +230,20 @@ fn injected_accept_failure_is_survived_and_the_client_retries_over_tcp() {
 /// retrying client waits it out on the same connection.
 #[test]
 fn overload_is_shed_with_a_typed_retry_hint_and_retry_succeeds() {
-    // One slot, and the batcher holds it for 300 ms.
-    let faults = FaultPlan::new()
+    // One slot, and a stalled engine job holds it for 300 ms.
+    let engine_faults = FaultPlan::new()
         .seed(7)
         .once(
-            points::SERVER_BATCHER,
+            points::ENGINE_WORKER,
             Fault::Delay(Duration::from_millis(300)),
         )
         .build();
-    let engine = chaos_engine(2, Faults::default());
+    let engine = chaos_engine(2, engine_faults);
     let server = Server::without_listener(
         Arc::clone(&engine),
         ServerConfig {
             max_in_flight: 1,
             shed_retry_after_ms: 7,
-            faults,
             ..Default::default()
         },
     );
@@ -339,19 +323,19 @@ fn slow_handler_trips_the_client_read_timeout() {
 /// `Shutdown`, and all handler threads join within a bound.
 #[test]
 fn shutdown_under_load_completes_in_flight_work_within_a_bound() {
-    let faults = FaultPlan::new()
+    let engine_faults = FaultPlan::new()
         .seed(9)
         .once(
-            points::SERVER_BATCHER,
+            points::ENGINE_WORKER,
             Fault::Delay(Duration::from_millis(150)),
         )
         .build();
-    let engine = chaos_engine(2, Faults::default());
-    let server = Server::without_listener(Arc::clone(&engine), config_with(faults));
+    let engine = chaos_engine(2, engine_faults);
+    let server = Server::without_listener(Arc::clone(&engine), ServerConfig::default());
 
     let conn = server.connect_loopback().unwrap();
     let in_flight = thread::spawn(move || Client::over(conn, "t").query(JOIN_QUERY));
-    thread::sleep(Duration::from_millis(40)); // picked up; batcher delayed
+    thread::sleep(Duration::from_millis(40)); // picked up; engine job delayed
 
     let start = Instant::now();
     server.shutdown();
@@ -368,9 +352,8 @@ fn shutdown_under_load_completes_in_flight_work_within_a_bound() {
     }
 }
 
-/// Scenario 10: a resolution failure (unknown table) re-runs the batch
-/// with the `resolution` cause label and isolates the typed error to the
-/// offending request.
+/// Scenario 10: a resolution failure (unknown table) is the offending
+/// request's typed `Query` error alone; the connection keeps serving.
 #[test]
 fn unknown_table_is_isolated_as_a_resolution_rerun() {
     let engine = chaos_engine(1, Faults::default());
@@ -381,19 +364,6 @@ fn unknown_table_is_isolated_as_a_resolution_rerun() {
         Err(ClientError::Server(e)) => assert_eq!(e.kind, ErrorKind::Query),
         other => panic!("expected a typed query error, got {other:?}"),
     }
-    let snap = engine.metrics().snapshot();
-    assert_eq!(
-        snap.counter("server_batch_reruns_total", &[("cause", "resolution")]),
-        1
-    );
-    assert_eq!(
-        snap.counter("server_batch_reruns_total", &[("cause", "panic")]),
-        0
-    );
-    assert_eq!(
-        snap.counter("server_batch_reruns_total", &[("cause", "deadline")]),
-        0
-    );
     c.query(JOIN_QUERY).unwrap();
     server.shutdown();
 }
@@ -402,14 +372,14 @@ fn unknown_table_is_isolated_as_a_resolution_rerun() {
 /// panic or an expired deadline — never deposits a partial span tree
 /// anywhere an observer could read one.  The slow-query ring only ever
 /// holds complete trees (it is fed at batch finalisation, which aborted
-/// batches never reach), and a traced reply after a panic-rerun carries
-/// the complete tree of the re-execution, not debris from the aborted
-/// attempt.
+/// batches never reach), and the traced reply to the next query after a
+/// panic carries a complete tree, not debris from the aborted attempt.
 #[test]
 fn aborted_executions_never_leak_partial_span_trees() {
-    // Part 1: a worker panic aborts the first execution; the batcher
-    // re-runs and answers.  The reply's tree and the single slow-query
-    // record must both be the complete re-execution tree.
+    // Part 1: a worker panic aborts the first execution (a typed
+    // `Internal` frame, nothing recorded); the client's next query is
+    // answered, and its reply's tree and the single slow-query record
+    // must both be the complete tree of that execution.
     let engine_faults = FaultPlan::new()
         .seed(12)
         .once(points::ENGINE_WORKER, Fault::Panic)
@@ -431,6 +401,15 @@ fn aborted_executions_never_leak_partial_span_trees() {
     let server = Server::without_listener(Arc::clone(&engine), ServerConfig::default());
 
     let mut c = client(&server, "t");
+    match c.query_traced(JOIN_QUERY, 12) {
+        Err(ClientError::Server(e)) => assert_eq!(e.kind, ErrorKind::Internal),
+        other => panic!("expected a typed internal frame, got {other:?}"),
+    }
+    assert_eq!(
+        engine.slow_queries().total_recorded(),
+        0,
+        "an aborted execution must record nothing, partial or otherwise"
+    );
     let reply = c.query_traced(JOIN_QUERY, 12).unwrap();
     let tree = reply.trace.expect("traced reply");
     assert_eq!(tree.name, "query");
@@ -439,7 +418,7 @@ fn aborted_executions_never_leak_partial_span_trees() {
     assert_eq!(
         records.len(),
         1,
-        "only the completed re-execution may be recorded"
+        "only the completed execution may be recorded"
     );
     assert_eq!(*records[0].trace, tree, "the ring holds the complete tree");
     server.shutdown();
@@ -487,8 +466,9 @@ fn aborted_executions_never_leak_partial_span_trees() {
 
 /// The leakage invariant: an identical workload produces bit-identical
 /// `Content`-class metrics and audit exports whether or not a fault
-/// schedule (torn frame → client retry, worker panic → batch rerun, read
-/// delay) was active.  Failures land exclusively in `Timing` series.
+/// schedule (torn frame → client retry, worker panic → typed `Internal`
+/// frame and the caller's re-send, read delay) was active.  Failures land
+/// exclusively in `Timing` series.
 #[test]
 fn faults_do_not_perturb_content_metrics_or_audit_exports() {
     fn run(faults: Faults) -> (obliv_engine::MetricsSnapshot, String) {
@@ -503,13 +483,26 @@ fn faults_do_not_perturb_content_metrics_or_audit_exports() {
         engine.register_table("right", workload.right).unwrap();
         let server = Server::without_listener(Arc::clone(&engine), config_with(faults));
         // One tenant per query so a retried request re-issues the *same*
-        // label (`tenant/q0`) on its fresh connection.
+        // label (`tenant/q0`) on its fresh connection.  `Internal` (a
+        // contained execution panic) is not a transient category, so the
+        // caller re-sends it itself, on a fresh connection for the same
+        // label.
         for (tenant, query) in [("t1", SCAN_QUERY), ("t2", JOIN_QUERY), ("t3", COUNT_QUERY)] {
-            let mut retrying = RetryingClient::new(
-                || Ok(Client::over(server.connect_loopback()?, tenant)),
-                fast_policy(11),
-            );
-            retrying.query(query).unwrap();
+            let attempt = || {
+                RetryingClient::new(
+                    || Ok(Client::over(server.connect_loopback()?, tenant)),
+                    fast_policy(11),
+                )
+                .query(query)
+            };
+            match attempt() {
+                Err(ClientError::Server(e)) if e.kind == ErrorKind::Internal => {
+                    attempt().unwrap();
+                }
+                reply => {
+                    reply.unwrap();
+                }
+            }
         }
         let content = engine.metrics().snapshot().without_timing();
         let audit = engine.audit().export_json();
@@ -522,7 +515,7 @@ fn faults_do_not_perturb_content_metrics_or_audit_exports() {
         .seed(23)
         // t1's response is torn → its client retries (cache hit).
         .nth(points::SERVER_WRITE, 0, Fault::Torn)
-        // t2's execution panics → the batcher re-runs it.
+        // t2's execution panics → a typed `Internal` frame, re-sent.
         .nth(points::ENGINE_WORKER, 1, Fault::Panic)
         // And a read stalls for good measure.
         .nth(
@@ -547,7 +540,7 @@ fn faults_do_not_perturb_content_metrics_or_audit_exports() {
 }
 
 /// Scenario 11: a seeded randomized storm over TCP — probabilistic torn
-/// writes, disconnects, handler stalls, worker and batcher panics — under
+/// writes, disconnects, handler stalls, worker panics — under
 /// a retrying client.  Every outcome must be an answer or a typed error,
 /// and the server must survive the whole storm.  `CHAOS_SEED=<u64>`
 /// reproduces a run bit-for-bit; the seed in force is printed.
@@ -572,7 +565,6 @@ fn randomized_storm_yields_only_typed_outcomes_and_server_survives() {
             Fault::Delay(Duration::from_millis(2)),
         )
         .with_probability(points::ENGINE_WORKER, 60, Fault::Panic)
-        .with_probability(points::SERVER_BATCHER, 60, Fault::Panic)
         .build();
     let engine = chaos_engine(2, faults.clone());
     let server = Server::bind(
@@ -599,8 +591,8 @@ fn randomized_storm_yields_only_typed_outcomes_and_server_survives() {
     for round in 0..12 {
         match retrying.query(queries[round % queries.len()]) {
             Ok(_) => answered += 1,
-            // A contained execution panic on every retry of one request
-            // surfaces as `Internal`: typed, so acceptable under a storm.
+            // A contained execution panic surfaces as `Internal`: typed,
+            // so acceptable under a storm.
             Err(ClientError::Server(_)) => {}
             // Retries exhausted on transport faults: typed at our layer.
             Err(ClientError::Io(_) | ClientError::Timeout) => {}

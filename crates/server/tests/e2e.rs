@@ -10,11 +10,11 @@
 //! * malformed, mis-versioned and oversized frames produce typed protocol
 //!   errors without killing the server,
 //! * the connection limit back-pressures accepts instead of failing them,
-//! * a result-cache hit is answered on the connection's handler thread —
-//!   no batch forms — with the reply and the accounting the batcher gave
-//!   it, and everything that must execute (a miss, a stale epoch, a
-//!   disabled cache, an executor with no probe) still goes through the
-//!   batcher,
+//! * a result-cache hit executes nothing and carries the reply and the
+//!   accounting an in-process session gets; a miss, a stale epoch and a
+//!   disabled cache execute,
+//! * concurrent cold queries from several connections, each executed on
+//!   its own handler, are bit-identical to in-process execution,
 //! * traces are opt-in, cache hits replay them, `EXPLAIN ANALYZE` works
 //!   over the wire, and span-tree Content fields are content-independent.
 
@@ -23,10 +23,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-use obliv_engine::{
-    parse_query, CacheStats, Engine, EngineConfig, EngineError, MetricValue, MetricsRegistry,
-    MetricsSnapshot, QueryExecutor, QueryRequest, QueryResponse, SpanNode,
-};
+use obliv_engine::{parse_query, Engine, EngineConfig, MetricsSnapshot, QueryRequest, SpanNode};
 use obliv_join::Table;
 use obliv_server::proto::{read_frame, write_frame, Request, Response};
 use obliv_server::{Client, ClientError, ErrorKind, Server, ServerConfig, MAX_RESPONSE_FRAME};
@@ -204,7 +201,7 @@ fn sessions_account_independently_across_interleaved_connections() {
 }
 
 /// Truly concurrent clients: every session's totals equal the sum of what
-/// that client was told, regardless of how the batcher grouped the work.
+/// that client was told, however the handlers' executions interleaved.
 #[test]
 fn sessions_stay_correct_under_concurrent_clients() {
     let engine = wide_engine(2);
@@ -289,12 +286,6 @@ fn metrics_probe_roundtrips_with_prometheus_text() {
     assert_eq!(snapshot.counter("server_frames_written_total", &[]), 3);
     assert_eq!(snapshot.gauge("server_connections_active", &[]), 1);
     assert_eq!(snapshot.gauge("server_requests_in_flight", &[]), 0);
-    for cause in ["resolution", "panic", "deadline"] {
-        assert_eq!(
-            snapshot.counter("server_batch_reruns_total", &[("cause", cause)]),
-            0
-        );
-    }
     assert_eq!(snapshot.counter("server_shed_total", &[]), 0);
 
     let text = client.metrics_text().unwrap();
@@ -351,73 +342,45 @@ fn server_metric_snapshots_depend_only_on_public_parameters() {
     );
 }
 
-/// Engine batches the server's batcher threads have formed so far.
-fn batches_formed(server: &Server) -> u64 {
-    match server
+/// Plan executions the server's engine has run so far (cache hits and
+/// intra-batch duplicates execute nothing).
+fn executions(server: &Server) -> u64 {
+    server
         .engine()
         .metrics()
         .snapshot()
-        .get("server_batch_occupancy", &[])
-    {
-        Some(MetricValue::Histogram(h)) => h.count,
-        other => panic!("server_batch_occupancy is a histogram, got {other:?}"),
-    }
+        .counter("engine_queries_total", &[("result", "executed")])
 }
 
-/// An engine behind the trait's *default* `cached` (no probe), as a
-/// sharded coordinator is: the server must send everything to the batcher.
-#[derive(Debug)]
-struct NoProbe(Arc<Engine>);
-
-impl QueryExecutor for NoProbe {
-    fn execute_batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, EngineError> {
-        self.0.execute_batch(requests)
-    }
-    fn validate(&self, request: &QueryRequest) -> Result<(), EngineError> {
-        self.0.validate(request)
-    }
-    fn cache_stats(&self) -> CacheStats {
-        self.0.cache_stats()
-    }
-    fn metrics(&self) -> &Arc<MetricsRegistry> {
-        self.0.metrics()
-    }
-}
-
-/// A primed query's repeats are answered on the handler thread: no batch
-/// forms for them, and replies, session totals and cache totals are what
-/// the same sequence gets through the batcher (an executor without the
-/// probe).  A warm `EXPLAIN ANALYZE` still carries the span tree.
+/// A primed query's repeats execute nothing, and replies, session totals
+/// and cache totals are what the same sequence gets from an in-process
+/// session.  A warm `EXPLAIN ANALYZE` still carries the span tree.
 #[test]
-fn cache_hits_skip_the_batcher_and_keep_its_reply_and_accounting() {
+fn cache_hits_keep_their_reply_and_accounting() {
     const REPEATS: u64 = 6;
-    let drive = |server: &Server| {
-        let mut client = Client::over(server.connect_loopback().unwrap(), "t");
-        let prime = client.query(ACCEPTANCE_QUERY).unwrap();
-        assert!(!prime.cached);
-        let primed = batches_formed(server);
-        for i in 1..=REPEATS {
-            let warm = client.query(ACCEPTANCE_QUERY).unwrap();
-            assert!(warm.cached);
-            assert_eq!(warm.label, format!("t/q{i}"));
-            assert_eq!(warm.rows, prime.rows);
-            assert_eq!(warm.summary, prime.summary);
-            assert!(warm.trace.is_none());
-        }
-        let explained = client
-            .query(format!("EXPLAIN ANALYZE {ACCEPTANCE_QUERY}"))
-            .unwrap();
-        assert!(explained.cached);
-        let tree = explained.trace.expect("EXPLAIN ANALYZE forces the trace");
-        assert_eq!(tree.output_rows, prime.summary.output_rows as u64);
-        let stats = client.stats().unwrap();
-        drop(client);
-        (prime, tree, stats, batches_formed(server) - primed)
-    };
+    let server = Server::without_listener(wide_engine(2), ServerConfig::default());
+    let mut client = Client::over(server.connect_loopback().unwrap(), "t");
+    let prime = client.query(ACCEPTANCE_QUERY).unwrap();
+    assert!(!prime.cached);
+    let primed = executions(&server);
+    for i in 1..=REPEATS {
+        let warm = client.query(ACCEPTANCE_QUERY).unwrap();
+        assert!(warm.cached);
+        assert_eq!(warm.label, format!("t/q{i}"));
+        assert_eq!(warm.rows, prime.rows);
+        assert_eq!(warm.summary, prime.summary);
+        assert!(warm.trace.is_none());
+    }
+    let explained = client
+        .query(format!("EXPLAIN ANALYZE {ACCEPTANCE_QUERY}"))
+        .unwrap();
+    assert!(explained.cached);
+    let tree = explained.trace.expect("EXPLAIN ANALYZE forces the trace");
+    assert_eq!(tree.output_rows, prime.summary.output_rows as u64);
+    let stats = client.stats().unwrap();
+    drop(client);
+    assert_eq!(executions(&server), primed, "a hit must not execute");
 
-    let direct = Server::without_listener(wide_engine(2), ServerConfig::default());
-    let (prime, tree, stats, warm_batches) = drive(&direct);
-    assert_eq!(warm_batches, 0, "a hit must not form a batch");
     assert_eq!(stats.session.queries, REPEATS + 2);
     assert_eq!(stats.session.cache_hits, REPEATS + 1);
     let rows = prime.summary.output_rows as u64;
@@ -427,7 +390,7 @@ fn cache_hits_skip_the_batcher_and_keep_its_reply_and_accounting() {
         (REPEATS + 2) * rows * prime.summary.output_row_width as u64
     );
     assert_eq!((stats.cache.hits, stats.cache.misses), (REPEATS + 1, 1));
-    let metrics = direct.engine().metrics().snapshot();
+    let metrics = server.engine().metrics().snapshot();
     assert_eq!(
         metrics.counter("engine_queries_total", &[("result", "cached")]),
         REPEATS + 1
@@ -438,36 +401,36 @@ fn cache_hits_skip_the_batcher_and_keep_its_reply_and_accounting() {
     );
     assert_eq!(metrics.gauge("server_requests_in_flight", &[]), 0);
 
-    let batched =
-        Server::without_listener(Arc::new(NoProbe(wide_engine(2))), ServerConfig::default());
-    let (batched_prime, batched_tree, batched_stats, batched_warm) = drive(&batched);
-    assert_eq!(batched_warm, REPEATS + 1, "no probe: one batch per query");
-    assert_eq!(batched_prime.rows, prime.rows);
-    assert_eq!(
-        batched_prime.summary.trace_digest,
-        prime.summary.trace_digest
-    );
-    assert_eq!(batched_tree.without_timing(), tree.without_timing());
+    // The same sequence in process, one request per batch.
+    let reference = wide_engine(2);
+    let mut session = reference.session("t");
+    let mut last = None;
+    for _ in 0..REPEATS + 2 {
+        session.queue_text(ACCEPTANCE_QUERY).unwrap();
+        last = session.run().unwrap().pop();
+    }
+    let last = last.unwrap();
+    assert_eq!(last.rows, prime.rows);
+    assert_eq!(last.summary.trace_digest, prime.summary.trace_digest);
+    assert_eq!(last.trace.without_timing(), tree.without_timing());
     // Same totals either way, up to the timing-classed uptime.
-    assert_eq!(batched_stats.session, stats.session);
-    assert_eq!(batched_stats.cache, stats.cache);
-
-    direct.shutdown();
-    batched.shutdown();
+    assert_eq!(session.stats(), stats.session);
+    assert_eq!(reference.cache_stats(), stats.cache);
+    server.shutdown();
 }
 
 /// A catalog mutation between two identical queries bumps the epoch: the
-/// second is a miss, executes through the batcher and returns the new
-/// rows, never the stale entry.
+/// second is a miss, executes again and returns the new rows, never the
+/// stale entry.
 #[test]
-fn a_stale_epoch_is_a_miss_that_goes_through_the_batcher() {
+fn a_stale_epoch_is_a_miss_that_executes_again() {
     let engine = wide_engine(2);
     let server = Server::without_listener(Arc::clone(&engine), ServerConfig::default());
     let mut client = Client::over(server.connect_loopback().unwrap(), "t");
 
     let before = client.query("SCAN orders").unwrap();
     assert!(client.query("SCAN orders").unwrap().cached);
-    let batches = batches_formed(&server);
+    let executed = executions(&server);
 
     let replacement = wide_orders_lineitem(32, 9).orders;
     engine
@@ -475,7 +438,7 @@ fn a_stale_epoch_is_a_miss_that_goes_through_the_batcher() {
         .unwrap();
     let after = client.query("SCAN orders").unwrap();
     assert!(!after.cached, "the epoch moved: the old entry is dead");
-    assert_eq!(batches_formed(&server), batches + 1);
+    assert_eq!(executions(&server), executed + 1);
     assert_eq!(after.rows.table(), &replacement);
     assert_ne!(after.rows, before.rows);
     assert_eq!(engine.cache_stats().misses, 2);
@@ -484,53 +447,79 @@ fn a_stale_epoch_is_a_miss_that_goes_through_the_batcher() {
     server.shutdown();
 }
 
-/// Two connections issuing the same cold query at once still cost one
-/// execution: a miss is never answered (or executed) on a handler thread,
-/// so the loser of the race is deduplicated in the winner's batch or hits
-/// the entry the winner published.  One runner, so the race cannot be
-/// split over two concurrently executing batches.
+/// Four connections, released at once, each send a distinct cold plan and
+/// one plan they all share.  Each handler executes its own connection's
+/// queries concurrently with the others; every reply's rows and trace
+/// accounting are bit-identical to in-process `execute_batch` on a
+/// separate engine, and the in-flight gauge drains to zero.
 #[test]
-fn simultaneous_cold_queries_still_execute_once() {
-    let engine = wide_engine(2);
-    let config = ServerConfig {
-        batch_runners: 1,
-        ..ServerConfig::default()
+fn concurrent_cold_queries_match_in_process_execution() {
+    const SHARED: &str = ACCEPTANCE_QUERY;
+    let distinct: Vec<String> = (1..=4)
+        .map(|i| {
+            format!(
+                "SCAN orders | FILTER price>={} | AGG count BY region",
+                150 * i
+            )
+        })
+        .collect();
+    let reference = wide_engine(2);
+    let expected = |query: &str| {
+        reference
+            .execute_batch(&[QueryRequest::new("ref", parse_query(query).unwrap())])
+            .unwrap()
+            .pop()
+            .unwrap()
     };
-    let server = Server::without_listener(Arc::clone(&engine), config);
-    let start = Arc::new(Barrier::new(2));
-    let replies: Vec<_> = ["a", "b"]
-        .map(|tenant| {
+
+    let engine = wide_engine(2);
+    let server = Server::without_listener(Arc::clone(&engine), ServerConfig::default());
+    let start = Arc::new(Barrier::new(distinct.len()));
+    let handles: Vec<_> = distinct
+        .iter()
+        .enumerate()
+        .map(|(i, own)| {
             let conn = server.connect_loopback().unwrap();
             let start = Arc::clone(&start);
+            // Half the connections race on the shared plan first, half on
+            // their own, so cold executions of both kinds overlap.
+            let order = if i % 2 == 0 {
+                [SHARED.to_string(), own.clone()]
+            } else {
+                [own.clone(), SHARED.to_string()]
+            };
             thread::spawn(move || {
-                let mut client = Client::over(conn, tenant);
+                let mut client = Client::over(conn, format!("tenant-{i}"));
                 start.wait();
-                client.query(ACCEPTANCE_QUERY).unwrap()
+                order.map(|query| {
+                    let reply = client.query(&query).unwrap();
+                    (query, reply)
+                })
             })
         })
-        .into_iter()
-        .map(|t| t.join().unwrap())
         .collect();
-    assert_eq!(
-        replies.iter().filter(|reply| reply.cached).count(),
-        1,
-        "exactly one of the two is the miss"
-    );
-    assert_eq!(replies[0].rows, replies[1].rows);
-    assert_eq!(
-        engine
-            .metrics()
-            .snapshot()
-            .counter("engine_queries_total", &[("result", "executed")]),
-        1
-    );
+    for handle in handles {
+        for (query, reply) in handle.join().unwrap() {
+            let want = expected(&query);
+            assert_eq!(reply.rows, want.rows, "{query}");
+            assert_eq!(reply.summary.trace_digest, want.summary.trace_digest);
+            assert_eq!(reply.summary.trace_events, want.summary.trace_events);
+            assert_eq!(reply.summary.counters, want.summary.counters);
+        }
+    }
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.gauge("server_requests_in_flight", &[]), 0);
+    // Every distinct plan executed; the shared one at least once and at
+    // most once per connection.
+    let executed = snap.counter("engine_queries_total", &[("result", "executed")]);
+    assert!((5..=8).contains(&executed), "executed {executed}");
     server.shutdown();
 }
 
-/// With the result cache off there is nothing a handler may answer: every
-/// query, repeats included, forms a batch and executes.
+/// With the result cache off there is nothing to answer without
+/// executing: every query, repeats included, executes.
 #[test]
-fn a_disabled_result_cache_sends_every_query_through_the_batcher() {
+fn a_disabled_result_cache_executes_every_query() {
     let engine = Arc::new(Engine::new(EngineConfig {
         workers: 1,
         result_cache: false,
@@ -547,7 +536,7 @@ fn a_disabled_result_cache_sends_every_query_through_the_batcher() {
         assert!(!repeat.cached);
         assert_eq!(repeat.rows, first.rows);
     }
-    assert_eq!(batches_formed(&server), 4);
+    assert_eq!(executions(&server), 4);
     assert_eq!(client.stats().unwrap().cache.misses, 4);
     drop(client);
     server.shutdown();

@@ -507,12 +507,6 @@ impl Coordinator {
             .collect())
     }
 
-    /// Check that `request` would resolve — against the full catalog,
-    /// which every shard's is a restriction of — without executing.
-    pub fn validate(&self, request: &QueryRequest) -> Result<(), EngineError> {
-        self.full.validate(request)
-    }
-
     /// Cumulative result-cache accounting summed over the shard engines
     /// and the full-copy engine.
     pub fn cache_stats(&self) -> CacheStats {
@@ -737,10 +731,6 @@ impl QueryExecutor for Coordinator {
         Coordinator::execute_batch(self, requests)
     }
 
-    fn validate(&self, request: &QueryRequest) -> Result<(), EngineError> {
-        Coordinator::validate(self, request)
-    }
-
     fn cache_stats(&self) -> CacheStats {
         Coordinator::cache_stats(self)
     }
@@ -962,8 +952,8 @@ mod tests {
     fn executor_trait_surface() {
         let c = coordinator(2);
         assert_eq!(QueryExecutor::shards(&c), 2);
-        QueryExecutor::validate(&c, &QueryRequest::new("q", Plan::scan("dims"))).unwrap();
-        assert!(QueryExecutor::validate(&c, &QueryRequest::new("q", Plan::scan("ghost"))).is_err());
+        let ghost = QueryRequest::new("q", Plan::scan("ghost"));
+        assert!(QueryExecutor::execute_batch(&c, &[ghost]).is_err());
         let _ = QueryExecutor::cache_stats(&c);
         let mut session = c.session("t");
         session.queue(Plan::scan("facts"));

@@ -32,7 +32,7 @@ fn main() {
         .expect("bind an ephemeral loopback port");
     let addr = server.local_addr().unwrap();
     println!("serving {} tables on {addr}", engine.list_tables().len());
-    println!("  workers: {} resident engine threads\n", engine.workers());
+    println!("  each connection's handler thread executes its own queries\n");
 
     // -- Two tenants, concurrently over TCP ---------------------------------
     let tenants: [(&str, &[&str]); 2] = [

@@ -359,9 +359,9 @@ pub mod points {
     /// Connection handler, before writing a response frame.  `Torn` writes
     /// a partial frame and then drops the connection.
     pub const SERVER_WRITE: &str = "server/write";
-    /// Engine job start, on a pool worker or inline on the submitting
-    /// thread — a server's connection handler for every wire query
-    /// (`Panic` = worker panic, `Delay` = artificially slow job).
+    /// Engine job start, on a batch helper or on the submitting thread —
+    /// a server's connection handler for every wire query (`Panic` = job
+    /// panic, `Delay` = artificially slow job).
     pub const ENGINE_WORKER: &str = "engine/worker";
     /// One branch of a forked sort, at its start (`Panic` = failed
     /// branch, `Delay` = straggler).

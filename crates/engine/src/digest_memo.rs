@@ -33,7 +33,7 @@
 //! digest against a real trace and reports exactly that.
 //!
 //! The memo is split into a read-only decision ([`DigestMemo::trace`],
-//! safe to call on a worker thread) and a deferred [`MemoUpdate`] applied
+//! safe to call on any batch thread) and a deferred [`MemoUpdate`] applied
 //! by [`DigestMemo::commit`] when the batch is finalised, so an aborted
 //! batch leaves neither entries nor counts behind — the same rule the
 //! engine's other Content metrics follow.

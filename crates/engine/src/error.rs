@@ -41,7 +41,7 @@ pub enum EngineError {
     Wide(WideError),
     /// The request's deadline expired before its result was produced.
     /// Raised at batch admission (the queue wait alone exhausted the
-    /// budget) or at worker start; an expired request aborts its batch
+    /// budget) or at job start; an expired request aborts its batch
     /// before any result is finalised, so no partial accounting escapes.
     /// The deadline is the client's own public parameter — timing out
     /// reveals scheduling, never table contents.

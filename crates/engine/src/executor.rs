@@ -1,4 +1,4 @@
-//! The engine: catalog ownership, result caching, and the worker pool.
+//! The engine: catalog ownership, result caching, and batch execution.
 //!
 //! ## Concurrency model
 //!
@@ -6,24 +6,21 @@
 //! [`Tracer`] is an `Rc` of shared state), because the
 //! paper's adversary observes *one* interleaved access stream per program.
 //! The engine preserves that model under concurrency by giving every query
-//! its own tracer, created on the worker that runs it: queries never share
+//! its own tracer, created on the thread that runs it: queries never share
 //! mutable state, so each query's access stream — and therefore its trace
 //! digest — is exactly what a serial run would produce.  Concurrency
 //! changes *when* streams are produced, never *what* they contain.
 //!
 //! Plans are resolved against the catalog on the submitting thread, so
-//! workers receive self-contained jobs.  Table rows are `Arc`-backed, so
-//! resolution clones are reference-count bumps against one shared snapshot
-//! — the catalog read lock is held only for those bumps, never during
-//! execution.
+//! jobs are self-contained.  Table rows are `Arc`-backed, so resolution
+//! clones are reference-count bumps against one shared snapshot — the
+//! catalog read lock is held only for those bumps, never during execution.
 //!
-//! Workers are *resident* (the crate-private `pool` module): spawned once, by
-//! the first batch that hands the pool work, fed through an injector queue,
-//! joined when the engine is dropped.  Later batches therefore pay no
-//! thread-spawn cost — which matters on the µs-scale warm-cache path —
-//! concurrent callers share one set of workers instead of each spawning
-//! their own scope, and an engine that never executes a miss on the pool
-//! never starts a thread.
+//! One loop runs every batch's fresh jobs: the calling thread and
+//! `min(workers, jobs) − 1` scoped helpers each take the next job index
+//! from one counter until none is left, and the helpers are joined before
+//! the batch is finalised.  A 1-worker engine or a one-job batch spawns no
+//! helper, and a batch served entirely from the result cache has no job.
 //!
 //! ## Digest memo
 //!
@@ -49,8 +46,7 @@
 //! [`QueryResponse::cached`] and the engine-wide [`CacheStats`].
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -70,23 +66,25 @@ use crate::digest_memo::{DigestMemo, MemoUpdate, TracedWork};
 use crate::error::EngineError;
 use crate::frontend::parse_query;
 use crate::planner::ResolvedPlan;
-use crate::pool::{PoolMetrics, PoolTask, WorkerPool};
 use crate::query::{QueryRequest, QueryResponse, QuerySummary, Rows};
 use crate::session::Session;
 
 /// Engine construction options.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of worker threads used by [`Engine::execute_batch`].
-    /// `1` degenerates to serial execution on the calling thread.
+    /// Threads one [`Engine::execute_batch`] spreads its fresh jobs over:
+    /// the calling thread plus up to `workers − 1` scoped helpers, spawned
+    /// for that batch and joined before it returns.  `1` runs every job on
+    /// the calling thread.  The bound is per batch: two callers inside
+    /// `execute_batch` at once use up to `workers` threads each.
     pub workers: usize,
     /// Threads one query's sorts may fork across.  `1` (the default) keeps
     /// every sort on its serial path; `>= 2` forks the halves of every
     /// sorting network of at least `FORK_CELLS` cells
     /// (`obliv_primitives::sort::bitonic::FORK_CELLS`) onto scoped threads,
-    /// ⌈log₂ intra_query_threads⌉ levels deep.  Each worker runs its own
-    /// query's forks, so up to `workers × intra_query_threads` threads can
-    /// run at once.  Results and trace digests are bit-identical at every
+    /// ⌈log₂ intra_query_threads⌉ levels deep.  Each batch thread runs its
+    /// own query's forks, so up to `workers × intra_query_threads` threads
+    /// can run at once.  Results and trace digests are bit-identical at every
     /// setting.
     pub intra_query_threads: usize,
     /// Enable the `(canonical plan, catalog epoch)` result cache.  On by
@@ -115,9 +113,9 @@ pub struct EngineConfig {
     /// Zero disables retention but keeps counting.
     pub slow_query_capacity: usize,
     /// Fault-injection handle consulted at the `engine/worker` point just
-    /// before each job executes (tests panic the worker or slow the job
-    /// here).  Defaults to disabled; in builds without the `inject`
-    /// feature of `obliv-chaos` this is a zero-sized no-op.
+    /// before each job executes (tests panic the job or slow it here).
+    /// Defaults to disabled; in builds without the `inject` feature of
+    /// `obliv-chaos` this is a zero-sized no-op.
     pub faults: Faults,
 }
 
@@ -290,7 +288,7 @@ impl ResultCache {
     }
 }
 
-/// What a worker hands back for one freshly executed plan; the submitting
+/// What one job yields for one freshly executed plan; the submitting
 /// thread folds it into a [`QuerySummary`] once the publish span closes.
 struct Executed {
     rows: Rows,
@@ -310,9 +308,20 @@ struct Executed {
     forks: u64,
     /// Nanoseconds the query's forking threads spent waiting on joins.
     join_wait_ns: u64,
-    /// When execution (and digest extraction) finished on the worker; the
-    /// collector derives the publish span from it.
+    /// When execution (and digest extraction) finished on the thread that
+    /// ran the job; the publish span is derived from it.
     finished: Instant,
+}
+
+/// One distinct uncached plan of a batch: the resolved plan plus its public
+/// description for the digest memo (canonical text and every input's
+/// schema, i.e. all the resolution consumed besides the span-recorded
+/// sizes), and the deadline checked when a thread picks it up.
+struct FreshJob {
+    slot: usize,
+    plan: ResolvedPlan,
+    shape: String,
+    deadline: Option<Instant>,
 }
 
 /// One resolved plan as the digest memo's unit of [`TracedWork`]: the
@@ -340,9 +349,10 @@ impl TracedWork for PlanWork<'_> {
             }),
             None => self.plan.execute_traced(tracer, &mut recorder),
         };
-        // The wait on the pool's injector queue happened before this span
-        // opened; surface it as a synthetic first child so the tree tells
-        // the whole story (its duration is Timing-classed like any other).
+        // The wait behind the batch's earlier jobs happened before this
+        // span opened; surface it as a synthetic first child so the tree
+        // tells the whole story (its duration is Timing-classed like any
+        // other).
         recorder.attach_first(synthetic_span(
             "queue_wait",
             self.queue_wait.as_nanos() as u64,
@@ -489,11 +499,6 @@ impl EngineMetrics {
 pub struct Engine {
     catalog: RwLock<Catalog>,
     workers: usize,
-    /// The resident worker pool (empty — no threads — for a 1-worker
-    /// engine, whose batches run inline on the calling thread).  Jobs
-    /// yield `None` when the request's deadline expired before the worker
-    /// could start it.
-    pool: WorkerPool<Option<Executed>>,
     /// Threads one query's sorts may fork across
     /// ([`EngineConfig::intra_query_threads`]).
     intra_query_threads: usize,
@@ -505,8 +510,8 @@ pub struct Engine {
     /// cleared on every catalog mutation.  `None` when caching is disabled.
     result_cache: Option<Mutex<ResultCache>>,
     result_cache_cap: usize,
-    /// Shape-keyed trace-digest memo, shared with pooled jobs.
-    digest_memo: Arc<DigestMemo>,
+    /// Shape-keyed trace-digest memo; jobs only read it.
+    digest_memo: DigestMemo,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
@@ -529,37 +534,23 @@ impl Engine {
     }
 
     /// An engine serving queries over an existing catalog.  No thread is
-    /// spawned here: the resident worker pool starts with the first batch
-    /// that needs it and lives until the engine is dropped.
+    /// spawned here: a batch spawns its helpers and joins them before it
+    /// returns.
     pub fn with_catalog(catalog: Catalog, config: EngineConfig) -> Self {
         let workers = config.workers.max(1);
         let registry = Arc::new(MetricsRegistry::new());
         let metrics = EngineMetrics::new(&registry);
         metrics.workers.set(workers as i64);
-        let pool_metrics = PoolMetrics {
-            queue_depth: registry.gauge("engine_pool_queue_depth", MetricClass::Timing, &[]),
-            jobs: registry.counter("engine_pool_jobs_total", MetricClass::Timing, &[]),
-            busy_ns: registry.counter("engine_pool_busy_ns_total", MetricClass::Timing, &[]),
-            queue_wait_us: registry.histogram(
-                "engine_pool_queue_wait_us",
-                MetricClass::Timing,
-                &[],
-            ),
-        };
-        // A 1-worker engine executes inline; don't park an idle thread.
-        let pool: WorkerPool<Option<Executed>> =
-            WorkerPool::new(if workers > 1 { workers } else { 0 }, Some(pool_metrics));
         let intra_query_threads = config.intra_query_threads.max(1);
         Engine {
             catalog: RwLock::new(catalog),
             workers,
-            pool,
             intra_query_threads,
             result_cache: config
                 .result_cache
                 .then(|| Mutex::new(ResultCache::default())),
             result_cache_cap: config.result_cache_cap,
-            digest_memo: Arc::new(DigestMemo::new(&registry, "engine")),
+            digest_memo: DigestMemo::new(&registry, "engine"),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
@@ -572,7 +563,7 @@ impl Engine {
         }
     }
 
-    /// Number of worker threads a batch is spread over.
+    /// Most threads one batch's fresh jobs are spread over.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -592,7 +583,7 @@ impl Engine {
 
     /// The slow-query ring (empty unless
     /// [`EngineConfig::slow_query_threshold`] is set).  Records are pushed
-    /// only by batch finalisation, so an aborted batch — worker panic,
+    /// only by batch finalisation, so an aborted batch — job panic,
     /// deadline expiry — can never leak a partial span tree into it.
     pub fn slow_queries(&self) -> &SlowQueryLog {
         &self.slow_log
@@ -689,28 +680,28 @@ impl Engine {
         Session::new(self, tenant)
     }
 
-    /// Execute one resolved plan with its own tracer, producing the result
-    /// table and the query's leakage accounting.  This is the single code
-    /// path used by serial and concurrent execution alike; the caller
-    /// closes the publish span, commits the memo update and assembles the
-    /// [`QuerySummary`].  `shape` is the plan's public description for the
-    /// digest memo.
-    fn run_plan(
-        plan: &ResolvedPlan,
-        shape: &str,
-        memo: &DigestMemo,
-        queue_wait: Duration,
-        par: Option<ParCtx>,
-    ) -> Executed {
+    /// Run one fresh job on the thread that picked it up, `queue_wait`
+    /// after the batch was dispatched: the `engine/worker` injection point,
+    /// the job-start deadline check, then the plan's execution with its own
+    /// tracer.  `None` iff `deadline` had passed.  The caller closes the
+    /// publish span, commits the memo update and assembles the
+    /// [`QuerySummary`].
+    fn run_job(&self, job: &FreshJob, queue_wait: Duration) -> Option<Executed> {
+        consult_worker_faults(&self.faults);
+        if job.deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        let FreshJob { plan, shape, .. } = job;
         let start = Instant::now();
+        let par = self.par_ctx();
         let stats = par.as_ref().map(ParCtx::stats);
         let work = PlanWork {
             plan,
             queue_wait,
             par,
         };
-        let traced = memo.trace(shape, &work);
-        Executed {
+        let traced = self.digest_memo.trace(shape, &work);
+        Some(Executed {
             rows: traced.output,
             counters: traced.trace.counters,
             trace: traced.trace,
@@ -719,14 +710,14 @@ impl Engine {
             memo_update: traced.update,
             carry_words: plan.carry_words(),
             // Includes a miss's or re-audit's re-trace (its own
-            // `trace_audit` span in the tree): it is worker time the query
-            // waited for.
+            // `trace_audit` span in the tree): it is time the query waited
+            // for.
             execute: start.elapsed(),
             queue_wait,
             forks: stats.as_ref().map_or(0, |s| s.forks()),
             join_wait_ns: stats.as_ref().map_or(0, |s| s.join_wait_ns()),
             finished: Instant::now(),
-        }
+        })
     }
 
     /// A fresh per-query parallelism context, when intra-query parallelism
@@ -742,25 +733,13 @@ impl Engine {
         })
     }
 
-    /// Execute a batch of requests serially on this thread.
+    /// Execute a batch of requests, spreading its fresh jobs over the
+    /// calling thread and up to `workers − 1` scoped helpers.
     ///
-    /// Same semantics as [`execute_batch`](Engine::execute_batch) — the
-    /// two share one code path (cache probe, dedup, fan-out); only the job
-    /// scheduling differs — so for every request the result table and
-    /// trace digest are bit-identical between the two.
-    pub fn execute_serial(
-        &self,
-        requests: &[QueryRequest],
-    ) -> Result<Vec<QueryResponse>, EngineError> {
-        self.execute_common(requests, false)
-    }
-
-    /// Execute a batch of requests concurrently on the worker pool.
-    ///
-    /// Responses come back in submission order regardless of which worker
+    /// Responses come back in submission order regardless of which thread
     /// ran which query or in what order they finished.  Every query runs on
-    /// its own tracer, so results and trace digests are bit-identical to
-    /// [`execute_serial`](Engine::execute_serial).
+    /// its own tracer, so results and trace digests are bit-identical to a
+    /// 1-worker engine's.
     ///
     /// The whole batch is resolved before any query runs, so a single bad
     /// request fails the batch up front rather than part-way through.
@@ -772,14 +751,6 @@ impl Engine {
         &self,
         requests: &[QueryRequest],
     ) -> Result<Vec<QueryResponse>, EngineError> {
-        self.execute_common(requests, true)
-    }
-
-    fn execute_common(
-        &self,
-        requests: &[QueryRequest],
-        parallel: bool,
-    ) -> Result<Vec<QueryResponse>, EngineError> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
@@ -787,7 +758,7 @@ impl Engine {
         // already spent (e.g. the queue wait alone consumed it) fails the
         // batch before any work is admitted.  Checked per request — not
         // per deduplicated plan — so every expired label is eligible to
-        // surface; a second pre-execution check runs at worker start.
+        // surface; a second pre-execution check runs at job start.
         let admitted = Instant::now();
         for request in requests {
             if request.deadline().is_some_and(|d| admitted >= d) {
@@ -827,14 +798,6 @@ impl Engine {
             resolve: Duration,
             inputs: Vec<(String, u64)>,
         }
-        /// A resolved plan plus its public description for the digest
-        /// memo: canonical text and every input's schema, i.e. all the
-        /// resolution consumed besides the (span-recorded) sizes.
-        struct FreshJob {
-            slot: usize,
-            plan: ResolvedPlan,
-            shape: String,
-        }
         let mut payload: Vec<Option<Arc<CachedQuery>>> = Vec::new();
         payload.resize_with(representative.len(), || None);
         let mut aux: Vec<Option<FreshAux>> = Vec::new();
@@ -868,74 +831,73 @@ impl Engine {
                         })
                         .collect();
                     aux[slot] = Some(FreshAux { resolve, inputs });
-                    jobs.push(FreshJob { slot, plan, shape });
+                    // The job-start deadline check uses the representative
+                    // request; admission covered every duplicate.
+                    let deadline = requests[req].deadline();
+                    jobs.push(FreshJob {
+                        slot,
+                        plan,
+                        shape,
+                        deadline,
+                    });
                 }
             }
             epoch
         };
 
-        // Execute the distinct uncached plans — on the resident pool when
-        // asked and worthwhile, inline otherwise.  Each completed job is
-        // stamped on collection so the publish span (worker hand-off and
-        // finalisation) is measurable.
-        let fresh_slots: Vec<usize> = jobs.iter().map(|job| job.slot).collect();
-        let mut executed: Vec<Option<(Executed, Instant)>> = Vec::new();
-        executed.resize_with(representative.len(), || None);
-        // The worker-start deadline check uses the slot's representative
-        // request; admission already covered every duplicate individually.
-        let deadline_of = |slot: usize| requests[representative[slot]].deadline();
-        let expired = |slot: usize| {
-            self.metrics.deadline_exceeded.inc();
-            EngineError::DeadlineExceeded {
-                label: requests[representative[slot]].label.clone(),
+        // Execute the distinct uncached plans: the calling thread and
+        // `min(workers, jobs) − 1` scoped helpers each take the next job
+        // index from one counter until none is left.  A job's queue wait is
+        // its pickup time minus `dispatched`, so on a 1-worker engine every
+        // job after the first reports its wait behind the earlier ones.
+        // Each job is stamped when it returns, so the publish span is
+        // measurable.  An expired deadline stops further pickups: the
+        // batch fails anyway.
+        let dispatched = Instant::now();
+        let next = AtomicUsize::new(0);
+        let run_jobs = || {
+            let mut done = Vec::new();
+            while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let run = self.run_job(job, dispatched.elapsed());
+                if run.is_none() {
+                    next.store(jobs.len(), Ordering::Relaxed);
+                }
+                done.push((job.slot, run.map(|run| (run, Instant::now()))));
             }
+            done
         };
-        if parallel && self.pool.workers() > 0 && jobs.len() > 1 {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            self.pool.submit(
-                jobs.into_iter().map(|FreshJob { slot, plan, shape }| {
-                    let task: PoolTask<Option<Executed>> =
-                        Box::new(self.job(plan, shape, deadline_of(slot)));
-                    (slot, task)
-                }),
-                &reply_tx,
-            );
-            // Close our clone so the receiver ends after the last job's
-            // reply instead of blocking forever.  Every job replies
-            // exactly once — a panicking job ships its payload, which is
-            // re-raised here so the submitting thread fails with the
-            // original message (as the old scoped pool did) while the
-            // worker itself survives.  An expired deadline is drained to
-            // the end (letting sibling jobs finish cleanly) and then fails
-            // the batch before anything is finalised.
-            drop(reply_tx);
-            let mut first_expired: Option<usize> = None;
-            for (slot, entry) in reply_rx.iter().take(fresh_slots.len()) {
-                match entry {
-                    Ok(Some(entry)) => executed[slot] = Some((entry, Instant::now())),
-                    Ok(None) => {
-                        first_expired.get_or_insert(slot);
-                    }
+        let helpers = self.workers.min(jobs.len()).saturating_sub(1);
+        let mut outcomes = thread::scope(|scope| {
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(run_jobs)).collect();
+            let mut outcomes = run_jobs();
+            // Join explicitly and re-raise a helper's panic with its
+            // original payload: the scope's implicit join would replace it
+            // with a generic message.  A panic on the calling thread
+            // unwinds out of the scope after the helpers finish, payload
+            // intact.
+            for handle in handles {
+                match handle.join() {
+                    Ok(done) => outcomes.extend(done),
                     Err(cause) => std::panic::resume_unwind(cause),
                 }
             }
-            if let Some(slot) = first_expired {
-                return Err(expired(slot));
-            }
-        } else {
-            for FreshJob { slot, plan, shape } in jobs {
-                match self.job(plan, shape, deadline_of(slot))(Duration::ZERO) {
-                    Some(entry) => executed[slot] = Some((entry, Instant::now())),
-                    None => return Err(expired(slot)),
-                }
-            }
+            outcomes
+        });
+        // Back in job order (jobs were pushed in slot order): the first
+        // expired job names the error, and finalisation is deterministic.
+        outcomes.sort_unstable_by_key(|&(slot, _)| slot);
+        if let Some(&(slot, _)) = outcomes.iter().find(|(_, run)| run.is_none()) {
+            self.metrics.deadline_exceeded.inc();
+            return Err(EngineError::DeadlineExceeded {
+                label: requests[representative[slot]].label.clone(),
+            });
         }
 
         // Finalise each fresh execution: close its publish span, assemble
         // the summary with the full phase breakdown, deposit the leakage
         // audit record, the digest-memo update and the content metrics.
-        for &slot in &fresh_slots {
-            let (run, collected) = executed[slot].take().expect("fresh slot was executed");
+        for (slot, run) in outcomes {
+            let (run, collected) = run.expect("an expired job failed the batch");
             let FreshAux { resolve, inputs } = aux[slot].take().expect("fresh slot was resolved");
             let rep = representative[slot];
             let phases = PhaseBreakdown {
@@ -1015,16 +977,16 @@ impl Engine {
         // them; either way no dead entry can occupy the capped cache.
         // Skipped entirely on the fully-cached path: a warm batch has
         // nothing to publish and should not touch either lock again.
-        if !fresh_slots.is_empty() {
+        if !jobs.is_empty() {
             if let Some(cache) = &self.result_cache {
                 let catalog = self.catalog.read().expect("catalog lock poisoned");
                 if catalog.epoch() == epoch {
                     let mut cache = cache.lock().expect("result cache lock poisoned");
-                    for &slot in &fresh_slots {
-                        let entry = payload[slot].as_ref().expect("fresh slot was executed");
+                    for job in &jobs {
+                        let entry = payload[job.slot].as_ref().expect("fresh slot was executed");
                         let evicted = cache.insert(
                             self.result_cache_cap,
-                            canon[representative[slot]],
+                            canon[representative[job.slot]],
                             epoch,
                             Arc::clone(entry),
                         );
@@ -1044,8 +1006,8 @@ impl Engine {
         // other request (intra-batch duplicate or cache hit) is a hit.
         let fresh: Vec<bool> = {
             let mut fresh = vec![false; representative.len()];
-            for &slot in &fresh_slots {
-                fresh[slot] = true;
+            for job in &jobs {
+                fresh[job.slot] = true;
             }
             fresh
         };
@@ -1060,28 +1022,6 @@ impl Engine {
             })
             .collect();
         Ok(responses)
-    }
-
-    /// The body of one fresh job, the same on a pool worker (called with
-    /// its queue wait) and inline (called with `Duration::ZERO`): the
-    /// `engine/worker` injection point, the worker-start deadline check,
-    /// then the traced execution.  `None` iff `deadline` had passed.
-    fn job(
-        &self,
-        plan: ResolvedPlan,
-        shape: String,
-        deadline: Option<Instant>,
-    ) -> impl FnOnce(Duration) -> Option<Executed> + Send + 'static {
-        let faults = self.faults.clone();
-        let par = self.par_ctx();
-        let memo = Arc::clone(&self.digest_memo);
-        move |wait| {
-            consult_worker_faults(&faults);
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return None;
-            }
-            Some(Engine::run_plan(&plan, &shape, &memo, wait, par))
-        }
     }
 
     /// Fan one payload out to `request` under its own label, accounting it
@@ -1142,12 +1082,12 @@ impl Engine {
 }
 
 /// Consult the `engine/worker` injection point just before a job runs: a
-/// test-configured fault plan can panic the worker (contained by the
-/// pool's `catch_unwind` and re-raised on the submitting thread) or delay
-/// the job (typically to force a deadline expiry).  Runs on the worker
-/// thread for pooled jobs and on the calling thread for inline execution,
-/// so single-job batches are injectable too.  Compiles to nothing when the
-/// chaos `inject` feature is off.
+/// test-configured fault plan can panic the job (re-raised on the
+/// submitting thread with its original payload) or delay it (typically to
+/// force a deadline expiry).  Runs on whichever batch thread picked the
+/// job up — a helper or the calling thread — so single-job batches are
+/// injectable too.  Compiles to nothing when the chaos `inject` feature is
+/// off.
 fn consult_worker_faults(faults: &Faults) {
     match faults.hit(points::ENGINE_WORKER) {
         Some(Fault::Panic) => panic!("injected: engine worker panic"),
@@ -1159,7 +1099,7 @@ fn consult_worker_faults(faults: &Faults) {
 /// Consult the `engine/parallel_worker` injection point at the start of one
 /// branch of a forked sort: `Panic` exercises the failed-branch path (the
 /// join still waits for the other branch, then the panic surfaces on the
-/// query's worker as the usual contained job panic, payload intact) and
+/// query's batch thread as the usual job panic, payload intact) and
 /// `Delay` makes one branch a straggler.  Compiles to nothing when the
 /// chaos `inject` feature is off.
 fn consult_parallel_worker_faults(faults: &Faults) {
@@ -1243,9 +1183,9 @@ mod tests {
     #[test]
     fn concurrent_matches_serial_bit_for_bit() {
         // One engine per run, so each is cold: the concurrent run really
-        // executes and really traces on the pool instead of replaying the
-        // serial run's cached payloads or memoised digests.
-        let serial = engine(4).execute_serial(&requests()).unwrap();
+        // executes and really traces on its helpers instead of replaying
+        // the serial run's cached payloads or memoised digests.
+        let serial = engine(1).execute_batch(&requests()).unwrap();
         let concurrent = engine(4).execute_batch(&requests()).unwrap();
         assert_eq!(serial.len(), concurrent.len());
         for (s, c) in serial.iter().zip(&concurrent) {
@@ -1288,24 +1228,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let engine = engine(2);
         assert!(engine.execute_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn engine_new_spawns_no_worker_until_first_batch() {
-        let engine = engine(2);
-        assert_eq!(engine.pool.workers(), 2);
-        assert_eq!(engine.pool.spawned(), 0, "construction parks no thread");
-        // Neither does a catalog read, nor a batch with a single distinct
-        // plan (it runs inline on the caller).
-        assert!(engine.table_meta("orders").is_some());
-        engine.execute_batch(&requests()[..1]).unwrap();
-        assert_eq!(engine.pool.spawned(), 0);
-        // Two distinct misses go to the pool, which starts its workers.
-        engine.execute_batch(&requests()).unwrap();
-        assert_eq!(engine.pool.spawned(), 2);
-        // And a warm batch is served without touching it again.
-        engine.execute_batch(&requests()).unwrap();
-        assert_eq!(engine.pool.spawned(), 2);
     }
 
     #[test]
@@ -1537,35 +1459,46 @@ mod tests {
 
     #[test]
     fn phase_breakdown_partitions_wall_time() {
-        let engine = engine(4);
-        let responses = engine.execute_batch(&requests()).unwrap();
-        for r in &responses {
-            let p = r.summary.phases;
-            assert!(
-                p.queue_wait + p.execute <= r.summary.wall,
-                "queue_wait {:?} + execute {:?} must fit in wall {:?} ({})",
-                p.queue_wait,
-                p.execute,
-                r.summary.wall,
-                r.label
-            );
-            assert!(p.execute > std::time::Duration::ZERO);
-            assert_eq!(
-                p.parse,
-                std::time::Duration::ZERO,
-                "plan-built requests skip parse"
-            );
-        }
-        // Same invariant on the serial path (queue_wait is zero there).
-        let engine = engine_with(EngineConfig {
-            workers: 1,
-            result_cache: false,
-            ..Default::default()
-        });
-        for r in &engine.execute_serial(&requests()).unwrap() {
-            let p = r.summary.phases;
-            assert_eq!(p.queue_wait, std::time::Duration::ZERO);
-            assert!(p.queue_wait + p.execute <= r.summary.wall);
+        // Four distinct misses: more than the 2-worker engine's threads, so
+        // some job waits behind another on both engines.
+        for workers in [2, 1] {
+            let engine = engine_with(EngineConfig {
+                workers,
+                result_cache: false,
+                ..Default::default()
+            });
+            let responses = engine.execute_batch(&requests()).unwrap();
+            for r in &responses {
+                assert!(!r.cached);
+                let p = r.summary.phases;
+                assert!(
+                    p.queue_wait + p.execute <= r.summary.wall,
+                    "queue_wait {:?} + execute {:?} must fit in wall {:?} ({}, workers={workers})",
+                    p.queue_wait,
+                    p.execute,
+                    r.summary.wall,
+                    r.label
+                );
+                assert!(p.execute > Duration::ZERO);
+                assert_eq!(p.parse, Duration::ZERO, "plan-built requests skip parse");
+            }
+            if workers == 1 {
+                // One thread takes the jobs in submission order, so each
+                // job waited at least as long as the one before it waited
+                // and ran.
+                for pair in responses.windows(2) {
+                    let (before, after) = (pair[0].summary.phases, pair[1].summary.phases);
+                    assert!(
+                        after.queue_wait >= before.queue_wait + before.execute,
+                        "{} waited {:?}, behind {} ({:?} + {:?})",
+                        pair[1].label,
+                        after.queue_wait,
+                        pair[0].label,
+                        before.queue_wait,
+                        before.execute
+                    );
+                }
+            }
         }
     }
 
@@ -1675,9 +1608,9 @@ mod tests {
             faults,
             ..Default::default()
         });
-        // Two distinct plans so the batch takes the pool path; the
-        // injected delay outlives the 10 ms budget, so whichever job it
-        // lands on expires at worker start.
+        // Two distinct plans, one per batch thread; the injected delay
+        // outlives the 10 ms budget, so whichever job it lands on expires
+        // at job start.
         let deadline = Instant::now() + Duration::from_millis(10);
         let batch = vec![
             QueryRequest::new("a", Plan::scan("orders")).with_deadline(deadline),
@@ -1698,25 +1631,43 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_propagates_and_engine_survives() {
-        let faults = obliv_chaos::FaultPlan::new()
-            .seed(1)
-            .once(points::ENGINE_WORKER, Fault::Panic)
-            .build();
-        let engine = engine_with(EngineConfig {
-            workers: 2,
-            result_cache: false,
-            faults,
-            ..Default::default()
-        });
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.execute_batch(&requests())
-        }));
-        assert!(attempt.is_err(), "the injected panic reaches the submitter");
-        // The worker survives (catch_unwind in the pool); nothing was
-        // finalised by the aborted batch, and a clean batch runs fine.
-        let snap = engine.metrics().snapshot();
-        assert_eq!(snap.counter("engine_audit_records_total", &[]), 0);
-        assert_eq!(engine.execute_batch(&requests()).unwrap().len(), 4);
+        // Four distinct misses over two batch threads, the panic on the
+        // n-th job picked up: across the attempts it lands on the helper
+        // as well as on the calling thread.
+        for n in 0..4 {
+            let faults = obliv_chaos::FaultPlan::new()
+                .seed(n)
+                .nth(points::ENGINE_WORKER, n, Fault::Panic)
+                .build();
+            let engine = engine_with(EngineConfig {
+                workers: 2,
+                faults,
+                ..Default::default()
+            });
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.execute_batch(&requests())
+            }));
+            let payload = attempt.expect_err("the injected panic reaches the submitter");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"injected: engine worker panic"),
+                "the original payload survives the thread hop (n={n})"
+            );
+            // The aborted batch finalised nothing: no audit record, no
+            // executed query, no memo commit, no cache insert.
+            let snap = engine.metrics().snapshot();
+            assert_eq!(snap.counter("engine_audit_records_total", &[]), 0);
+            assert_eq!(
+                snap.counter("engine_queries_total", &[("result", "executed")]),
+                0
+            );
+            assert_eq!(engine.digest_memo.entries(), 0);
+            assert_eq!(engine.cache_stats().entries, 0);
+            // And the next batch answers, every request a fresh execution.
+            let responses = engine.execute_batch(&requests()).unwrap();
+            assert_eq!(responses.len(), 4);
+            assert!(responses.iter().all(|r| !r.cached));
+        }
     }
 
     #[test]
@@ -1734,8 +1685,7 @@ mod tests {
             snap.counter("engine_queries_total", &[("result", "cached")]),
             4
         );
-        assert_eq!(snap.counter("engine_pool_jobs_total", &[]), 4);
-        assert_eq!(snap.gauge("engine_pool_queue_depth", &[]), 0);
+        assert!(snap.counter("engine_phase_ns_total", &[("phase", "execute")]) > 0);
         assert_eq!(snap.gauge("engine_workers", &[]), 4);
         assert_eq!(snap.gauge("engine_result_cache_entries", &[]), 4);
         assert!(snap.counter("engine_ops_total", &[("op", "comparisons")]) > 0);

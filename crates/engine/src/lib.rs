@@ -5,8 +5,9 @@
 //! crate is the serving layer a deployment actually runs: it owns a
 //! [`Catalog`] of named tables, accepts batches of [`QueryRequest`]s whose
 //! plans reference tables *by name*, parses a tiny text query language, and
-//! executes many queries concurrently on a worker pool — while preserving,
-//! per query, exactly the leakage profile of a serial run.
+//! executes a batch's queries concurrently — on the calling thread plus
+//! scoped helpers — while preserving, per query, exactly the leakage
+//! profile of a serial run.
 //!
 //! ## Why concurrency does not change the leakage
 //!
@@ -15,11 +16,12 @@
 //! [`Tracer`](obliv_trace::Tracer) and its own buffers; queries share no
 //! mutable state, so each query's access stream is byte-for-byte the stream
 //! a serial run would produce, and its SHA-256 trace digest (reported in
-//! [`QuerySummary`]) is independent of whatever else the pool is running.
+//! [`QuerySummary`]) is independent of whatever else the batch is running.
 //! Scheduling affects throughput, never traces.  The integration tests
 //! assert both properties: bit-identical results and digests between
-//! [`Engine::execute_serial`] and [`Engine::execute_batch`], and digest
-//! invariance between a query running alone and alongside seven others.
+//! [`Engine::execute_batch`] on a 1-worker engine and on 2, 4 and 16
+//! workers, and digest invariance between a query running alone and
+//! alongside seven others.
 //!
 //! ## Quick start
 //!
@@ -52,7 +54,7 @@
 //! | [`query`] | [`Plan`], [`QueryRequest`], [`QueryResponse`], [`Rows`], [`QuerySummary`] |
 //! | [`planner`] | [`ResolvedPlan`] — type-checking, carry selection, the wide execution tree |
 //! | [`frontend`] | [`parse_query`], [`parse_statement`] — the pipeline text language and the `EXPLAIN ANALYZE` verb |
-//! | [`executor`] | [`Engine`], [`EngineConfig`], [`CacheStats`] — worker-pool batch execution and the result cache |
+//! | [`executor`] | [`Engine`], [`EngineConfig`], [`CacheStats`] — batch execution and the result cache |
 //! | [`digest_memo`] | [`DigestMemo`] — trace digests once per public shape, with periodic re-audits |
 //! | [`session`] | [`Session`], [`SessionStats`] — per-tenant queues and accounting |
 //! | [`shardable`] | [`Shardability`], [`MergeOp`] — can a plan decompose into per-shard subplans? |
@@ -66,7 +68,6 @@ pub mod error;
 pub mod executor;
 pub mod frontend;
 pub mod planner;
-pub(crate) mod pool;
 pub mod query;
 pub mod session;
 pub mod shardable;

@@ -334,7 +334,7 @@ pub struct QueryRequest {
     /// equality.
     parse_cost: std::time::Duration,
     /// Absolute completion deadline.  The executor checks it at batch
-    /// admission and again at worker start; an expired request fails its
+    /// admission and again at job start; an expired request fails its
     /// batch with [`EngineError::DeadlineExceeded`] before any result is
     /// finalised.  `None` (the default) never expires.  Not part of
     /// request equality.
@@ -550,10 +550,10 @@ pub struct QueryResponse {
     pub cached: bool,
     /// The operator-level span tree of the run that produced this payload:
     /// one span per plan node (nested like the plan) under a `query` root,
-    /// with a synthetic `queue_wait` child for time spent waiting for a
-    /// worker.  Cache hits replay the original miss's tree unchanged (its
-    /// Content fields describe the payload; its Timing fields describe the
-    /// run that produced it).  The tree's structure and Content fields are
+    /// with a synthetic `queue_wait` child for time spent waiting behind
+    /// the batch's earlier jobs.  Cache hits replay the original miss's
+    /// tree unchanged (its Content fields describe the payload; its Timing
+    /// fields describe the run that produced it).  The tree's structure and Content fields are
     /// content-independent — see [`SpanNode::without_timing`].
     pub trace: Arc<SpanNode>,
 }

@@ -1,13 +1,15 @@
-//! Differential suite: intra-query parallel execution is bit-identical to
-//! serial execution for every operator, at every thread count.
+//! Differential suite: parallel execution is bit-identical to serial
+//! execution for every operator, at every thread count.
 //!
 //! A forked sort runs its gates on several threads and records its trace
 //! by the same walk of the network as a serial sort, so the trace digest —
 //! the engine's obliviousness witness — must be *exactly* the serial digest
-//! however many threads the sorts forked across.  These tests pin that
-//! equivalence end to end through the engine (results, digests, event
-//! counts, op counters), plus its interactions with the result cache,
-//! intra-batch deduplication, and injected faults in forked branches.
+//! however many threads the sorts forked across.  Likewise a batch spread
+//! over the calling thread and its helpers must answer exactly as a
+//! 1-worker engine does.  These tests pin both equivalences end to end
+//! through the engine (results, digests, event counts, op counters), plus
+//! their interactions with the result cache, intra-batch deduplication,
+//! and injected faults in forked branches.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -170,17 +172,17 @@ fn assert_bit_identical(serial: &[QueryResponse], parallel: &[QueryResponse], wh
 #[test]
 fn every_operator_is_bit_identical_at_every_chunk_count() {
     let baseline = engine(1, 1, false);
-    let serial = baseline.execute_serial(&operator_requests()).unwrap();
+    let serial = baseline.execute_batch(&operator_requests()).unwrap();
     for intra in [1usize, 2, 4, 8] {
         let par = engine(2, intra, false);
         let batch = par.execute_batch(&operator_requests()).unwrap();
         assert_bit_identical(&serial, &batch, &format!("intra={intra} batch"));
-        // The inline (serial-scheduling) path of the same configuration
-        // must agree too: forking is orthogonal to job scheduling.
-        let inline = engine(2, intra, false)
-            .execute_serial(&operator_requests())
+        // A 1-worker engine of the same forking configuration must agree
+        // too: forking is orthogonal to job scheduling.
+        let one_thread = engine(1, intra, false)
+            .execute_batch(&operator_requests())
             .unwrap();
-        assert_bit_identical(&serial, &inline, &format!("intra={intra} inline"));
+        assert_bit_identical(&serial, &one_thread, &format!("intra={intra} 1 worker"));
     }
 }
 
@@ -195,11 +197,11 @@ fn digest_memo_serves_exactly_what_tracing_would_at_every_chunk_count() {
             snap.counter("engine_digest_mismatch_total", &[]),
         ]
     };
-    // The reference for the memo-hit round: a cold serial engine really
+    // The reference for the memo-hit round: a cold 1-worker engine really
     // tracing every plan over the reversed tables.
     let reference = engine(1, 1, false);
     reverse_tables(&reference);
-    let real = reference.execute_serial(&operator_requests()).unwrap();
+    let real = reference.execute_batch(&operator_requests()).unwrap();
     assert_eq!(memo_counts(&reference), [0, plans, 0]);
 
     for intra in [1usize, 2, 4] {
@@ -251,7 +253,7 @@ fn warm_cache_replays_are_bit_identical_under_parallelism() {
     }
     // And the cached payloads equal a serial engine's fresh ones.
     let baseline = engine(1, 1, false);
-    let serial = baseline.execute_serial(&operator_requests()).unwrap();
+    let serial = baseline.execute_batch(&operator_requests()).unwrap();
     assert_bit_identical(&serial, &hit, "warm cache vs serial");
 }
 
@@ -275,7 +277,7 @@ fn intra_batch_dedup_is_bit_identical_under_parallelism() {
     assert_eq!(responses[0].summary, responses[2].summary);
     // The deduplicated parallel payload equals the serial baseline's.
     let baseline = engine(1, 1, false);
-    let serial = baseline.execute_serial(&batch[..1]).unwrap();
+    let serial = baseline.execute_batch(&batch[..1]).unwrap();
     assert_eq!(serial[0].rows, responses[0].rows);
     assert_eq!(
         serial[0].summary.trace_digest,
@@ -319,7 +321,7 @@ fn partition_panic_fails_one_batch_and_leaves_the_pool_at_capacity() {
         0
     );
 
-    // The pool is at full capacity: the same batch now runs cleanly, in
+    // The engine is unharmed: the same batch now runs cleanly, in
     // parallel, and its payloads are bit-identical to a fault-free
     // parallel engine's.
     let clean = faulted.execute_batch(&operator_requests()).unwrap();
@@ -383,9 +385,21 @@ fn delayed_partition_surfaces_as_a_typed_deadline_error() {
 
 #[test]
 fn worker_and_partition_counts_do_not_change_digests() {
+    // Every operator, spread over the calling thread and up to 1, 3 and
+    // 15 helpers (16 workers: more threads than jobs), answers exactly as
+    // a 1-worker engine does.
+    let serial = engine(1, 1, false)
+        .execute_batch(&operator_requests())
+        .unwrap();
+    for workers in [2usize, 4, 16] {
+        let batch = engine(workers, 1, false)
+            .execute_batch(&operator_requests())
+            .unwrap();
+        assert_bit_identical(&serial, &batch, &format!("workers={workers}"));
+    }
     // Cross product: worker counts × thread counts all agree on one plan.
     let reference = engine(1, 1, false)
-        .execute_serial(&operator_requests()[1..2])
+        .execute_batch(&operator_requests()[1..2])
         .unwrap();
     for workers in [1usize, 2, 4] {
         for intra in [2usize, 8] {

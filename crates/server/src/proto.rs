@@ -37,9 +37,10 @@
 //! recurse the decoder to death.  The `token` names the tenant; the first
 //! token on a connection binds its engine session.  `deadline_ms` is the
 //! request's time budget in milliseconds from server arrival (`0` = no
-//! deadline); the server enforces it at queue admission and between
-//! execution phases, answering with a typed
-//! [`ErrorKind::DeadlineExceeded`] frame when the budget is exhausted.
+//! deadline); the engine checks it at batch admission and at job start,
+//! never interrupting a running execution, and the server answers with a
+//! typed [`ErrorKind::DeadlineExceeded`] frame when the budget is
+//! exhausted.
 //! The deadline is a client-chosen public parameter, so enforcing it
 //! reveals nothing about table contents.  `trace_id` is an opaque
 //! client-chosen correlation id echoed back on the matching reply, and
@@ -1724,7 +1725,7 @@ mod tests {
                     }),
                 },
                 MetricSample {
-                    name: "engine_pool_queue_depth".into(),
+                    name: "engine_workers".into(),
                     labels: vec![],
                     class: MetricClass::Content,
                     value: MetricValue::Gauge(-7),

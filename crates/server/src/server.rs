@@ -27,9 +27,9 @@
 //! of different connections would buy nothing for obliviousness; the
 //! result cache answers every repeat of an executed plan.
 //!
-//! The engine's worker pool is resident, so this pipeline adds no thread
-//! spawns per request: accept → handler (spawned once per connection) →
-//! engine (inline, or its resident pool for intra-query forks).
+//! This pipeline adds no thread spawns per request: accept → handler
+//! (spawned once per connection) → engine, which runs a one-request batch
+//! on the calling thread (only an intra-query fork spawns, per sort).
 //!
 //! ## Backpressure
 //!

@@ -1,7 +1,7 @@
 //! # obliv-shard — a sharded oblivious query coordinator
 //!
 //! One [`Coordinator`] owns `N` independent [`Engine`]s — one per shard,
-//! each with its own worker pool and result cache — plus a full-copy
+//! each with its own catalog and result cache — plus a full-copy
 //! *gather* engine, and presents the same [`QueryExecutor`] surface as a
 //! single engine.  Tables named in [`ShardConfig::partitioned`] are split
 //! into `N` balanced positional chunks (shard `i` holds rows
@@ -110,7 +110,7 @@ pub struct ShardConfig {
     pub partitioned: Vec<String>,
     /// Template configuration for each shard engine *and* the full-copy
     /// gather engine.  Defaults to a 1-worker engine so an `N`-shard
-    /// coordinator spawns no per-engine pool threads beyond the scatter
+    /// coordinator spawns no per-engine batch helpers beyond the scatter
     /// threads themselves.
     pub engine: EngineConfig,
     /// Fault-injection handle consulted at the
@@ -528,8 +528,7 @@ impl Coordinator {
         // One scoped thread per shard; a shard worker's panic is re-raised
         // by its engine on our scatter thread, contained there, and
         // surfaced as a typed per-shard failure (first failing shard
-        // index wins).  Sibling engines run to completion either way, so
-        // their pools stay at capacity.
+        // index wins).  Sibling engines run to completion either way.
         let results: Vec<Result<QueryResponse, EngineError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shard_engines

@@ -1,8 +1,8 @@
 //! Fault injection at the coordinator and inside shard engines: every
 //! contained crash must surface as exactly one typed
 //! [`EngineError::ShardFailed`], sibling shards must be unaffected, and the
-//! coordinator must stay fully usable afterwards — same answers, pools back
-//! at capacity.
+//! coordinator must stay fully usable afterwards — same answers from every
+//! engine.
 //!
 //! Requires the `inject` feature of `obliv-chaos` (a dev-dependency of this
 //! crate), so the injection points compiled into the coordinator and the
@@ -116,8 +116,7 @@ fn one_shard_worker_panic_fails_the_batch_with_that_shard_index() {
     }
 
     // Sibling shards ran to completion and every engine — including the
-    // one whose worker panicked — still answers directly: pools are back
-    // at capacity.
+    // one whose job panicked — still answers directly.
     for i in 0..4 {
         let direct = c
             .shard_engine(i)

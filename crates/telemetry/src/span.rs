@@ -49,7 +49,7 @@ impl Stopwatch {
 /// |---|---|
 /// | `parse` | query text → logical plan (zero for pre-built plans) |
 /// | `resolve` | plan resolution / lowering against the catalog |
-/// | `queue_wait` | job submitted → a pool worker picks it up (zero inline) |
+/// | `queue_wait` | batch dispatched → a batch thread picks the job up |
 /// | `execute` | the oblivious operator pipeline itself |
 /// | `publish` | worker hand-off, result collection and finalisation |
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ pub struct PhaseBreakdown {
     pub parse: Duration,
     /// Catalog resolution and lowering.
     pub resolve: Duration,
-    /// Time spent waiting in the worker-pool queue.
+    /// Time the job waited behind its batch's earlier jobs.
     pub queue_wait: Duration,
     /// Oblivious execution proper.
     pub execute: Duration,

@@ -1,12 +1,13 @@
 //! A multi-tenant analytics service on the oblivious query engine.
 //!
-//! Three tenants share one engine: a catalog of named tables and a worker
-//! pool.  Each tenant opens a session, submits its analytics in the text
-//! query language, and gets back result tables plus per-query leakage
-//! accounting — the chained-SHA-256 digest of each query's public-memory
-//! access pattern and its operation counts.  The engine runs everything
-//! concurrently; the digests prove that co-tenancy changed nothing about
-//! what each query reveals.
+//! Three tenants share one engine: a catalog of named tables and a batch
+//! executor that spreads each batch's queries over the calling thread and
+//! scoped helpers.  Each tenant opens a session, submits its analytics in
+//! the text query language, and gets back result tables plus per-query
+//! leakage accounting — the chained-SHA-256 digest of each query's
+//! public-memory access pattern and its operation counts.  The engine
+//! runs everything concurrently; the digests prove that co-tenancy changed
+//! nothing about what each query reveals.
 //!
 //! Run with:
 //! ```text

@@ -1,6 +1,6 @@
 //! Integration tests for the `obliv-engine` query service: concurrent
 //! batches must be bit-identical to direct [`ResolvedPlan`] execution, a
-//! query's trace digest must not depend on what else the pool is running,
+//! query's trace digest must not depend on what else the batch is running,
 //! and a table registered as pairs must be indistinguishable — rows,
 //! digests, span trees, Content metrics — from the same table registered
 //! under the degenerate `{key, value}` wide schema.
@@ -61,8 +61,8 @@ const MIXED_QUERIES: [&str; 9] = [
 ];
 
 /// Every concurrently executed query returns exactly the rows its resolved
-/// plan produces under a direct serial execution, and the engine's serial
-/// path agrees too.
+/// plan produces under a direct serial execution, and a 1-worker engine
+/// agrees too.
 #[test]
 fn concurrent_batch_matches_direct_resolved_execution() {
     // One cold engine per run: the batch and the serial run must both
@@ -74,7 +74,7 @@ fn concurrent_batch_matches_direct_resolved_execution() {
         .collect();
 
     let concurrent = loaded_engine_uncached(4).execute_batch(&requests).unwrap();
-    let serial = loaded_engine_uncached(4).execute_serial(&requests).unwrap();
+    let serial = loaded_engine_uncached(1).execute_batch(&requests).unwrap();
     assert_eq!(concurrent.len(), MIXED_QUERIES.len());
 
     // Reference: resolve each plan by hand against an identical catalog and
@@ -245,7 +245,7 @@ fn pair_registered_tables_are_indistinguishable_from_their_wide_encoding() {
     assert!(rows_differ, "the second dataset really has other contents");
 }
 
-/// The same batch produces the same results whatever the pool width.
+/// The same batch produces the same results whatever the worker count.
 #[test]
 fn results_are_independent_of_worker_count() {
     let baseline: Vec<_> = {

@@ -168,11 +168,12 @@ impl Client {
         Ok(out)
     }
 
-    /// Run a text query with a server-enforced time budget: if `deadline`
-    /// elapses between the server admitting the request and a worker
-    /// starting it, the server answers a typed
-    /// [`DeadlineExceeded`](ErrorKind::DeadlineExceeded) frame instead of
-    /// executing.  (Sub-millisecond deadlines round up to 1 ms — zero
+    /// Run a text query with a server-enforced time budget, counted from
+    /// the request's arrival at the server.  The engine checks it before
+    /// execution — at batch admission and at job start — and answers a
+    /// typed [`DeadlineExceeded`](ErrorKind::DeadlineExceeded) frame
+    /// instead of executing once it has expired; a running query is never
+    /// interrupted.  (Sub-millisecond deadlines round up to 1 ms — zero
     /// encodes "no deadline" on the wire.)
     pub fn query_with_deadline(
         &mut self,

@@ -32,9 +32,9 @@
 //! ```
 //!
 //! `str16` is `len:u16be` UTF-8 bytes.  `plan` is the recursive encoding
-//! of the unified [`Plan`] IR (one tag byte per node; see the plan codec
-//! in this module), depth-limited on decode so a hostile frame cannot
-//! recurse the decoder to death.  The `token` names the tenant; the first
+//! of the unified [`Plan`] IR (one tag byte per node, then its fields in
+//! the order of the `Plan` field list in this module), depth-limited on
+//! decode so a hostile frame cannot recurse the decoder to death.  The `token` names the tenant; the first
 //! token on a connection binds its engine session.  `deadline_ms` is the
 //! request's time budget in milliseconds from server arrival (`0` = no
 //! deadline); the engine checks it at batch admission and at job start,
@@ -85,7 +85,7 @@
 //! recursive `span` follows: `name:str16 detail:str16 ninputs:u16be
 //! (rows:u64be)* output_rows:u64be output_row_width:u64be
 //! counters:u64be×4 total_ns:u64be self_ns:u64be nchildren:u16be
-//! span*`, depth-limited on decode like the plan codec.  Each
+//! span*`, depth-limited on decode like `plan`.  Each
 //! `OK_METRICS` `series`
 //! is `name:str16 class:u8 nlabels:u16be (key:str16 value:str16)* value`
 //! with `value` one of `0 v:u64be` (counter), `1 v:u64be` (gauge,
@@ -149,7 +149,7 @@ const MAX_PLAN_DEPTH: usize = 64;
 
 /// Maximum span-tree depth the decoder will follow.  A span tree is the
 /// executed plan plus the root `query` span, so it is allowed two levels
-/// more than the plan codec.
+/// more than a plan.
 const MAX_TRACE_DEPTH: usize = MAX_PLAN_DEPTH + 2;
 
 // ---------------------------------------------------------------------------
@@ -285,37 +285,6 @@ pub enum ErrorKind {
     /// were already in flight.  Transient by construction: the error
     /// frame's `retry_after_ms` carries the configured back-off hint.
     Overloaded,
-}
-
-impl ErrorKind {
-    fn to_wire(self) -> u8 {
-        match self {
-            ErrorKind::Protocol => 0,
-            ErrorKind::FrameTooLarge => 1,
-            ErrorKind::UnsupportedVersion => 2,
-            ErrorKind::AuthMismatch => 3,
-            ErrorKind::Query => 4,
-            ErrorKind::Shutdown => 5,
-            ErrorKind::Internal => 6,
-            ErrorKind::DeadlineExceeded => 7,
-            ErrorKind::Overloaded => 8,
-        }
-    }
-
-    fn from_wire(byte: u8) -> Result<ErrorKind, DecodeError> {
-        Ok(match byte {
-            0 => ErrorKind::Protocol,
-            1 => ErrorKind::FrameTooLarge,
-            2 => ErrorKind::UnsupportedVersion,
-            3 => ErrorKind::AuthMismatch,
-            4 => ErrorKind::Query,
-            5 => ErrorKind::Shutdown,
-            6 => ErrorKind::Internal,
-            7 => ErrorKind::DeadlineExceeded,
-            8 => ErrorKind::Overloaded,
-            other => return Err(DecodeError::new(format!("unknown error kind {other}"))),
-        })
-    }
 }
 
 /// A typed, bounded-size error frame.
@@ -491,32 +460,46 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Fram
 }
 
 // ---------------------------------------------------------------------------
-// Primitive codec
+// Codec
 // ---------------------------------------------------------------------------
 
 /// A body failed to decode; carries a human-readable reason that ends up
 /// in a [`ErrorKind::Protocol`] error frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError(String);
+pub struct DecodeError {
+    message: String,
+    /// The body's version byte is not [`PROTOCOL_VERSION`].
+    unsupported_version: bool,
+}
 
 impl DecodeError {
     fn new(message: impl Into<String>) -> DecodeError {
-        DecodeError(message.into())
+        DecodeError {
+            message: message.into(),
+            unsupported_version: false,
+        }
     }
 
     /// The reason the body was rejected.
     pub fn message(&self) -> &str {
-        &self.0
+        &self.message
     }
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed frame body: {}", self.0)
+        write!(f, "malformed frame body: {}", self.message)
     }
 }
 
 impl std::error::Error for DecodeError {}
+
+/// `true` iff a decode failure is the version check (so the server can
+/// answer with [`ErrorKind::UnsupportedVersion`] instead of
+/// [`ErrorKind::Protocol`]).
+pub fn is_version_error(e: &DecodeError) -> bool {
+    e.unsupported_version
+}
 
 /// An append-only body builder.  Field-size violations (a string or
 /// count that does not fit its wire width) are *recorded* rather than
@@ -529,53 +512,30 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Writer {
-        Writer {
-            buf: vec![PROTOCOL_VERSION],
-            overflow: None,
-        }
-    }
-
-    fn overflowed(&mut self, what: &str, len: usize, max: usize) {
-        if self.overflow.is_none() {
+    /// `true` iff `len` fits `max`; otherwise records `what` as the
+    /// (first) oversized field.
+    fn fits(&mut self, what: &str, len: usize, max: usize) -> bool {
+        if len > max && self.overflow.is_none() {
             self.overflow = Some(format!("{what} of {len} exceeds the wire bound of {max}"));
         }
+        len <= max
     }
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+    /// Write `len` as a `u16` length or count; if it does not fit, record
+    /// the overflow, write nothing and return `false` so the caller skips
+    /// the items.
+    fn count16(&mut self, what: &str, len: usize) -> bool {
+        let fits = self.fits(what, len, u16::MAX as usize);
+        if fits {
+            (len as u16).put(self);
+        }
+        fits
     }
 
     /// `len:u16be` + raw bytes.
-    fn str16(&mut self, s: &str) {
-        if s.len() > u16::MAX as usize {
-            self.overflowed("string field", s.len(), u16::MAX as usize);
-            return;
-        }
-        self.u16(s.len() as u16);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    fn finish(self) -> Result<Vec<u8>, WireError> {
-        match self.overflow {
-            Some(message) => Err(WireError::new(ErrorKind::FrameTooLarge, message)),
-            None => Ok(self.buf),
+    fn bytes16(&mut self, what: &str, bytes: &[u8]) {
+        if self.count16(what, bytes.len()) {
+            self.buf.extend_from_slice(bytes);
         }
     }
 }
@@ -583,13 +543,11 @@ impl Writer {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Nesting level of the recursive value being decoded (the root is 0).
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.buf.len() - self.pos < n {
             return Err(DecodeError::new(format!(
@@ -602,787 +560,489 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+    fn bytes16(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = u16::get(self)? as usize;
+        self.take(len)
     }
 
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str16(&mut self) -> Result<String, DecodeError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::new("string field is not UTF-8"))
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
+    /// Decode one level of a recursive value, refusing to go deeper than
+    /// `max` levels below the root, so a hostile frame cannot recurse the
+    /// decoder to death.
+    fn nested<T>(
+        &mut self,
+        max: usize,
+        what: &str,
+        get: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        if self.depth > max {
             return Err(DecodeError::new(format!(
-                "{} trailing bytes after the message",
-                self.buf.len() - self.pos
+                "{what} nests deeper than {max} levels"
             )));
         }
-        Ok(())
+        self.depth += 1;
+        let out = get(self);
+        self.depth -= 1;
+        out
     }
 }
 
-/// Decode one `0`/`1` flag byte, naming the field in the error.
-fn get_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, DecodeError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(DecodeError::new(format!("bad {what} byte {other}"))),
-    }
+/// One type's wire layout: `put` writes it, `get` reads it back.  Every
+/// message type states its layout once — as a `wire_struct!` or
+/// `wire_enum!` field list, or as one hand-written impl where the layout
+/// is not a field list.
+trait Wire: Sized {
+    /// What an over-long `Vec` of this type is called in the encode error.
+    const COUNT: &'static str = "list length";
+
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 }
 
-/// Check the leading version byte, separating "not this version" (which
-/// gets its own typed error) from garbage.
-fn check_version(r: &mut Reader<'_>) -> Result<(), DecodeError> {
-    let version = r.u8()?;
-    if version != PROTOCOL_VERSION {
-        // The caller maps this message prefix onto UnsupportedVersion.
-        return Err(DecodeError::new(format!(
-            "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
-        )));
-    }
-    Ok(())
-}
-
-/// `true` iff a decode failure is the version check (so the server can
-/// answer with [`ErrorKind::UnsupportedVersion`] instead of
-/// [`ErrorKind::Protocol`]).
-pub fn is_version_error(e: &DecodeError) -> bool {
-    e.0.starts_with("unsupported protocol version")
-}
-
-// ---------------------------------------------------------------------------
-// Plan codec
-// ---------------------------------------------------------------------------
-
-fn put_aggregate(w: &mut Writer, a: Aggregate) {
-    w.u8(match a {
-        Aggregate::Count => 0,
-        Aggregate::Sum => 1,
-        Aggregate::Min => 2,
-        Aggregate::Max => 3,
-    });
-}
-
-fn get_aggregate(r: &mut Reader<'_>) -> Result<Aggregate, DecodeError> {
-    Ok(match r.u8()? {
-        0 => Aggregate::Count,
-        1 => Aggregate::Sum,
-        2 => Aggregate::Min,
-        3 => Aggregate::Max,
-        other => return Err(DecodeError::new(format!("unknown aggregate tag {other}"))),
-    })
-}
-
-fn put_join_aggregate(w: &mut Writer, a: JoinAggregate) {
-    w.u8(match a {
-        JoinAggregate::CountPairs => 0,
-        JoinAggregate::SumLeft => 1,
-        JoinAggregate::SumRight => 2,
-        JoinAggregate::SumProducts => 3,
-    });
-}
-
-fn get_join_aggregate(r: &mut Reader<'_>) -> Result<JoinAggregate, DecodeError> {
-    Ok(match r.u8()? {
-        0 => JoinAggregate::CountPairs,
-        1 => JoinAggregate::SumLeft,
-        2 => JoinAggregate::SumRight,
-        3 => JoinAggregate::SumProducts,
-        other => {
-            return Err(DecodeError::new(format!(
-                "unknown join-aggregate tag {other}"
-            )))
-        }
-    })
-}
-
-fn put_value(w: &mut Writer, v: &Value) {
-    match v {
-        Value::U64(n) => {
-            w.u8(0);
-            w.u64(*n);
-        }
-        Value::I64(n) => {
-            w.u8(1);
-            w.u64(*n as u64);
-        }
-        Value::Bool(b) => {
-            w.u8(2);
-            w.u8(*b as u8);
-        }
-        Value::Bytes(b) => {
-            w.u8(3);
-            if b.len() > u16::MAX as usize {
-                w.overflowed("bytes constant", b.len(), u16::MAX as usize);
-                return;
-            }
-            w.u16(b.len() as u16);
-            w.bytes(b);
-        }
-    }
-}
-
-fn get_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
-    Ok(match r.u8()? {
-        0 => Value::U64(r.u64()?),
-        1 => Value::I64(r.u64()? as i64),
-        2 => Value::Bool(match r.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(DecodeError::new(format!("bad bool byte {other}"))),
-        }),
-        3 => {
-            let len = r.u16()? as usize;
-            Value::Bytes(r.take(len)?.to_vec())
-        }
-        other => return Err(DecodeError::new(format!("unknown value tag {other}"))),
-    })
-}
-
-fn put_opt_str(w: &mut Writer, s: &Option<String>) {
-    match s {
-        Some(name) => {
-            w.u8(1);
-            w.str16(name);
-        }
-        None => w.u8(0),
-    }
-}
-
-fn get_opt_str(r: &mut Reader<'_>) -> Result<Option<String>, DecodeError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(r.str16()?),
-        other => return Err(DecodeError::new(format!("bad option byte {other}"))),
-    })
-}
-
-fn put_predicate(w: &mut Writer, p: &WidePredicate) {
-    match p {
-        WidePredicate::True => w.u8(0),
-        WidePredicate::Compare {
-            column,
-            cmp,
-            constant,
-        } => {
-            w.u8(1);
-            w.str16(column);
-            w.u8(match cmp {
-                WideCmp::AtLeast => 0,
-                WideCmp::Below => 1,
-                WideCmp::Equals => 2,
-            });
-            put_value(w, constant);
-        }
-        WidePredicate::InRange { column, lo, hi } => {
-            w.u8(2);
-            w.str16(column);
-            put_value(w, lo);
-            put_value(w, hi);
-        }
-    }
-}
-
-fn get_predicate(r: &mut Reader<'_>) -> Result<WidePredicate, DecodeError> {
-    Ok(match r.u8()? {
-        0 => WidePredicate::True,
-        1 => {
-            let column = r.str16()?;
-            let cmp = match r.u8()? {
-                0 => WideCmp::AtLeast,
-                1 => WideCmp::Below,
-                2 => WideCmp::Equals,
-                other => return Err(DecodeError::new(format!("unknown comparison tag {other}"))),
-            };
-            let constant = get_value(r)?;
-            WidePredicate::Compare {
-                column,
-                cmp,
-                constant,
-            }
-        }
-        2 => WidePredicate::InRange {
-            column: r.str16()?,
-            lo: get_value(r)?,
-            hi: get_value(r)?,
-        },
-        other => return Err(DecodeError::new(format!("unknown predicate tag {other}"))),
-    })
-}
-
-fn put_plan(w: &mut Writer, plan: &Plan) {
-    match plan {
-        Plan::Scan(name) => {
-            w.u8(0);
-            w.str16(name);
-        }
-        Plan::Filter { input, predicate } => {
-            w.u8(1);
-            put_predicate(w, predicate);
-            put_plan(w, input);
-        }
-        Plan::Project { input, columns } => {
-            w.u8(2);
-            if columns.len() > u16::MAX as usize {
-                w.overflowed("projection column count", columns.len(), u16::MAX as usize);
-                return;
-            }
-            w.u16(columns.len() as u16);
-            for column in columns {
-                w.str16(column);
-            }
-            put_plan(w, input);
-        }
-        Plan::Distinct { input } => {
-            w.u8(3);
-            put_plan(w, input);
-        }
-        Plan::UnionAll { left, right } => {
-            w.u8(4);
-            put_plan(w, left);
-            put_plan(w, right);
-        }
-        Plan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            w.u8(5);
-            w.str16(left_key);
-            w.str16(right_key);
-            put_plan(w, left);
-            put_plan(w, right);
-        }
-        Plan::SemiJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            w.u8(6);
-            w.str16(left_key);
-            w.str16(right_key);
-            put_plan(w, left);
-            put_plan(w, right);
-        }
-        Plan::AntiJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            w.u8(7);
-            w.str16(left_key);
-            w.str16(right_key);
-            put_plan(w, left);
-            put_plan(w, right);
-        }
-        Plan::GroupAggregate {
-            input,
-            aggregate,
-            column,
-            by,
-        } => {
-            w.u8(8);
-            put_aggregate(w, *aggregate);
-            put_opt_str(w, column);
-            put_opt_str(w, by);
-            put_plan(w, input);
-        }
-        Plan::JoinAggregate {
-            left,
-            right,
-            left_key,
-            right_key,
-            left_value,
-            right_value,
-            aggregate,
-        } => {
-            w.u8(9);
-            put_join_aggregate(w, *aggregate);
-            w.str16(left_key);
-            w.str16(right_key);
-            put_opt_str(w, left_value);
-            put_opt_str(w, right_value);
-            put_plan(w, left);
-            put_plan(w, right);
-        }
-    }
-}
-
-fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<Plan, DecodeError> {
-    if depth > MAX_PLAN_DEPTH {
-        return Err(DecodeError::new(format!(
-            "plan nests deeper than {MAX_PLAN_DEPTH} operators"
-        )));
-    }
-    let input = |r: &mut Reader<'_>| get_plan(r, depth + 1).map(Box::new);
-    Ok(match r.u8()? {
-        0 => Plan::Scan(r.str16()?),
-        1 => Plan::Filter {
-            predicate: get_predicate(r)?,
-            input: input(r)?,
-        },
-        2 => {
-            let columns = (0..r.u16()?)
-                .map(|_| r.str16())
-                .collect::<Result<Vec<_>, _>>()?;
-            Plan::Project {
-                columns,
-                input: input(r)?,
-            }
-        }
-        3 => Plan::Distinct { input: input(r)? },
-        4 => Plan::UnionAll {
-            left: input(r)?,
-            right: input(r)?,
-        },
-        5 => Plan::Join {
-            left_key: r.str16()?,
-            right_key: r.str16()?,
-            left: input(r)?,
-            right: input(r)?,
-        },
-        6 => Plan::SemiJoin {
-            left_key: r.str16()?,
-            right_key: r.str16()?,
-            left: input(r)?,
-            right: input(r)?,
-        },
-        7 => Plan::AntiJoin {
-            left_key: r.str16()?,
-            right_key: r.str16()?,
-            left: input(r)?,
-            right: input(r)?,
-        },
-        8 => Plan::GroupAggregate {
-            aggregate: get_aggregate(r)?,
-            column: get_opt_str(r)?,
-            by: get_opt_str(r)?,
-            input: input(r)?,
-        },
-        9 => {
-            let aggregate = get_join_aggregate(r)?;
-            Plan::JoinAggregate {
-                left_key: r.str16()?,
-                right_key: r.str16()?,
-                left_value: get_opt_str(r)?,
-                right_value: get_opt_str(r)?,
-                left: input(r)?,
-                right: input(r)?,
-                aggregate,
-            }
-        }
-        other => return Err(DecodeError::new(format!("unknown plan tag {other}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Summary / schema / stats codec
-// ---------------------------------------------------------------------------
-
-fn nanos(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
-fn put_summary(w: &mut Writer, s: &QuerySummary) {
-    w.str16(&s.trace_digest);
-    w.u64(s.trace_events);
-    w.u64(s.counters.comparisons);
-    w.u64(s.counters.compare_exchanges);
-    w.u64(s.counters.routing_hops);
-    w.u64(s.counters.linear_steps);
-    w.u64(s.output_rows as u64);
-    w.u64(s.output_row_width as u64);
-    w.u64(s.carry_words as u64);
-    if s.shard_partitions.len() > u16::MAX as usize {
-        w.overflowed(
-            "shard partition count",
-            s.shard_partitions.len(),
-            u16::MAX as usize,
-        );
-        return;
-    }
-    w.u16(s.shard_partitions.len() as u16);
-    for (name, rows) in &s.shard_partitions {
-        w.str16(name);
-        w.u64(*rows);
-    }
-    for phase in s.phases.in_order() {
-        w.u64(nanos(phase));
-    }
-    w.u64(nanos(s.wall));
-}
-
-fn get_summary(r: &mut Reader<'_>) -> Result<QuerySummary, DecodeError> {
-    Ok(QuerySummary {
-        trace_digest: r.str16()?,
-        trace_events: r.u64()?,
-        counters: OpCounters {
-            comparisons: r.u64()?,
-            compare_exchanges: r.u64()?,
-            routing_hops: r.u64()?,
-            linear_steps: r.u64()?,
-        },
-        output_rows: r.u64()? as usize,
-        output_row_width: r.u64()? as usize,
-        carry_words: r.u64()? as usize,
-        shard_partitions: (0..r.u16()?)
-            .map(|_| Ok((r.str16()?, r.u64()?)))
-            .collect::<Result<Vec<_>, DecodeError>>()?,
-        phases: PhaseBreakdown {
-            parse: Duration::from_nanos(r.u64()?),
-            resolve: Duration::from_nanos(r.u64()?),
-            queue_wait: Duration::from_nanos(r.u64()?),
-            execute: Duration::from_nanos(r.u64()?),
-            publish: Duration::from_nanos(r.u64()?),
-        },
-        wall: Duration::from_nanos(r.u64()?),
-    })
-}
-
-fn put_schema(w: &mut Writer, schema: &Schema) {
-    let names = schema.column_names();
-    if names.len() > u16::MAX as usize {
-        w.overflowed("column count", names.len(), u16::MAX as usize);
-        return;
-    }
-    w.u16(names.len() as u16);
-    for name in names {
-        let (_, col) = schema.column(name).expect("listed columns exist");
-        w.str16(name);
-        match col.ty() {
-            ColumnType::U64 => w.u8(0),
-            ColumnType::I64 => w.u8(1),
-            ColumnType::Bool => w.u8(2),
-            ColumnType::Bytes(n) => {
-                w.u8(3);
-                if n > u16::MAX as usize {
-                    w.overflowed("bytes column width", n, u16::MAX as usize);
-                    return;
-                }
-                w.u16(n as u16);
-            }
-        }
-    }
-}
-
-fn get_schema(r: &mut Reader<'_>) -> Result<Schema, DecodeError> {
-    let ncols = r.u16()?;
-    let mut columns = Vec::with_capacity(ncols as usize);
-    for _ in 0..ncols {
-        let name = r.str16()?;
-        let ty = match r.u8()? {
-            0 => ColumnType::U64,
-            1 => ColumnType::I64,
-            2 => ColumnType::Bool,
-            3 => ColumnType::Bytes(r.u16()? as usize),
-            other => return Err(DecodeError::new(format!("unknown column-type tag {other}"))),
-        };
-        columns.push((name, ty));
-    }
-    Schema::new(columns).map_err(|e| DecodeError::new(format!("invalid schema on the wire: {e}")))
-}
-
-fn put_span(w: &mut Writer, node: &SpanNode) {
-    w.str16(&node.name);
-    w.str16(&node.detail);
-    if node.input_rows.len() > u16::MAX as usize {
-        w.overflowed("span input count", node.input_rows.len(), u16::MAX as usize);
-        return;
-    }
-    w.u16(node.input_rows.len() as u16);
-    for rows in &node.input_rows {
-        w.u64(*rows);
-    }
-    w.u64(node.output_rows);
-    w.u64(node.output_row_width);
-    w.u64(node.counters.comparisons);
-    w.u64(node.counters.compare_exchanges);
-    w.u64(node.counters.routing_hops);
-    w.u64(node.counters.linear_steps);
-    w.u64(node.total_ns);
-    w.u64(node.self_ns);
-    if node.children.len() > u16::MAX as usize {
-        w.overflowed("span child count", node.children.len(), u16::MAX as usize);
-        return;
-    }
-    w.u16(node.children.len() as u16);
-    for child in &node.children {
-        put_span(w, child);
-    }
-}
-
-fn get_span(r: &mut Reader<'_>, depth: usize) -> Result<SpanNode, DecodeError> {
-    if depth > MAX_TRACE_DEPTH {
-        return Err(DecodeError::new(format!(
-            "span tree nests deeper than {MAX_TRACE_DEPTH} spans"
-        )));
-    }
-    let name = r.str16()?;
-    let detail = r.str16()?;
-    let input_rows = (0..r.u16()?)
-        .map(|_| r.u64())
-        .collect::<Result<Vec<_>, _>>()?;
-    let output_rows = r.u64()?;
-    let output_row_width = r.u64()?;
-    let counters = OpCounters {
-        comparisons: r.u64()?,
-        compare_exchanges: r.u64()?,
-        routing_hops: r.u64()?,
-        linear_steps: r.u64()?,
+/// Encode one message behind the version byte.
+fn encode(message: &impl Wire) -> Result<Vec<u8>, WireError> {
+    let mut w = Writer {
+        buf: vec![PROTOCOL_VERSION],
+        overflow: None,
     };
-    let total_ns = r.u64()?;
-    let self_ns = r.u64()?;
-    let children = (0..r.u16()?)
-        .map(|_| get_span(r, depth + 1))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(SpanNode {
-        name,
-        detail,
-        input_rows,
-        output_rows,
-        output_row_width,
-        counters,
-        total_ns,
-        self_ns,
-        children,
-    })
-}
-
-fn put_stats(w: &mut Writer, s: &StatsReply) {
-    w.u64(s.session.queries);
-    w.u64(s.session.trace_events);
-    w.u64(s.session.output_rows);
-    w.u64(s.session.comparisons);
-    w.u64(s.session.cache_hits);
-    w.u64(s.session.output_bytes);
-    w.u64(s.session.max_carry_words);
-    w.u64(s.session.shards);
-    w.u64(s.cache.hits);
-    w.u64(s.cache.misses);
-    w.u64(s.cache.evictions);
-    w.u64(s.cache.entries);
-    w.u64(s.cache.bytes);
-    w.str16(&s.build);
-    w.u64(s.uptime_secs);
-    if s.shard_cache_hits.len() > u16::MAX as usize {
-        w.overflowed("shard count", s.shard_cache_hits.len(), u16::MAX as usize);
-        return;
-    }
-    w.u16(s.shard_cache_hits.len() as u16);
-    for hits in &s.shard_cache_hits {
-        w.u64(*hits);
+    message.put(&mut w);
+    match w.overflow {
+        Some(message) => Err(WireError::new(ErrorKind::FrameTooLarge, message)),
+        None => Ok(w.buf),
     }
 }
 
-fn get_stats(r: &mut Reader<'_>) -> Result<StatsReply, DecodeError> {
-    Ok(StatsReply {
-        session: SessionStats {
-            queries: r.u64()?,
-            trace_events: r.u64()?,
-            output_rows: r.u64()?,
-            comparisons: r.u64()?,
-            cache_hits: r.u64()?,
-            output_bytes: r.u64()?,
-            max_carry_words: r.u64()?,
-            shards: r.u64()?,
-        },
-        cache: CacheStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            evictions: r.u64()?,
-            entries: r.u64()?,
-            bytes: r.u64()?,
-        },
-        build: r.str16()?,
-        uptime_secs: r.u64()?,
-        shard_cache_hits: (0..r.u16()?)
-            .map(|_| r.u64())
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn put_metrics(w: &mut Writer, snapshot: &MetricsSnapshot) {
-    if snapshot.samples.len() > u32::MAX as usize {
-        w.overflowed("series count", snapshot.samples.len(), u32::MAX as usize);
-        return;
-    }
-    w.u32(snapshot.samples.len() as u32);
-    for sample in &snapshot.samples {
-        w.str16(&sample.name);
-        w.u8(match sample.class {
-            MetricClass::Content => 0,
-            MetricClass::Timing => 1,
+/// Decode one whole body: the version byte, one message, nothing after.
+fn decode<T: Wire>(body: &[u8]) -> Result<T, DecodeError> {
+    let mut r = Reader {
+        buf: body,
+        pos: 0,
+        depth: 0,
+    };
+    let version = u8::get(&mut r)?;
+    if version != PROTOCOL_VERSION {
+        return Err(DecodeError {
+            unsupported_version: true,
+            ..DecodeError::new(format!(
+                "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
+            ))
         });
-        if sample.labels.len() > u16::MAX as usize {
-            w.overflowed("label count", sample.labels.len(), u16::MAX as usize);
+    }
+    let message = T::get(&mut r)?;
+    if r.pos != body.len() {
+        return Err(DecodeError::new(format!(
+            "{} trailing bytes after the message",
+            body.len() - r.pos
+        )));
+    }
+    Ok(message)
+}
+
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                w.buf.extend_from_slice(&self.to_be_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                let bytes = r.take(std::mem::size_of::<$ty>())?;
+                Ok(<$ty>::from_be_bytes(bytes.try_into().unwrap()))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u16, u32, u64);
+
+/// Two's complement, as a `u64`.
+impl Wire for i64 {
+    fn put(&self, w: &mut Writer) {
+        (*self as u64).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(u64::get(r)? as i64)
+    }
+}
+
+/// One `0`/`1` byte.
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        (*self as u8).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(DecodeError::new(format!("bad bool byte {other}"))),
+        }
+    }
+}
+
+/// As a `u64`.
+impl Wire for usize {
+    fn put(&self, w: &mut Writer) {
+        (*self as u64).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(u64::get(r)? as usize)
+    }
+}
+
+/// Nanoseconds as a `u64`, saturated.
+impl Wire for Duration {
+    fn put(&self, w: &mut Writer) {
+        (self.as_nanos().min(u64::MAX as u128) as u64).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Duration::from_nanos(u64::get(r)?))
+    }
+}
+
+/// `str16`: `len:u16be` UTF-8 bytes.
+impl Wire for String {
+    // The one list of bare strings on the wire is a projection's columns.
+    const COUNT: &'static str = "projection column count";
+
+    fn put(&self, w: &mut Writer) {
+        w.bytes16("string field", self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        String::from_utf8(r.bytes16()?.to_vec())
+            .map_err(|_| DecodeError::new("string field is not UTF-8"))
+    }
+}
+
+/// A `0`/`1` flag byte, then the value when `1`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(value) = self {
+            value.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            other => Err(DecodeError::new(format!("bad option byte {other}"))),
+        }
+    }
+}
+
+/// `count:u16be` items.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        if w.count16(T::COUNT, self.len()) {
+            for item in self {
+                item.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        (0..u16::get(r)?).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+/// Wrap a generated `get` body in `Reader::nested` when the type asked
+/// for a depth bound.
+macro_rules! wire_get {
+    ($r:ident, $body:expr) => {
+        $body
+    };
+    ($r:ident, $body:expr, $max:expr, $what:expr) => {
+        $r.nested($max, $what, |$r| $body)
+    };
+}
+
+/// A struct laid out as its fields in wire order.  `nested(max, what)`
+/// bounds the decoder's recursion through the type.
+macro_rules! wire_struct {
+    ($ty:ident $(nested($max:expr, $what:expr))? { $($field:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                wire_get!(r, Ok($ty { $($field: Wire::get(r)?),* }) $(, $max, $what)?)
+            }
+        }
+    };
+}
+
+/// An enum laid out as one tag byte per variant, then that variant's
+/// fields in wire order (tuple fields are named for the field list).
+macro_rules! wire_enum {
+    ($ty:ident $(nested($max:expr, $what:expr))? {
+        $($tag:literal => $variant:ident $(($($tuple:ident),*))? $({$($field:ident),*})?),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $($ty::$variant $(($($tuple),*))? $({$($field),*})? => {
+                        w.buf.push($tag);
+                        $($($tuple.put(w);)*)?
+                        $($($field.put(w);)*)?
+                    })*
+                }
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                wire_get!(r, Ok(match u8::get(r)? {
+                    $($tag => $ty::$variant
+                        $(($(wire_enum!(@get r $tuple)),*))?
+                        $({$($field: Wire::get(r)?),*})?,)*
+                    other => {
+                        let message = format!("unknown {} tag {other}", stringify!($ty));
+                        return Err(DecodeError::new(message));
+                    }
+                }) $(, $max, $what)?)
+            }
+        }
+    };
+    (@get $r:ident $tuple:ident) => {
+        Wire::get($r)?
+    };
+}
+
+wire_struct! { OpCounters { comparisons, compare_exchanges, routing_hops, linear_steps } }
+
+wire_struct! { PhaseBreakdown { parse, resolve, queue_wait, execute, publish } }
+
+wire_struct! { QuerySummary {
+    trace_digest, trace_events, counters, output_rows, output_row_width, carry_words,
+    shard_partitions, phases, wall,
+} }
+
+wire_struct! { SessionStats {
+    queries, trace_events, output_rows, comparisons, cache_hits, output_bytes, max_carry_words,
+    shards,
+} }
+
+wire_struct! { CacheStats { hits, misses, evictions, entries, bytes } }
+
+wire_struct! { StatsReply { session, cache, build, uptime_secs, shard_cache_hits } }
+
+wire_enum! { ErrorKind {
+    0 => Protocol,
+    1 => FrameTooLarge,
+    2 => UnsupportedVersion,
+    3 => AuthMismatch,
+    4 => Query,
+    5 => Shutdown,
+    6 => Internal,
+    7 => DeadlineExceeded,
+    8 => Overloaded,
+} }
+
+wire_struct! { WireError { kind, retry_after_ms, message } }
+
+wire_enum! { Aggregate { 0 => Count, 1 => Sum, 2 => Min, 3 => Max } }
+
+wire_enum! { JoinAggregate { 0 => CountPairs, 1 => SumLeft, 2 => SumRight, 3 => SumProducts } }
+
+/// A tag byte, then the value: `0 u64`, `1 i64`, `2 bool`, or `3` and a
+/// bytes constant as `len:u16be` raw bytes.
+impl Wire for Value {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Value::U64(n) => (0u8, *n).put(w),
+            Value::I64(n) => (1u8, *n).put(w),
+            Value::Bool(b) => (2u8, *b).put(w),
+            Value::Bytes(b) => {
+                3u8.put(w);
+                w.bytes16("bytes constant", b);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match u8::get(r)? {
+            0 => Value::U64(u64::get(r)?),
+            1 => Value::I64(i64::get(r)?),
+            2 => Value::Bool(bool::get(r)?),
+            3 => Value::Bytes(r.bytes16()?.to_vec()),
+            other => return Err(DecodeError::new(format!("unknown Value tag {other}"))),
+        })
+    }
+}
+
+wire_enum! { WideCmp { 0 => AtLeast, 1 => Below, 2 => Equals } }
+
+wire_enum! { WidePredicate {
+    0 => True,
+    1 => Compare { column, cmp, constant },
+    2 => InRange { column, lo, hi },
+} }
+
+wire_enum! { Plan nested(MAX_PLAN_DEPTH, "plan") {
+    0 => Scan(table),
+    1 => Filter { predicate, input },
+    2 => Project { columns, input },
+    3 => Distinct { input },
+    4 => UnionAll { left, right },
+    5 => Join { left_key, right_key, left, right },
+    6 => SemiJoin { left_key, right_key, left, right },
+    7 => AntiJoin { left_key, right_key, left, right },
+    8 => GroupAggregate { aggregate, column, by, input },
+    9 => JoinAggregate { aggregate, left_key, right_key, left_value, right_value, left, right },
+} }
+
+/// `ncols:u16be (name:str16 type)*`, each `type` a tag byte — `0` `u64`,
+/// `1` `i64`, `2` `bool`, `3 width:u16be` bytes — and validated through
+/// [`Schema::new`] on decode.
+impl Wire for Schema {
+    fn put(&self, w: &mut Writer) {
+        if !w.count16("column count", self.len()) {
             return;
         }
-        w.u16(sample.labels.len() as u16);
-        for (key, value) in &sample.labels {
-            w.str16(key);
-            w.str16(value);
-        }
-        match &sample.value {
-            MetricValue::Counter(v) => {
-                w.u8(0);
-                w.u64(*v);
-            }
-            MetricValue::Gauge(v) => {
-                w.u8(1);
-                w.u64(*v as u64);
-            }
-            MetricValue::Histogram(h) => {
-                w.u8(2);
-                w.u64(h.count);
-                w.u64(h.sum);
-                // At most one cell per power of two: always fits u16.
-                w.u16(h.buckets.len() as u16);
-                for (index, count) in &h.buckets {
-                    w.u8(*index);
-                    w.u64(*count);
+        for column in self.columns() {
+            w.bytes16("string field", column.name().as_bytes());
+            match column.ty() {
+                ColumnType::U64 => w.buf.push(0),
+                ColumnType::I64 => w.buf.push(1),
+                ColumnType::Bool => w.buf.push(2),
+                ColumnType::Bytes(width) => {
+                    w.buf.push(3);
+                    w.count16("bytes column width", width);
                 }
             }
         }
     }
-}
 
-fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, DecodeError> {
-    let nseries = r.u32()?;
-    let mut samples = Vec::with_capacity(nseries.min(4096) as usize);
-    for _ in 0..nseries {
-        let name = r.str16()?;
-        let class = match r.u8()? {
-            0 => MetricClass::Content,
-            1 => MetricClass::Timing,
-            other => return Err(DecodeError::new(format!("unknown metric class {other}"))),
-        };
-        let labels = (0..r.u16()?)
-            .map(|_| Ok((r.str16()?, r.str16()?)))
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let columns = (0..u16::get(r)?)
+            .map(|_| {
+                let name = String::get(r)?;
+                let ty = match u8::get(r)? {
+                    0 => ColumnType::U64,
+                    1 => ColumnType::I64,
+                    2 => ColumnType::Bool,
+                    3 => ColumnType::Bytes(u16::get(r)? as usize),
+                    other => {
+                        return Err(DecodeError::new(format!("unknown column-type tag {other}")))
+                    }
+                };
+                Ok((name, ty))
+            })
             .collect::<Result<Vec<_>, DecodeError>>()?;
-        let value = match r.u8()? {
-            0 => MetricValue::Counter(r.u64()?),
-            1 => MetricValue::Gauge(r.u64()? as i64),
-            2 => {
-                let count = r.u64()?;
-                let sum = r.u64()?;
-                let buckets = (0..r.u16()?)
-                    .map(|_| Ok((r.u8()?, r.u64()?)))
-                    .collect::<Result<Vec<_>, DecodeError>>()?;
-                MetricValue::Histogram(HistogramSnapshot {
-                    count,
-                    sum,
-                    buckets,
-                })
-            }
-            other => {
-                return Err(DecodeError::new(format!(
-                    "unknown metric value tag {other}"
-                )))
-            }
-        };
-        samples.push(MetricSample {
-            name,
-            labels,
-            class,
-            value,
-        });
+        Schema::new(columns)
+            .map_err(|e| DecodeError::new(format!("invalid schema on the wire: {e}")))
     }
-    Ok(MetricsSnapshot { samples })
 }
 
-// ---------------------------------------------------------------------------
-// Top-level encode/decode
-// ---------------------------------------------------------------------------
+/// The schema, `nrows:u32be`, then the raw fixed-width row bytes.
+impl Wire for Rows {
+    fn put(&self, w: &mut Writer) {
+        let table = self.table();
+        table.schema().put(w);
+        if w.fits("row count", table.len(), u32::MAX as usize) {
+            (table.len() as u32).put(w);
+            for row in table.rows() {
+                w.buf.extend_from_slice(row);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let schema = Schema::get(r)?;
+        let n = u32::get(r)? as usize;
+        let data = r.take(n * schema.row_width())?.to_vec();
+        Ok(Rows::from_wide(WideTable::from_encoded(
+            Arc::new(schema),
+            data,
+        )))
+    }
+}
+
+wire_struct! { SpanNode nested(MAX_TRACE_DEPTH, "span tree") {
+    name, detail, input_rows, output_rows, output_row_width, counters, total_ns, self_ns, children,
+} }
+
+wire_struct! { QueryReply { label, cached, trace_id, summary, rows, trace } }
+
+wire_enum! { MetricClass { 0 => Content, 1 => Timing } }
+
+wire_struct! { HistogramSnapshot { count, sum, buckets } }
+
+wire_enum! { MetricValue { 0 => Counter(v), 1 => Gauge(v), 2 => Histogram(h) } }
+
+wire_struct! { MetricSample { name, class, labels, value } }
+
+/// The one list counted in 32 bits: `nseries:u32be series*`.
+impl Wire for MetricsSnapshot {
+    fn put(&self, w: &mut Writer) {
+        if w.fits("series count", self.samples.len(), u32::MAX as usize) {
+            (self.samples.len() as u32).put(w);
+            for sample in &self.samples {
+                sample.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let nseries = u32::get(r)?;
+        let mut samples = Vec::with_capacity(nseries.min(4096) as usize);
+        for _ in 0..nseries {
+            samples.push(MetricSample::get(r)?);
+        }
+        Ok(MetricsSnapshot { samples })
+    }
+}
+
+wire_enum! { Request {
+    1 => QueryText { token, deadline_ms, trace_id, collect_trace, query },
+    2 => QueryPlan { token, deadline_ms, trace_id, collect_trace, plan },
+    3 => Stats { token },
+    4 => Metrics { token },
+} }
+
+wire_enum! { Response {
+    0 => Reply(reply),
+    2 => Stats(stats),
+    3 => Error(error),
+    4 => Metrics(snapshot),
+} }
 
 impl Request {
     /// Encode into a frame body.  Fails with a typed
     /// [`ErrorKind::FrameTooLarge`] error when a field does not fit its
     /// wire width (e.g. a query string over 64 KiB).
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut w = Writer::new();
-        match self {
-            Request::QueryText {
-                token,
-                deadline_ms,
-                trace_id,
-                collect_trace,
-                query,
-            } => {
-                w.u8(1);
-                w.str16(token);
-                w.u32(*deadline_ms);
-                w.u64(*trace_id);
-                w.u8(*collect_trace as u8);
-                w.str16(query);
-            }
-            Request::QueryPlan {
-                token,
-                deadline_ms,
-                trace_id,
-                collect_trace,
-                plan,
-            } => {
-                w.u8(2);
-                w.str16(token);
-                w.u32(*deadline_ms);
-                w.u64(*trace_id);
-                w.u8(*collect_trace as u8);
-                put_plan(&mut w, plan);
-            }
-            Request::Stats { token } => {
-                w.u8(3);
-                w.str16(token);
-            }
-            Request::Metrics { token } => {
-                w.u8(4);
-                w.str16(token);
-            }
-        }
-        w.finish()
+        encode(self)
     }
 
     /// Decode a frame body.
     pub fn decode(body: &[u8]) -> Result<Request, DecodeError> {
-        let mut r = Reader::new(body);
-        check_version(&mut r)?;
-        let request = match r.u8()? {
-            1 => Request::QueryText {
-                token: r.str16()?,
-                deadline_ms: r.u32()?,
-                trace_id: r.u64()?,
-                collect_trace: get_bool(&mut r, "collect_trace")?,
-                query: r.str16()?,
-            },
-            2 => Request::QueryPlan {
-                token: r.str16()?,
-                deadline_ms: r.u32()?,
-                trace_id: r.u64()?,
-                collect_trace: get_bool(&mut r, "collect_trace")?,
-                plan: get_plan(&mut r, 0)?,
-            },
-            3 => Request::Stats { token: r.str16()? },
-            4 => Request::Metrics { token: r.str16()? },
-            other => return Err(DecodeError::new(format!("unknown request opcode {other}"))),
-        };
-        r.finish()?;
-        Ok(request)
+        decode(body)
     }
 }
 
@@ -1392,84 +1052,12 @@ impl Response {
     /// wire width; error frames themselves are bounded by construction
     /// and always encode.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut w = Writer::new();
-        match self {
-            Response::Reply(reply) => {
-                w.u8(0);
-                w.str16(&reply.label);
-                w.u8(reply.cached as u8);
-                w.u64(reply.trace_id);
-                put_summary(&mut w, &reply.summary);
-                let table = reply.rows.table();
-                put_schema(&mut w, table.schema());
-                w.u32(table.len() as u32);
-                for row in table.rows() {
-                    w.bytes(row);
-                }
-                match &reply.trace {
-                    Some(trace) => {
-                        w.u8(1);
-                        put_span(&mut w, trace);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            Response::Stats(stats) => {
-                w.u8(2);
-                put_stats(&mut w, stats);
-            }
-            Response::Error(error) => {
-                w.u8(3);
-                w.u8(error.kind.to_wire());
-                w.u32(error.retry_after_ms);
-                w.str16(&error.message);
-            }
-            Response::Metrics(snapshot) => {
-                w.u8(4);
-                put_metrics(&mut w, snapshot);
-            }
-        }
-        w.finish()
+        encode(self)
     }
 
     /// Decode a frame body.
     pub fn decode(body: &[u8]) -> Result<Response, DecodeError> {
-        let mut r = Reader::new(body);
-        check_version(&mut r)?;
-        let status = r.u8()?;
-        let response = match status {
-            0 => {
-                let label = r.str16()?;
-                let cached = get_bool(&mut r, "cached")?;
-                let trace_id = r.u64()?;
-                let summary = get_summary(&mut r)?;
-                let schema = get_schema(&mut r)?;
-                let n = r.u32()? as usize;
-                let data = r.take(n * schema.row_width())?.to_vec();
-                let trace = match get_bool(&mut r, "has_trace")? {
-                    true => Some(get_span(&mut r, 0)?),
-                    false => None,
-                };
-                Response::Reply(Box::new(QueryReply {
-                    label,
-                    cached,
-                    trace_id,
-                    summary,
-                    rows: Rows::from_wide(WideTable::from_encoded(Arc::new(schema), data)),
-                    trace,
-                }))
-            }
-            2 => Response::Stats(get_stats(&mut r)?),
-            3 => Response::Error(WireError {
-                kind: ErrorKind::from_wire(r.u8()?)?,
-                retry_after_ms: r.u32()?,
-                message: r.str16()?,
-            }),
-            4 => Response::Metrics(get_metrics(&mut r)?),
-            other => return Err(DecodeError::new(format!("unknown response status {other}"))),
-        };
-        r.finish()?;
-        Ok(response)
+        decode(body)
     }
 }
 

@@ -15,7 +15,7 @@
 //! | module | what it provides |
 //! |---|---|
 //! | [`metrics`] | [`MetricsRegistry`]: lock-free counters / gauges / log₂ histograms, stable names + labels, snapshots, Prometheus-style text rendering |
-//! | [`span`] | [`Stopwatch`] lap timer and the per-query [`PhaseBreakdown`] (parse → resolve → queue-wait → execute → publish) |
+//! | [`span`] | the per-query [`PhaseBreakdown`] (parse → resolve → queue-wait → execute → publish) |
 //! | [`spantree`] | [`SpanTree`](SpanNode): hierarchical per-operator span recording, `EXPLAIN ANALYZE` text rendering, Chrome-trace JSON export |
 //! | [`audit`] | [`LeakageAudit`]: capped ring of per-query [`AuditRecord`]s (revealed sizes, op counters, carry widths, digest) with JSON export |
 //! | [`slowlog`] | [`SlowQueryLog`]: capped ring of [`SlowQueryRecord`]s (canonical plan, public sizes, span tree — never contents) for queries over a wall-time threshold |
@@ -31,7 +31,6 @@
 
 pub mod audit;
 pub mod metrics;
-pub mod sink;
 pub mod slowlog;
 pub mod span;
 pub mod spantree;
@@ -41,7 +40,6 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricClass, MetricSample, MetricValue,
     MetricsRegistry, MetricsSnapshot,
 };
-pub use sink::MeteredSink;
 pub use slowlog::{SlowQueryLog, SlowQueryRecord};
-pub use span::{PhaseBreakdown, Stopwatch};
+pub use span::PhaseBreakdown;
 pub use spantree::{chrome_trace_json, synthetic_span, SpanNode, SpanRecorder};

@@ -1,42 +1,6 @@
-//! Lightweight span timing: a lap stopwatch and the per-query phase
-//! breakdown recorded into `QuerySummary`.
+//! The per-query phase breakdown recorded into `QuerySummary`.
 
-use std::time::{Duration, Instant};
-
-/// Lap timer for carving one control flow into consecutive spans.
-///
-/// `lap()` returns the time since the previous lap (or since start) and
-/// resets the lap origin, so a sequence of laps partitions the elapsed time
-/// with no gaps or overlaps.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    started: Instant,
-    last: Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        let now = Instant::now();
-        Stopwatch {
-            started: now,
-            last: now,
-        }
-    }
-
-    /// Close the current span and open the next one.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.last;
-        self.last = now;
-        d
-    }
-
-    /// Total time since `start`, without closing the current span.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-}
+use std::time::Duration;
 
 /// Per-query phase durations, in pipeline order.
 ///
@@ -90,16 +54,6 @@ impl PhaseBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn laps_partition_elapsed_time() {
-        let mut sw = Stopwatch::start();
-        let a = sw.lap();
-        std::thread::sleep(Duration::from_millis(2));
-        let b = sw.lap();
-        assert!(b >= Duration::from_millis(2));
-        assert!(sw.elapsed() >= a + b);
-    }
 
     #[test]
     fn phase_total_sums_all_phases() {

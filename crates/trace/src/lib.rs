@@ -18,7 +18,6 @@
 //! | [`CollectingSink`] | full logs for Figure 7 and small-`n` trace-equality tests |
 //! | [`HashingSink`] | streamed SHA-256 trace fingerprint for large `n` (the paper's §6.1 experiment) |
 //! | [`CountingSink`] | read/write totals per array |
-//! | [`TeeSink`] | fan out to two sinks at once |
 //!
 //! Besides single accesses a sink receives three *composite* events — a
 //! run of consecutive accesses, one stage of a routing network, one bitonic
@@ -62,9 +61,7 @@ mod tracked;
 pub use access::{Access, AccessKind, ArrayId, SweepOrder, TraceEvent};
 pub use counters::OpCounters;
 pub use network::BlockOp;
-pub use sink::{
-    AccessTotals, CollectingSink, CountingSink, HashingSink, NullSink, TeeSink, TraceSink,
-};
+pub use sink::{AccessTotals, CollectingSink, CountingSink, HashingSink, NullSink, TraceSink};
 pub use tracer::Tracer;
 pub use tracked::TrackedBuffer;
 

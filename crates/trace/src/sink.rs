@@ -421,49 +421,6 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Fans one event stream out to two sinks; lets a test both collect and hash
-/// the same run.
-#[derive(Debug, Default, Clone)]
-pub struct TeeSink<A, B> {
-    /// First receiving sink.
-    pub first: A,
-    /// Second receiving sink.
-    pub second: B,
-}
-
-impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
-    /// Combine two sinks.
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        self.first.record(event);
-        self.second.record(event);
-    }
-
-    #[inline]
-    fn record_run(&mut self, kind: AccessKind, array: ArrayId, start: u64, count: u64) {
-        self.first.record_run(kind, array, start, count);
-        self.second.record_run(kind, array, start, count);
-    }
-
-    #[inline]
-    fn record_sweep(&mut self, array: ArrayId, stride: u64, count: u64, order: SweepOrder) {
-        self.first.record_sweep(array, stride, count, order);
-        self.second.record_sweep(array, stride, count, order);
-    }
-
-    #[inline]
-    fn record_block(&mut self, array: ArrayId, lo: u64, n: u64, descending: bool, op: BlockOp) {
-        self.first.record_block(array, lo, n, descending, op);
-        self.second.record_block(array, lo, n, descending, op);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,16 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_sink_feeds_both() {
-        let mut tee = TeeSink::new(CollectingSink::new(), CountingSink::new());
-        for e in sample_events() {
-            tee.record(e);
-        }
-        assert_eq!(tee.first.len(), 3);
-        assert_eq!(tee.second.overall().total(), 3);
-    }
-
-    #[test]
     fn record_run_default_expansion_matches_per_element_stream() {
         // A sink with no override sees the legacy per-element stream.
         struct Probe(CollectingSink);
@@ -607,6 +554,27 @@ mod tests {
             }
         );
         assert_eq!(sink.overall().total(), 12);
+
+        // Every composite folds to the accesses it stands for: the event
+        // count a hashing sink reports for the same stream, less the
+        // allocation.
+        fn stream(sink: &mut impl TraceSink) {
+            sink.record(TraceEvent::Alloc {
+                array: ArrayId(0),
+                len: 80,
+            });
+            sink.record(TraceEvent::Access(Access::read(ArrayId(0), 3)));
+            sink.record_run(AccessKind::Write, ArrayId(0), 2, 9);
+            sink.record_sweep(ArrayId(0), 4, 7, SweepOrder::Ascending);
+            sink.record_block(ArrayId(0), 16, 40, true, BlockOp::Sort);
+            sink.record_block(ArrayId(0), 8, 64, false, BlockOp::Merge);
+        }
+        let mut counted = CountingSink::new();
+        stream(&mut counted);
+        let mut hashed = HashingSink::new();
+        stream(&mut hashed);
+        assert_eq!(counted.overall().total() + 1, hashed.events());
+        assert_eq!(hashed.records(), 6);
     }
 
     #[test]
@@ -714,34 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_sink_forwards_every_composite_unexpanded() {
-        // A tee that forgot a forward would hand its hashing side the
-        // per-element expansion: same accesses, different digest.
-        fn stream(sink: &mut impl TraceSink) {
-            sink.record(TraceEvent::Alloc {
-                array: ArrayId(0),
-                len: 80,
-            });
-            sink.record(TraceEvent::Access(Access::read(ArrayId(0), 3)));
-            sink.record_run(AccessKind::Write, ArrayId(0), 2, 9);
-            sink.record_sweep(ArrayId(0), 4, 7, SweepOrder::Ascending);
-            sink.record_block(ArrayId(0), 16, 40, true, BlockOp::Sort);
-            sink.record_block(ArrayId(0), 8, 64, false, BlockOp::Merge);
-        }
-        let mut bare = HashingSink::new();
-        stream(&mut bare);
-        let mut counted = CountingSink::new();
-        stream(&mut counted);
-        let mut tee = TeeSink::new(HashingSink::new(), CountingSink::new());
-        stream(&mut tee);
-        assert_eq!(tee.first.digest(), bare.digest());
-        assert_eq!(tee.first.events(), bare.events());
-        assert_eq!(tee.first.records(), 6);
-        assert_eq!(tee.second.overall(), counted.overall());
-        assert_eq!(tee.second.overall().total() + 1, bare.events());
-    }
-
-    #[test]
     fn hashing_sink_digest_is_sha256_of_the_documented_record_stream() {
         let mut sink = HashingSink::new();
         assert_eq!(sink.digest(), Sha256::digest(b""));
@@ -776,14 +716,6 @@ mod tests {
         // A merge of 8 cells is three levels of four gates.
         assert_eq!(sink.events(), 1 + 1 + 6 + 4 * 5 + 4 * 12);
         assert_eq!(sink.records(), 5);
-    }
-
-    #[test]
-    fn tee_sink_forwards_runs_to_both() {
-        let mut tee = TeeSink::new(CollectingSink::new(), CountingSink::new());
-        tee.record_run(AccessKind::Read, ArrayId(0), 3, 4);
-        assert_eq!(tee.first.len(), 4, "collecting side sees the expansion");
-        assert_eq!(tee.second.overall().reads, 4);
     }
 
     #[test]

@@ -646,7 +646,7 @@ macro_rules! wire_int {
 
             fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
                 let bytes = r.take(std::mem::size_of::<$ty>())?;
-                Ok(<$ty>::from_be_bytes(bytes.try_into().unwrap()))
+                Ok(<$ty>::from_be_bytes(bytes.try_into().expect("took the width")))
             }
         }
     )*};

@@ -13,9 +13,10 @@
 //! asymptotic overhead of the networks themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use obliv_primitives::is_sorted_by_key;
 use obliv_primitives::sort::{bitonic, Direction};
-use obliv_primitives::{is_sorted_by_key, Choice, CtSelect};
-use obliv_trace::{NullSink, TraceSink, Tracer, TrackedBuffer};
+use obliv_trace::network::for_each_run;
+use obliv_trace::{BlockOp, NullSink, TraceSink, Tracer, TrackedBuffer};
 
 fn scrambled(n: usize) -> Vec<u64> {
     (0..n as u64)
@@ -27,15 +28,23 @@ fn scrambled(n: usize) -> Vec<u64> {
 /// faster, but the write pattern leaks the data ordering.
 fn leaky_bitonic_sort<S: TraceSink>(buf: &mut TrackedBuffer<u64, S>) {
     let n = buf.len();
-    for gate in bitonic::schedule(n).gates() {
-        let a = buf.read(gate.lo);
-        let b = buf.read(gate.hi);
-        if a > b {
-            let c = Choice::from_bool(true);
-            buf.write(gate.lo, u64::ct_select(c, b, a));
-            buf.write(gate.hi, u64::ct_select(c, a, b));
-        }
-    }
+    for_each_run(
+        0,
+        n,
+        false,
+        BlockOp::Sort,
+        &mut |lo, stride, count, descending| {
+            for i in lo..lo + count {
+                let a = buf.read(i);
+                let b = buf.read(i + stride);
+                let out_of_order = if descending { a < b } else { a > b };
+                if out_of_order {
+                    buf.write(i, b);
+                    buf.write(i + stride, a);
+                }
+            }
+        },
+    );
 }
 
 fn bench_ct_overhead(c: &mut Criterion) {

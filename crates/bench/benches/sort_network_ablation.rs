@@ -1,10 +1,6 @@
-//! Ablation: bitonic sorter (the paper's choice) versus Batcher's odd-even
-//! mergesort as the sorting network underlying the join's primitives, and
-//! both versus the standard library's (non-oblivious) sort.
-//!
-//! The paper argues (§3.5) that an `O(n log n)` network such as zig-zag sort
-//! is too slow in practice; this bench quantifies the gap between the two
-//! practical `O(n log² n)` networks on this implementation's record type.
+//! Ablation: the drivers of the bitonic sorter (the paper's network, §3.5)
+//! against each other and against the standard library's (non-oblivious)
+//! sort, on this implementation's record type.
 //!
 //! `bitonic_blocked` is the production driver: the network walked in blocks
 //! of at most `bitonic::BLOCK` cells (one trace event and one counter update
@@ -16,11 +12,14 @@
 //! parallelism context installed: the network's halves fork onto two
 //! threads (see `bitonic::FORK_CELLS`).  Beside `bitonic_blocked` at the
 //! same `n` it gives the two-thread speed-up on every run.
+//!
+//! Batcher's odd-even mergesort is not built (ROADMAP item 7 says where it
+//! would have to run to pay), so it has no row here.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use obliv_primitives::sort::{bitonic, odd_even, Direction};
+use obliv_primitives::sort::{bitonic, Direction};
 use obliv_primitives::{with_parallelism, ParCtx, ScopedThreads};
 use obliv_trace::{NullSink, Tracer};
 
@@ -68,13 +67,6 @@ fn bench_networks(c: &mut Criterion) {
             b.iter_batched(
                 || Tracer::new(NullSink).alloc_from(data.clone()),
                 |mut buf| bitonic::sort_by_key_dir_per_gate(&mut buf, Direction::Ascending, |x| *x),
-                criterion::BatchSize::SmallInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("odd_even_merge", n), &data, |b, data| {
-            b.iter_batched(
-                || Tracer::new(NullSink).alloc_from(data.clone()),
-                |mut buf| odd_even::sort_by_key(&mut buf, |x| *x),
                 criterion::BatchSize::SmallInput,
             )
         });

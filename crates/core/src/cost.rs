@@ -14,7 +14,8 @@
 //! compactions over `T_C`, two forward routes over `m`, one alignment sort
 //! — while [`paper_estimate`] stays the paper's Table 3 as published.
 
-use obliv_primitives::sort::network::{bitonic_comparator_count, bitonic_comparator_estimate};
+use obliv_trace::network::gate_count;
+use obliv_trace::BlockOp;
 
 /// Exact predicted operation counts for one join execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,10 +73,10 @@ pub fn predict(n1: usize, n2: usize, m: usize) -> CostPrediction {
     let n = n1 + n2;
     let compaction_hops = 2 * routing_hop_count(n);
     CostPrediction {
-        augment_sort_comparisons: bitonic_comparator_count(n),
+        augment_sort_comparisons: gate_count(n as u64, BlockOp::Sort),
         compaction_hops,
         routing_hops: compaction_hops + 2 * routing_hop_count(m),
-        align_sort_comparisons: bitonic_comparator_count(m),
+        align_sort_comparisons: gate_count(m as u64, BlockOp::Sort),
     }
 }
 
@@ -106,10 +107,15 @@ pub fn paper_total_estimate(n: usize) -> f64 {
     n as f64 * lg * lg + n as f64 * lg
 }
 
-/// Convenience re-export of the bitonic estimate used in documentation and
-/// reports.
+/// The asymptotic estimate the paper uses for a bitonic sort on `n` keys:
+/// roughly `n·(log₂ n)²/4` comparisons (§6.2).
 pub fn bitonic_estimate(n: usize) -> f64 {
-    bitonic_comparator_estimate(n)
+    if n <= 1 {
+        return 0.0;
+    }
+    let n = n as f64;
+    let lg = n.log2();
+    n * lg * lg / 4.0
 }
 
 #[cfg(test)]
@@ -156,6 +162,15 @@ mod tests {
         let est: f64 = paper_estimate(n).iter().map(|r| r.1).sum();
         let ratio = p.total_ops() as f64 / est;
         assert!(ratio > 0.3 && ratio < 3.0, "ratio {ratio}");
+    }
+
+    #[test]
+    fn estimate_tracks_exact_count_within_factor() {
+        for n in [64u64, 256, 1024, 4096] {
+            let exact = gate_count(n, BlockOp::Sort) as f64;
+            let ratio = exact / bitonic_estimate(n as usize);
+            assert!(ratio > 0.5 && ratio < 2.5, "n={n} ratio={ratio}");
+        }
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Oblivious compaction: gather the non-null elements of an array at the
 //! front, obliviously.
 //!
-//! §3.5 of the paper mentions two ways to do this:
-//!
-//! * sort with the null flag as the leading key ([`sort_compact_by_key`]) —
-//!   `O(n log² n)` with a bitonic sorter, order among the survivors decided
-//!   by the secondary key;
-//! * Goodrich's order-preserving routing-network compaction
-//!   ([`oblivious_compact`]) — `O(n log n)`, the mirror image of the
-//!   distribution network of Algorithm 3 (the paper notes the distribution
-//!   network "is used in the reverse direction" relative to Goodrich's
-//!   compaction).
+//! §3.5 of the paper mentions two ways to do this: sort with the null flag
+//! as the leading key (`O(n log² n)` with a bitonic sorter), or Goodrich's
+//! order-preserving routing-network compaction.  Only the second is built
+//! here ([`oblivious_compact`]): `O(n log n)`, the mirror image of the
+//! distribution network of Algorithm 3 (the paper notes the distribution
+//! network "is used in the reverse direction" relative to Goodrich's
+//! compaction).
 //!
 //! [`oblivious_compact`] is also one half of the join: `Oblivious-Expand`
 //! assigns its destinations as a running sum, so the "sort by destination,
@@ -23,7 +20,6 @@ use obliv_trace::{SweepOrder, TraceSink, TrackedBuffer};
 
 use crate::ct::{Choice, CtSelect};
 use crate::routable::Routable;
-use crate::sort::bitonic;
 
 /// Result of a compaction: the buffer plus the number of real elements now
 /// occupying its prefix.
@@ -33,21 +29,6 @@ pub struct Compaction<T: Copy, S: TraceSink> {
     pub table: TrackedBuffer<T, S>,
     /// Number of non-null elements, all of which now sit at the front.
     pub live: u64,
-}
-
-/// Compact by sorting: non-null elements first (ordered by `key`), null
-/// elements last.  `O(n log² n)` comparisons.
-pub fn sort_compact_by_key<T, S, K, F>(mut buf: TrackedBuffer<T, S>, key: F) -> Compaction<T, S>
-where
-    T: Routable,
-    S: TraceSink,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    let tracer = buf.tracer();
-    let live = count_live(&buf, &tracer);
-    bitonic::sort_by_key(&mut buf, |e: &T| (e.is_null(), key(e)));
-    Compaction { table: buf, live }
 }
 
 /// Order-preserving oblivious compaction via the reverse routing network.
@@ -113,20 +94,6 @@ where
     }
 
     Compaction { table: buf, live }
-}
-
-fn count_live<T, S>(buf: &TrackedBuffer<T, S>, tracer: &obliv_trace::Tracer<S>) -> u64
-where
-    T: Routable,
-    S: TraceSink,
-{
-    let mut live = 0u64;
-    for i in 0..buf.len() {
-        let e = buf.read(i);
-        tracer.bump_linear_steps(1);
-        live += Choice::from_bool(!e.is_null()).mask() & 1;
-    }
-    live
 }
 
 #[cfg(test)]
@@ -230,18 +197,6 @@ mod tests {
             .collect();
         let expected: Vec<u64> = pattern.iter().flatten().copied().collect();
         let c = oblivious_compact(build(&tracer, &pattern));
-        assert_eq!(c.live as usize, expected.len());
-        assert_eq!(live_values(&c), expected);
-    }
-
-    #[test]
-    fn sort_compact_matches_rank_compact_on_sorted_payloads() {
-        let tracer = Tracer::new(CountingSink::new());
-        let pattern: Vec<Option<u64>> = (0..40u64)
-            .map(|i| if i % 3 == 0 { Some(i) } else { None })
-            .collect();
-        let expected: Vec<u64> = pattern.iter().flatten().copied().collect();
-        let c = sort_compact_by_key(build(&tracer, &pattern), |e| e.value);
         assert_eq!(c.live as usize, expected.len());
         assert_eq!(live_values(&c), expected);
     }

@@ -23,13 +23,14 @@
 //! short-circuiting lexicographic compare (with a branch per component) for
 //! a tuple such as the join's `(j, tid, d)`.  That is within level II, which
 //! is what this workspace claims and its trace checks verify; it is not
-//! level III.  The constant-time alternative exists
-//! ([`ct_lt_words`](crate::ct_lt_words)) and was measured on the join's
-//! augment sort, n = 10⁵, same process, alternating: three key words through
-//! `ct_lt_words` cost 7.6 ns per gate against 6.1 ns for the tuple compare
-//! (+25 %; +10–15 % on the earlier 64-byte record, where moving the record
-//! was a larger share of the gate).  A level-III build should pay that in
-//! the key type, not in these helpers.
+//! level III.  A constant-time alternative — a lexicographic scan over the
+//! key's words that visits every word pair whatever the first difference —
+//! was measured on the join's augment sort, n = 10⁵, same process,
+//! alternating: three key words through it cost 7.6 ns per gate against
+//! 6.1 ns for the tuple compare (+25 %; +10–15 % on the earlier 64-byte
+//! record, where moving the record was a larger share of the gate), so it
+//! was struck.  A level-III build should pay that in the key type, not in
+//! these helpers.
 
 /// A secret boolean represented as a full-width mask (`0` or `!0`).
 ///
@@ -177,15 +178,6 @@ impl<T: CtSelect, const N: usize> CtSelect for [T; N] {
     }
 }
 
-/// Branch-free conditional swap: exchanges `a` and `b` iff `c` is true.
-#[inline(always)]
-pub fn ct_swap<T: CtSelect>(c: Choice, a: &mut T, b: &mut T) {
-    let new_a = T::ct_select(c, *b, *a);
-    let new_b = T::ct_select(c, *a, *b);
-    *a = new_a;
-    *b = new_b;
-}
-
 /// Branch-free minimum of two unsigned words.
 #[inline(always)]
 pub fn ct_min_u64(a: u64, b: u64) -> u64 {
@@ -246,11 +238,10 @@ mod tests {
             (3, 4)
         );
 
-        let (mut a, mut b) = (10u64, 20u64);
-        ct_swap(Choice::FALSE, &mut a, &mut b);
-        assert_eq!((a, b), (10, 20));
-        ct_swap(Choice::TRUE, &mut a, &mut b);
-        assert_eq!((a, b), (20, 10));
+        // A swap is two selects, as every sorting gate writes it back.
+        let swap = |c: Choice, a: u64, b: u64| (u64::ct_select(c, b, a), u64::ct_select(c, a, b));
+        assert_eq!(swap(Choice::FALSE, 10, 20), (10, 20));
+        assert_eq!(swap(Choice::TRUE, 10, 20), (20, 10));
     }
 
     #[test]

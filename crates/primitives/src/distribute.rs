@@ -1,19 +1,17 @@
-//! `Oblivious-Distribute` (Algorithm 3) and its variants.
+//! `Oblivious-Distribute` (Algorithm 3) and its extended variant.
 //!
 //! Problem: given `n` elements, each carrying an injective 1-based
 //! destination `f(x) ∈ {1, …, m}` (`m ≥` number of real elements), place
 //! every element at its destination in an array of size `m`, obliviously.
 //!
-//! Two constructions are provided, mirroring §5.2 of the paper:
+//! [`oblivious_distribute`] is §5.2's deterministic routing network: sort by
+//! destination, then let every element "trickle down" to its target with
+//! hops of decreasing powers of two (`O(n log² n + m log m)`).  The paper's
+//! other construction, a pseudorandom permutation of the slots undone by a
+//! sort, rests on a PRP assumption that §5.2 sets aside; it is not built
+//! here.
 //!
-//! * [`oblivious_distribute`] — the deterministic routing network: sort by
-//!   destination, then let every element "trickle down" to its target with
-//!   hops of decreasing powers of two (`O(n log² n + m log m)`),
-//! * [`probabilistic_distribute`] — write each element at `π(f(x))` for a
-//!   pseudorandom permutation `π`, then obliviously sort by `π⁻¹(position)`
-//!   to undo the masking (`O(m log² m)` but with a PRP assumption).
-//!
-//! Both accept *extended* inputs in the sense of `Ext-Oblivious-Distribute`
+//! It accepts *extended* inputs in the sense of `Ext-Oblivious-Distribute`
 //! (Algorithm 4, lines 24–31): elements may be marked null (`dest() == 0`),
 //! in which case they are discarded and only the real elements are placed.
 //!
@@ -38,13 +36,12 @@
 //! lay-out see only `n` and `m`, and each stage's stride, hop count and
 //! order are computed from `m`.
 
+use obliv_trace::network::greatest_power_of_two_below;
 use obliv_trace::{SweepOrder, TraceSink, TrackedBuffer};
 
 use crate::ct::Choice;
-use crate::prp::Prp;
 use crate::routable::Routable;
 use crate::sort::bitonic;
-use crate::sort::network::greatest_power_of_two_below;
 
 /// Deterministic oblivious distribution (Algorithms 3 / Ext, §5.2).
 ///
@@ -131,73 +128,6 @@ where
         }
         j /= 2;
     }
-}
-
-/// Probabilistic oblivious distribution (§5.2, first construction).
-///
-/// Every slot of the output is first seeded with a null element whose
-/// destination attribute carries `π⁻¹(slot) + 1`; each real input element is
-/// then written at `π(f(x) − 1)`; finally a bitonic sort by the destination
-/// attribute restores destination order.  The adversary observes writes at
-/// `π(f(x₁)), …, π(f(xₙ))` — a uniformly random `n`-subset of the `m` slots
-/// because `f` is injective — followed by the input-independent accesses of
-/// the sorting network.
-///
-/// Unlike the deterministic variant this construction requires **all** input
-/// elements to be real (the basic Algorithm-3 setting): skipping writes for
-/// null elements would leak how many there are.
-pub fn probabilistic_distribute<T, S>(
-    x: TrackedBuffer<T, S>,
-    m: usize,
-    prp_key: u64,
-) -> TrackedBuffer<T, S>
-where
-    T: Routable,
-    S: TraceSink,
-{
-    let n = x.len();
-    assert!(n <= m, "cannot place {n} elements into {m} slots");
-    assert!(
-        x.as_slice().iter().all(|e| !e.is_null()),
-        "probabilistic_distribute requires all-real inputs; use oblivious_distribute for extended inputs"
-    );
-    let tracer = x.tracer();
-    if m == 0 {
-        return tracer.alloc_from(Vec::new());
-    }
-    let prp = Prp::new(m as u64, prp_key);
-
-    // Work on (element, sort-key) pairs so that filler slots can carry their
-    // un-masking key while still being recognisable as nulls afterwards.
-    // Seed every slot with (∅, π⁻¹(slot) + 1) …
-    let mut a = tracer.alloc_from(vec![(T::null(), 0u64); m]);
-    for pos in 0..m {
-        a.write(pos, (T::null(), prp.invert(pos as u64) + 1));
-        tracer.bump_linear_steps(1);
-    }
-
-    // … then scatter each real element x at slot π(f(x) − 1) carrying key
-    // f(x).  The adversary sees writes at pseudorandom distinct positions.
-    for i in 0..n {
-        let e = x.read(i);
-        let slot = prp.apply(e.dest() - 1) as usize;
-        a.write(slot, (e, e.dest()));
-        tracer.bump_linear_steps(1);
-    }
-    drop(x);
-
-    // Undo the masking permutation with an oblivious sort on the key; the
-    // element originally written at π(f(x)−1) ends up at position f(x)−1.
-    bitonic::sort_by_key(&mut a, |&(_, key): &(T, u64)| key);
-
-    // Project away the helper key.  Fillers are already ∅.
-    let mut out = tracer.alloc_from(vec![T::null(); m]);
-    for pos in 0..m {
-        let (e, _) = a.read(pos);
-        out.write(pos, e);
-        tracer.bump_linear_steps(1);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -308,31 +238,6 @@ mod tests {
         let c = run(vec![1, 3, 7, 8, 15, 16]);
         assert_eq!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn probabilistic_matches_deterministic_output() {
-        // Injective destinations: element i goes to slot 2i + 1 of 40.
-        let pairs: Vec<(u64, u64)> = (0..20u64).map(|i| (i + 1, i * 2 + 1)).collect();
-
-        let tracer = Tracer::new(CountingSink::new());
-        let x = keyed(&tracer, &pairs);
-        let det = oblivious_distribute(x, 40);
-
-        for key in [1u64, 99, 0xabcdef] {
-            let tracer2 = Tracer::new(CountingSink::new());
-            let x2 = keyed(&tracer2, &pairs);
-            let prob = probabilistic_distribute(x2, 40, key);
-            assert_eq!(det.as_slice(), prob.as_slice(), "prp key {key}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "all-real")]
-    fn probabilistic_rejects_nulls() {
-        let tracer = Tracer::new(CountingSink::new());
-        let x = tracer.alloc_from(vec![Keyed::new(1u64, 1), Keyed::null()]);
-        let _ = probabilistic_distribute(x, 4, 0);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! assert_eq!(decode_i64(encode_i64(-5)), -5);
 //! ```
 
-use crate::ct::Choice;
-
 /// Maximum byte-string length representable in one key word.
 pub const MAX_BYTES_WORD: usize = 8;
 
@@ -92,25 +90,6 @@ pub fn decode_bytes_be(word: u64, len: usize) -> Vec<u8> {
     word.to_be_bytes()[..len].to_vec()
 }
 
-/// Constant-time lexicographic `a < b` over equal-length word arrays
-/// (most-significant word first).
-///
-/// This is the comparator multi-word encoded keys sort under: the scan
-/// visits every word pair regardless of where the arrays first differ, so
-/// the comparison cost and access pattern depend only on the (public) key
-/// width.
-#[inline]
-pub fn ct_lt_words(a: &[u64], b: &[u64]) -> Choice {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lt = Choice::FALSE;
-    let mut eq = Choice::TRUE;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        lt = lt.or(eq.and(Choice::lt_u64(x, y)));
-        eq = eq.and(Choice::eq_u64(x, y));
-    }
-    lt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,28 +127,5 @@ mod tests {
     #[should_panic(expected = "wider than 8 bytes")]
     fn bytes_code_rejects_wide_strings() {
         let _ = encode_bytes_be(b"123456789");
-    }
-
-    #[test]
-    fn lexicographic_word_comparator() {
-        assert!(ct_lt_words(&[1, 9], &[2, 0]).to_bool());
-        assert!(ct_lt_words(&[1, 1], &[1, 2]).to_bool());
-        assert!(!ct_lt_words(&[1, 2], &[1, 2]).to_bool());
-        assert!(!ct_lt_words(&[2, 0], &[1, 9]).to_bool());
-        assert!(!ct_lt_words(&[], &[]).to_bool());
-    }
-
-    #[test]
-    fn lexicographic_comparator_agrees_with_slice_order() {
-        let arrays = [[0u64, 0], [0, 7], [3, 1], [3, 2], [u64::MAX, 0]];
-        for a in &arrays {
-            for b in &arrays {
-                assert_eq!(
-                    ct_lt_words(a, b).to_bool(),
-                    a < b,
-                    "comparator disagrees on {a:?} < {b:?}"
-                );
-            }
-        }
     }
 }

@@ -5,15 +5,13 @@
 //!
 //! * [`ct`] — branch-free conditional selection and swaps (the level-III
 //!   discipline of §3.4, applied to every secret-dependent move),
-//! * [`sort`] — bitonic and odd-even-merge sorting networks over
+//! * [`sort`] — the bitonic sorting network over
 //!   [`TrackedBuffer`](obliv_trace::TrackedBuffer)s, for arbitrary lengths,
-//! * [`oblivious_distribute`] / [`probabilistic_distribute`] — Algorithm 3
-//!   and its PRP-based probabilistic variant (§5.2),
+//! * [`oblivious_distribute`] — Algorithm 3, the deterministic routing
+//!   network (§5.2),
 //! * [`oblivious_expand`] — Algorithm 4 (§5.3), with order-preserving
 //!   compaction where the paper's distribution sorts,
 //! * [`compact`] — oblivious compaction, the mirror image of distribution,
-//! * [`prp`] — the small-domain pseudorandom permutation used by the
-//!   probabilistic distribution,
 //! * [`encode`] — order-preserving codes mapping typed column values
 //!   (signed integers, booleans, short byte strings) into the `u64` word
 //!   domain the comparators operate on.
@@ -48,19 +46,17 @@ pub mod distribute;
 pub mod encode;
 pub mod expand;
 pub mod par;
-pub mod prp;
 mod routable;
 pub mod sort;
 
-pub use compact::{oblivious_compact, sort_compact_by_key, Compaction};
-pub use ct::{ct_max_u64, ct_min_u64, ct_swap, Choice, CtSelect};
-pub use distribute::{oblivious_distribute, probabilistic_distribute};
+pub use compact::{oblivious_compact, Compaction};
+pub use ct::{ct_max_u64, ct_min_u64, Choice, CtSelect};
+pub use distribute::oblivious_distribute;
 pub use encode::{
-    ct_lt_words, decode_bool, decode_bytes_be, decode_i64, decode_u64, encode_bool,
-    encode_bytes_be, encode_i64, encode_u64, MAX_BYTES_WORD,
+    decode_bool, decode_bytes_be, decode_i64, decode_u64, encode_bool, encode_bytes_be, encode_i64,
+    encode_u64, MAX_BYTES_WORD,
 };
 pub use expand::{oblivious_expand, Expansion};
 pub use par::{context, with_parallelism, Branch, ParCtx, ParExecutor, ParStats, ScopedThreads};
-pub use prp::Prp;
 pub use routable::{Keyed, Routable};
 pub use sort::{is_sorted_by_key, Direction};

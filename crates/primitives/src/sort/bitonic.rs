@@ -32,10 +32,10 @@
 //! and run the same gates, so the contents are the serial sort's; the
 //! second step is unchanged, so the trace and counters are too.
 //!
-//! [`run_schedule`] collects the network's runs from the same recursion
-//! for the consumers that need run identity (`verify::access`, the kernel
-//! structure tests).  [`sort_by_key_dir_per_gate`] keeps the per-gate walk
-//! around as the differential-testing oracle and ablation baseline.
+//! [`sort_by_key_dir_per_gate`] keeps the per-gate walk around as the
+//! differential-testing oracle and ablation baseline: a third statement of
+//! the recursion, written independently of [`obliv_trace::network`], that
+//! the tests check the walk's runs and the drivers' contents against.
 //!
 //! The compare-exchange *swap* is branch-free ([`CtSelect`]); the
 //! *comparison* is whatever `K: Ord` compiles to, and tuple keys compare
@@ -50,10 +50,9 @@
 //! (use [`core::cmp::Reverse`] for descending components), plus an overall
 //! [`Direction`].
 
-use obliv_trace::network::{self as shape, Step};
+use obliv_trace::network::{self as shape, greatest_power_of_two_below, Step};
 use obliv_trace::{BlockOp, TraceSink, TrackedBuffer};
 
-use super::network::{greatest_power_of_two_below, GateRun, RunSchedule, Schedule};
 use super::{compare_exchange, Direction};
 use crate::ct::{Choice, CtSelect};
 use crate::par::{self, ParCtx};
@@ -357,62 +356,6 @@ fn merge_range<T, S, K, F>(
     merge_range(buf, lo + m, n - m, dir, key);
 }
 
-/// The network's compare-exchange schedule for `n` elements, in execution
-/// order.  Executing [`sort_by_key`] on any input of length `n` touches
-/// exactly these pairs in exactly this order (grouped into the runs of
-/// [`run_schedule`]).
-pub fn schedule(n: usize) -> Schedule {
-    let mut sched = Schedule::new();
-    schedule_sort(&mut sched, 0, n);
-    sched
-}
-
-/// The network flattened into maximal same-stride gate runs, each carrying
-/// its merge direction — exactly the gates a sort executes, in the order
-/// its trace records them, from the same recursion.  The concatenation of
-/// the runs' gates equals [`schedule`]`(n)` exactly.
-pub fn run_schedule(n: usize, dir: Direction) -> RunSchedule {
-    let mut sched = RunSchedule::new();
-    let descending = dir == Direction::Descending;
-    shape::for_each_run(
-        0,
-        n,
-        descending,
-        BlockOp::Sort,
-        &mut |lo, stride, count, descending| {
-            sched.push_run(GateRun {
-                lo,
-                stride,
-                count,
-                descending,
-            })
-        },
-    );
-    sched
-}
-
-fn schedule_sort(sched: &mut Schedule, lo: usize, n: usize) {
-    if n <= 1 {
-        return;
-    }
-    let m = n / 2;
-    schedule_sort(sched, lo, m);
-    schedule_sort(sched, lo + m, n - m);
-    schedule_merge(sched, lo, n);
-}
-
-fn schedule_merge(sched: &mut Schedule, lo: usize, n: usize) {
-    if n <= 1 {
-        return;
-    }
-    let m = greatest_power_of_two_below(n as u64) as usize;
-    for i in lo..lo + (n - m) {
-        sched.push(i, i + m);
-    }
-    schedule_merge(sched, lo, m);
-    schedule_merge(sched, lo + m, n - m);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,14 +442,58 @@ mod tests {
         }
     }
 
+    /// The gate runs of the network over `n` cells in direction `dir`, in
+    /// execution order, as [`shape::for_each_run`] lists them.
+    fn runs(n: usize, dir: Direction) -> Vec<(usize, usize, usize)> {
+        let mut runs = Vec::new();
+        let descending = dir == Direction::Descending;
+        shape::for_each_run(
+            0,
+            n,
+            descending,
+            BlockOp::Sort,
+            &mut |lo, stride, count, _| runs.push((lo, stride, count)),
+        );
+        runs
+    }
+
+    #[test]
+    fn run_walk_is_the_per_gate_oracles_pair_sequence() {
+        // The independent check on the one statement of the network: the
+        // gates `for_each_run` lists, flattened in order, are the pairs
+        // the per-gate oracle's own recursion touches, gate for gate (read
+        // i, read j, write i, write j).
+        for n in 0..200usize {
+            for dir in [Direction::Ascending, Direction::Descending] {
+                let mut expected: Vec<(AccessKind, u64)> = Vec::new();
+                for (lo, stride, count) in runs(n, dir) {
+                    for g in lo..lo + count {
+                        let (i, j) = (g as u64, (g + stride) as u64);
+                        expected.extend([
+                            (AccessKind::Read, i),
+                            (AccessKind::Read, j),
+                            (AccessKind::Write, i),
+                            (AccessKind::Write, j),
+                        ]);
+                    }
+                }
+                let tracer = Tracer::new(CollectingSink::new());
+                let mut buf = tracer.alloc_from((0..n as u64).rev().collect::<Vec<_>>());
+                sort_by_key_dir_per_gate(&mut buf, dir, |x| *x);
+                let touched: Vec<(AccessKind, u64)> =
+                    tracer.with_sink(|s| s.accesses().iter().map(|a| (a.kind, a.index)).collect());
+                assert!(touched == expected, "n={n} {dir:?}");
+            }
+        }
+    }
+
     #[test]
     fn executed_accesses_follow_the_run_schedule_exactly() {
         // The streamed driver's collected trace is precisely the expansion
-        // of the public run schedule: per run, a read of each window then a
-        // write of each window.  (`tests/kernel_structure.rs` sweeps every
-        // n < 200, and forked sorts at sizes that fork.)
+        // of the network's public gate runs: per run, a read of each window
+        // then a write of each window.  (`tests/kernel_structure.rs` sweeps
+        // every n < 200, and forked sorts at sizes that fork.)
         for n in [0usize, 1, 2, 3, 5, 8, 13] {
-            let sched = run_schedule(n, Direction::Ascending);
             let tracer = Tracer::new(CollectingSink::new());
             let input: Vec<u64> = (0..n as u64).map(|x| (x * 37) % 11).collect();
             let mut buf = tracer.alloc_from(input);
@@ -514,12 +501,10 @@ mod tests {
             let accesses = tracer.with_sink(|s| s.accesses().to_vec());
 
             let mut expected: Vec<(AccessKind, u64)> = Vec::new();
-            for run in sched.runs() {
+            for (lo, stride, count) in runs(n, Direction::Ascending) {
                 for kind in [AccessKind::Read, AccessKind::Write] {
-                    for start in [run.lo, run.lo + run.stride] {
-                        for g in 0..run.count {
-                            expected.push((kind, (start + g) as u64));
-                        }
+                    for start in [lo, lo + stride] {
+                        expected.extend((start..start + count).map(|i| (kind, i as u64)));
                     }
                 }
             }
@@ -540,9 +525,9 @@ mod tests {
         sort_by_key(&mut buf, |x| *x);
         let (events, records) = tracer.with_sink(|s| (s.events(), s.records()));
 
-        let sched = run_schedule(n, Direction::Ascending);
-        assert_eq!(events, 1 + 4 * sched.gate_count(), "alloc + four per gate");
-        let runs = sched.runs().len() as u64;
+        let gates = shape::gate_count(n as u64, BlockOp::Sort);
+        assert_eq!(events, 1 + 4 * gates, "alloc + four per gate");
+        let runs = runs(n, Direction::Ascending).len() as u64;
         assert!(
             20 * records <= runs,
             "{records} records for a network of {runs} runs"
@@ -701,7 +686,7 @@ mod tests {
             sort_by_key(&mut buf, |x| *x);
             assert_eq!(
                 tracer.counters().comparisons,
-                schedule(n).len() as u64,
+                shape::gate_count(n as u64, BlockOp::Sort),
                 "n={n}"
             );
         }

@@ -1,22 +1,17 @@
-//! Oblivious (data-independent) sorting networks.
+//! Oblivious (data-independent) sorting.
 //!
 //! A sorting network touches a sequence of index pairs that depends only on
 //! the array length, never on its contents: exactly the property needed for
-//! the paper's level-II obliviousness.  Two networks are provided:
-//!
-//! * [`bitonic`] — Batcher's bitonic sorter (§3.5 of the paper), the network
-//!   the paper's implementation and cost model (Table 3) are built on;
-//! * [`odd_even`] — Batcher's odd-even mergesort, used as an ablation
-//!   (slightly fewer comparators, different constants).
-//!
-//! Both are implemented for arbitrary lengths (not just powers of two), both
-//! always write back the two elements of every compare-exchange so the trace
-//! does not reveal whether a swap happened, and both bump the tracer's
-//! comparison counters used by the Table 3 reproduction.
+//! the paper's level-II obliviousness.  [`bitonic`] is Batcher's bitonic
+//! sorter (§3.5 of the paper), the network the paper's implementation and
+//! cost model (Table 3) are built on, for arbitrary lengths (not just
+//! powers of two).  The shape its trace is recorded from is stated once, in
+//! [`obliv_trace::network`].  Every compare-exchange writes back both of
+//! its elements, so the trace does not reveal whether a swap happened, and
+//! the sort bumps the tracer's comparison counters used by the Table 3
+//! reproduction.
 
 pub mod bitonic;
-pub mod network;
-pub mod odd_even;
 
 use obliv_trace::{TraceSink, TrackedBuffer};
 

@@ -2,10 +2,10 @@
 //! as compaction + routing, and the sort driver that walks its network in
 //! blocks.
 
-use obliv_primitives::sort::network::bitonic_comparator_count;
 use obliv_primitives::sort::{bitonic, Direction};
 use obliv_primitives::{oblivious_expand, with_parallelism, Keyed, ParCtx, ScopedThreads};
-use obliv_trace::{AccessKind, CollectingSink, CountingSink, Tracer};
+use obliv_trace::network::{for_each_run, gate_count};
+use obliv_trace::{AccessKind, BlockOp, CollectingSink, CountingSink, Tracer};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -106,17 +106,24 @@ proptest! {
     }
 }
 
-/// The run schedule flattened into the per-element stream a
+/// The network's gate runs flattened into the per-element stream a
 /// `CollectingSink` shows: per run, both windows read, then both written.
 fn flattened(n: usize, dir: Direction) -> Vec<(AccessKind, u64)> {
     let mut expected = Vec::new();
-    for run in bitonic::run_schedule(n, dir).runs() {
-        for kind in [AccessKind::Read, AccessKind::Write] {
-            for start in [run.lo, run.lo + run.stride] {
-                expected.extend((start..start + run.count).map(|i| (kind, i as u64)));
+    let descending = dir == Direction::Descending;
+    for_each_run(
+        0,
+        n,
+        descending,
+        BlockOp::Sort,
+        &mut |lo, stride, count, _| {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                for start in [lo, lo + stride] {
+                    expected.extend((start..start + count).map(|i| (kind, i as u64)));
+                }
             }
-        }
-    }
+        },
+    );
     expected
 }
 
@@ -197,7 +204,7 @@ fn blocked_sort_is_the_per_gate_network_at_every_size() {
             assert!(trace == flattened(n, dir), "trace n={n} {dir:?}");
             assert_eq!(
                 blocked.counters().comparisons,
-                bitonic_comparator_count(n),
+                gate_count(n as u64, BlockOp::Sort),
                 "comparisons n={n} {dir:?}"
             );
 

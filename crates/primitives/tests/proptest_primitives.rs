@@ -5,13 +5,12 @@
 //! checked for trace invariance: the recorded access sequence may depend on
 //! the public parameters only.
 
-use obliv_primitives::sort::network::bitonic_comparator_count;
-use obliv_primitives::sort::{bitonic, odd_even, Direction};
+use obliv_primitives::sort::{bitonic, Direction};
 use obliv_primitives::{
-    oblivious_compact, oblivious_distribute, oblivious_expand, probabilistic_distribute, Keyed,
-    Prp, Routable,
+    oblivious_compact, oblivious_distribute, oblivious_expand, Keyed, Routable,
 };
-use obliv_trace::{CollectingSink, CountingSink, HashingSink, Tracer};
+use obliv_trace::network::gate_count;
+use obliv_trace::{BlockOp, CollectingSink, CountingSink, HashingSink, Tracer};
 use proptest::prelude::*;
 
 type K = Keyed<u64>;
@@ -37,7 +36,7 @@ proptest! {
     fn scheduled_sort_output_and_comparator_count_match_closed_form(
         // Every length 0..=64 — including every non-power-of-two — drawn
         // with random contents; the scheduled iterative driver must sort
-        // and spend exactly `bitonic_comparator_count(n)` comparisons.
+        // and spend exactly `gate_count(n, Sort)` comparisons.
         (n, values) in (0usize..=64).prop_flat_map(|n| {
             (Just(n), prop::collection::vec(any::<u64>(), n..=n))
         })
@@ -48,7 +47,7 @@ proptest! {
         let mut expected = values;
         expected.sort_unstable();
         prop_assert_eq!(buf.as_slice(), expected.as_slice());
-        prop_assert_eq!(tracer.counters().comparisons, bitonic_comparator_count(n));
+        prop_assert_eq!(tracer.counters().comparisons, gate_count(n as u64, BlockOp::Sort));
     }
 
     #[test]
@@ -66,16 +65,6 @@ proptest! {
         prop_assert_eq!(scheduled.as_slice(), per_gate.as_slice());
         prop_assert_eq!(t_sched.counters(), t_gate.counters());
         prop_assert_eq!(t_sched.with_sink(|s| s.overall()), t_gate.with_sink(|s| s.overall()));
-    }
-
-    #[test]
-    fn odd_even_sort_matches_std_sort(values in prop::collection::vec(0u64..1000, 0..200)) {
-        let tracer = counting();
-        let mut buf = tracer.alloc_from(values.clone());
-        odd_even::sort_by_key(&mut buf, |x| *x);
-        let mut expected = values;
-        expected.sort_unstable();
-        prop_assert_eq!(buf.as_slice(), expected.as_slice());
     }
 
     #[test]
@@ -124,27 +113,6 @@ proptest! {
         }
         let live = out.as_slice().iter().filter(|e| !e.is_null()).count();
         prop_assert_eq!(live, n);
-    }
-
-    #[test]
-    fn probabilistic_and_deterministic_distribute_agree(
-        (m, count, key) in (2usize..100).prop_flat_map(|m| (Just(m), 1usize..=m, any::<u64>()))
-    ) {
-        // Evenly spread injective destinations.
-        let dests: Vec<u64> = (0..count).map(|i| (i * m / count) as u64 + 1).collect();
-        let mut seen = std::collections::HashSet::new();
-        prop_assume!(dests.iter().all(|d| seen.insert(*d)));
-
-        let build = || {
-            let tracer = counting();
-            let buf = tracer.alloc_from(
-                dests.iter().enumerate().map(|(i, &d)| Keyed::new(i as u64, d)).collect::<Vec<K>>(),
-            );
-            buf
-        };
-        let det = oblivious_distribute(build(), m);
-        let prob = probabilistic_distribute(build(), m, key);
-        prop_assert_eq!(det.as_slice(), prob.as_slice());
     }
 
     #[test]
@@ -204,19 +172,6 @@ proptest! {
         let got: Vec<u64> = c.table.as_slice()[..c.live as usize].iter().map(|e| e.value).collect();
         prop_assert_eq!(got, expected);
         prop_assert!(c.table.as_slice()[c.live as usize..].iter().all(|e| e.is_null()));
-    }
-
-    #[test]
-    fn prp_is_a_bijection(domain in 1u64..2000, key in any::<u64>()) {
-        let prp = Prp::new(domain, key);
-        let mut seen = vec![false; domain as usize];
-        for x in 0..domain {
-            let y = prp.apply(x);
-            prop_assert!(y < domain);
-            prop_assert!(!seen[y as usize], "collision at {}", y);
-            seen[y as usize] = true;
-            prop_assert_eq!(prp.invert(y), x);
-        }
     }
 
     #[test]

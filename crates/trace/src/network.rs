@@ -266,4 +266,61 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn greatest_power_of_two_below_small_values() {
+        assert_eq!(greatest_power_of_two_below(2), 1);
+        assert_eq!(greatest_power_of_two_below(3), 2);
+        assert_eq!(greatest_power_of_two_below(4), 2);
+        assert_eq!(greatest_power_of_two_below(5), 4);
+        assert_eq!(greatest_power_of_two_below(8), 4);
+        assert_eq!(greatest_power_of_two_below(9), 8);
+        assert_eq!(greatest_power_of_two_below(1025), 1024);
+    }
+
+    #[test]
+    fn greatest_power_of_two_below_matches_the_doubling_loop() {
+        for n in 2..=1u64 << 20 {
+            let mut p = 1u64;
+            while p * 2 < n {
+                p *= 2;
+            }
+            assert_eq!(greatest_power_of_two_below(n), p, "n={n}");
+        }
+        assert_eq!(greatest_power_of_two_below(u64::MAX), 1 << 63);
+    }
+
+    #[test]
+    fn comparator_count_matches_the_recursive_definition() {
+        fn sort_count(n: u64) -> u64 {
+            if n <= 1 {
+                return 0;
+            }
+            sort_count(n / 2) + sort_count(n - n / 2) + merge_count(n)
+        }
+        fn merge_count(n: u64) -> u64 {
+            if n <= 1 {
+                return 0;
+            }
+            let m = greatest_power_of_two_below(n);
+            (n - m) + merge_count(m) + merge_count(n - m)
+        }
+        for n in (0..3000).chain([4095, 4096, 4097, 50_000, 65_535, 100_000]) {
+            assert_eq!(gate_count(n, BlockOp::Sort), sort_count(n), "n={n}");
+            assert_eq!(gate_count(n, BlockOp::Merge), merge_count(n), "n={n}");
+        }
+    }
+
+    #[test]
+    fn power_of_two_counts_match_closed_forms() {
+        // For n = 2^k the bitonic sorter has n·k·(k+1)/4 comparators.
+        for k in 1..=10u64 {
+            let n = 1u64 << k;
+            assert_eq!(
+                gate_count(n, BlockOp::Sort),
+                n * k * (k + 1) / 4,
+                "n = 2^{k}"
+            );
+        }
+    }
 }

@@ -4,23 +4,21 @@
 //! *symbolically*, over the small verification language.  This module adds
 //! the complementary *concrete* check: given a recorded public-memory
 //! access stream (from a
-//! [`CollectingSink`](obliv_trace::CollectingSink)) and the
-//! [`RunSchedule`] the sort
-//! claims to have executed, confirm that the stream is exactly the serial
-//! reference walk of that schedule.
+//! [`CollectingSink`](obliv_trace::CollectingSink)) and the length and
+//! direction of the sort that produced it, confirm that the stream is
+//! exactly the serial reference walk of the network's gate runs.
 //!
-//! The schedules are the real sort's own ([`bitonic::run_schedule`] walks
-//! the recursion the sort executes), and the tests below run the real
-//! executor, serially and forked across threads: a forked sort runs its
-//! gates on several threads and records its trace afterwards by one walk of
-//! the network, and that stream must be indistinguishable from the serial
-//! one.  A stream with runs missing, duplicated or out of place is rejected
-//! at the first diverging access.
-//!
-//! [`bitonic::run_schedule`]: obliv_primitives::sort::bitonic::run_schedule
+//! The runs are the real sort's own ([`for_each_run`] walks the recursion
+//! its trace is recorded from, one run at a time, without storing them),
+//! and the tests below run the real executor, serially and forked across
+//! threads: a forked sort runs its gates on several threads and records its
+//! trace afterwards by one walk of the network, and that stream must be
+//! indistinguishable from the serial one.  A stream with runs missing,
+//! duplicated or out of place is rejected at the first diverging access.
 
-use obliv_primitives::sort::network::RunSchedule;
-use obliv_trace::{Access, ArrayId};
+use obliv_primitives::sort::Direction;
+use obliv_trace::network::{for_each_run, gate_count};
+use obliv_trace::{Access, ArrayId, BlockOp};
 
 /// Why a recorded access stream is not the serial reference walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +27,7 @@ pub enum AccessCheckError {
     /// missing or duplicated (each gate run contributes `4 × count`
     /// accesses: two read runs and two write runs over its windows).
     LengthMismatch {
-        /// Accesses the schedule's serial walk performs.
+        /// Accesses the network's serial walk performs.
         expected: usize,
         /// Accesses actually recorded.
         actual: usize,
@@ -50,7 +48,7 @@ impl std::fmt::Display for AccessCheckError {
         match self {
             AccessCheckError::LengthMismatch { expected, actual } => write!(
                 f,
-                "access stream has {actual} accesses, the schedule's serial walk has {expected}"
+                "access stream has {actual} accesses, the network's serial walk has {expected}"
             ),
             AccessCheckError::Divergence {
                 at,
@@ -66,23 +64,27 @@ impl std::fmt::Display for AccessCheckError {
 
 impl std::error::Error for AccessCheckError {}
 
-/// The serial reference walk of `schedule` over `array`: for every gate
-/// run, a read run over each of its two windows followed by a write run
-/// over each — the exact emission order of the sort driver, forked or
-/// not.
-pub fn expected_sort_accesses(array: ArrayId, schedule: &RunSchedule) -> Vec<Access> {
-    let mut expected = Vec::with_capacity(4 * schedule.gate_count() as usize);
-    for run in schedule.runs() {
-        let lo = run.lo as u64;
-        let hi = (run.lo + run.stride) as u64;
-        let count = run.count as u64;
-        for start in [lo, hi] {
-            expected.extend((start..start + count).map(|i| Access::read(array, i)));
-        }
-        for start in [lo, hi] {
-            expected.extend((start..start + count).map(|i| Access::write(array, i)));
-        }
-    }
+/// The serial reference walk of the sorting network over `n` cells of
+/// `array` in direction `dir`: for every gate run, a read run over each of
+/// its two windows followed by a write run over each — the exact emission
+/// order of the sort driver, forked or not.
+pub fn expected_sort_accesses(array: ArrayId, n: usize, dir: Direction) -> Vec<Access> {
+    let mut expected = Vec::with_capacity(4 * gate_count(n as u64, BlockOp::Sort) as usize);
+    let descending = dir == Direction::Descending;
+    for_each_run(
+        0,
+        n,
+        descending,
+        BlockOp::Sort,
+        &mut |lo, stride, count, _| {
+            for start in [lo as u64, (lo + stride) as u64] {
+                expected.extend((start..start + count as u64).map(|i| Access::read(array, i)));
+            }
+            for start in [lo as u64, (lo + stride) as u64] {
+                expected.extend((start..start + count as u64).map(|i| Access::write(array, i)));
+            }
+        },
+    );
     expected
 }
 
@@ -109,21 +111,21 @@ pub fn check_against_reference(
     Ok(())
 }
 
-/// Check that `actual` is exactly the serial walk of `schedule` over
-/// `array`.
+/// Check that `actual` is exactly the serial walk of the sorting network
+/// over `n` cells of `array` in direction `dir`.
 pub fn check_sort_accesses(
     array: ArrayId,
-    schedule: &RunSchedule,
+    n: usize,
+    dir: Direction,
     actual: &[Access],
 ) -> Result<(), AccessCheckError> {
-    check_against_reference(&expected_sort_accesses(array, schedule), actual)
+    check_against_reference(&expected_sort_accesses(array, n, dir), actual)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obliv_primitives::sort::bitonic::{self, run_schedule, FORK_CELLS};
-    use obliv_primitives::sort::Direction;
+    use obliv_primitives::sort::bitonic::{self, FORK_CELLS};
     use obliv_primitives::{with_parallelism, ParCtx, ScopedThreads};
     use obliv_trace::{CollectingSink, Tracer};
     use std::sync::Arc;
@@ -154,16 +156,15 @@ mod tests {
 
     #[test]
     fn serial_sort_trace_is_the_reference_walk() {
-        let schedule = run_schedule(N, Direction::Ascending);
         let accesses = sorted_accesses(N, None);
         let array = accesses[0].array;
-        check_sort_accesses(array, &schedule, &accesses).expect("serial walk is the reference");
+        check_sort_accesses(array, N, Direction::Ascending, &accesses)
+            .expect("serial walk is the reference");
     }
 
     #[test]
     fn forked_sort_trace_is_the_reference_walk() {
-        let schedule = run_schedule(FORK_CELLS, Direction::Ascending);
-        let expected = expected_sort_accesses(ArrayId(0), &schedule);
+        let expected = expected_sort_accesses(ArrayId(0), FORK_CELLS, Direction::Ascending);
         for threads in [2usize, 4] {
             let accesses = sorted_accesses(FORK_CELLS, Some(threads));
             check_against_reference(&expected, &accesses)
@@ -175,28 +176,29 @@ mod tests {
     fn misplaced_runs_are_a_divergence() {
         // The real stream with two of its runs swapped: same length, the
         // first access of the earlier run now out of place.
-        let schedule = run_schedule(N, Direction::Ascending);
         let mut accesses = sorted_accesses(N, None);
         let array = accesses[0].array;
-        let runs = schedule.runs();
-        let first = 4 * runs[0].count;
-        let second = 4 * runs[1].count;
+        let mut counts = Vec::new();
+        for_each_run(0, N, false, BlockOp::Sort, &mut |_, _, count, _| {
+            counts.push(count)
+        });
+        let first = 4 * counts[0];
+        let second = 4 * counts[1];
         assert_eq!(first, second, "the first two runs are single-gate sorts");
         accesses[..first + second].rotate_left(first);
         assert!(matches!(
-            check_sort_accesses(array, &schedule, &accesses),
+            check_sort_accesses(array, N, Direction::Ascending, &accesses),
             Err(AccessCheckError::Divergence { at: 0, .. })
         ));
     }
 
     #[test]
     fn missing_runs_are_a_length_mismatch() {
-        let schedule = run_schedule(N, Direction::Ascending);
         let accesses = sorted_accesses(N, None);
         let array = accesses[0].array;
         let truncated = &accesses[..accesses.len() - 4];
         assert!(matches!(
-            check_sort_accesses(array, &schedule, truncated),
+            check_sort_accesses(array, N, Direction::Ascending, truncated),
             Err(AccessCheckError::LengthMismatch { .. })
         ));
     }

@@ -46,7 +46,7 @@ fn data_env() -> Env {
         .array("TD", Label::High)
 }
 
-/// The compare-exchange gate loop shared by both sorting networks: read the
+/// The compare-exchange gate loop of the sorting network: read the
 /// two gate positions, compare locally, write both back in either case.
 pub fn sorting_network_kernel() -> Kernel {
     let gate_body = vec![

@@ -45,7 +45,7 @@ fn bench_phases(c: &mut Criterion) {
                 let augmented = augment_tables(&tracer, &workload.left, &workload.right);
                 (expand_side(augmented.tc, TableId::Right).table, tracer)
             },
-            |(mut s2, tracer)| align::align_table(&mut s2, &tracer),
+            |(s2, tracer)| align::align_table(s2, &tracer),
             criterion::BatchSize::SmallInput,
         )
     });

@@ -72,6 +72,11 @@ pub const TRANSFORM_OVERHEAD: f64 = 6.30 / 5.67;
 
 /// Run one Figure 8 measurement: the balanced workload `m ≈ n₁ = n₂ = n/2`
 /// through the prototype, the enclave cost model and the insecure baseline.
+///
+/// The enclave model prices every array's cells at the 40-byte
+/// [`AugRecord`](obliv_join::AugRecord), but the augment and align sorts
+/// move narrower records (24 and 16 bytes with the one-word payload), so
+/// the simulated SGX columns are an upper bound.
 pub fn measure_fig8_point(n: usize, seed: u64) -> Fig8Point {
     let workload = balanced_unique_keys(n / 2, seed);
 

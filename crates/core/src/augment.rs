@@ -6,6 +6,12 @@
 //! counts are computed with one forward and one backward linear pass
 //! (Figure 2).
 //!
+//! The sort moves [`AugmentRecord`]s — `(j, tid, d)`, 24 bytes with the
+//! one-word payload — because nothing else is known yet.  Fill-Dimensions'
+//! forward pass reads the sorted run and writes the [`AugRecord`]s the
+//! expansions move, so the widening costs no pass of its own, and the
+//! narrow run is dropped as soon as it has been read.
+//!
 //! The sum of the per-group products `α₁·α₂` — the output size `m` — falls
 //! out of the same backward pass and is the one data-dependent quantity the
 //! algorithm legitimately reveals (§3.2).
@@ -33,7 +39,7 @@ use obliv_primitives::sort::bitonic;
 use obliv_primitives::{Choice, CtSelect};
 use obliv_trace::{TraceSink, Tracer, TrackedBuffer};
 
-use crate::record::{AugRecord, Payload, TableId};
+use crate::record::{AugRecord, AugmentRecord, Payload, TableId};
 use crate::table::Table;
 
 /// The augmented combined table produced by Algorithm 2, plus the output
@@ -58,10 +64,13 @@ pub fn augment_tables<S: TraceSink>(
     t2: &Table,
 ) -> AugmentedTable<S> {
     // Line 2: T_C ← (T₁ × {tid = 1}) ∪ (T₂ × {tid = 2}).
-    let combined: Vec<AugRecord> = t1
+    let combined: Vec<AugmentRecord> = t1
         .iter()
-        .map(|&e| AugRecord::from_entry(e, TableId::Left))
-        .chain(t2.iter().map(|&e| AugRecord::from_entry(e, TableId::Right)))
+        .map(|e| AugmentRecord::new(e.key, e.value, TableId::Left))
+        .chain(
+            t2.iter()
+                .map(|e| AugmentRecord::new(e.key, e.value, TableId::Right)),
+        )
         .collect();
     augment_combined(tracer, combined)
 }
@@ -76,33 +85,36 @@ pub fn augment_tables<S: TraceSink>(
 /// as `u32`.
 pub fn augment_combined<S: TraceSink, P: Payload>(
     tracer: &Tracer<S>,
-    combined: Vec<AugRecord<P>>,
+    combined: Vec<AugmentRecord<P>>,
 ) -> AugmentedTable<S, P> {
     assert!(
         u32::try_from(combined.len()).is_ok(),
         "n1 + n2 = {} does not fit the record's 32-bit group dimensions",
         combined.len()
     );
-    let mut tc = tracer.alloc_from(combined);
+    let mut sorted = tracer.alloc_from(combined);
 
     // Line 3, with `d` appended: every group is a contiguous block with the
     // T₁ entries first, and each table's entries are in (j, d) order.
-    bitonic::sort_by_key(&mut tc, |r: &AugRecord<P>| (r.key, r.tid, r.value));
+    bitonic::sort_by_key(&mut sorted, AugmentRecord::sort_key);
 
     // Line 4: Fill-Dimensions — two linear passes (Figure 2).
-    let output_size = fill_dimensions(&mut tc, tracer);
+    let (tc, output_size) = fill_dimensions(sorted, tracer);
 
     AugmentedTable { tc, output_size }
 }
 
 /// The two linear passes of Figure 2 over the `(j, tid)`-sorted `T_C`.
 ///
-/// Returns the output size `m`.
+/// The forward pass reads the sorted narrow records and writes the
+/// augmented `T_C`, which it returns with the output size `m`; the narrow
+/// run is freed once read.
 fn fill_dimensions<S: TraceSink, P: Payload>(
-    tc: &mut TrackedBuffer<AugRecord<P>, S>,
+    sorted: TrackedBuffer<AugmentRecord<P>, S>,
     tracer: &Tracer<S>,
-) -> u64 {
-    let n = tc.len();
+) -> (TrackedBuffer<AugRecord<P>, S>, u64) {
+    let n = sorted.len();
+    let mut tc = tracer.alloc::<AugRecord<P>>(n);
 
     // Forward pass: incremental counts.  Entries of a group see c₁ grow
     // while tid = 1 entries pass, then c₂ grow while tid = 2 entries pass;
@@ -112,18 +124,18 @@ fn fill_dimensions<S: TraceSink, P: Payload>(
     let mut c1: u32 = 0;
     let mut c2: u32 = 0;
     tracer.bump_linear_steps(n as u64);
-    for e in tc.rw_run_mut(0, n) {
+    for (e, out) in sorted.read_run(0, n).iter().zip(tc.write_run(0, n)) {
         let same_group = have_prev.and(Choice::eq_u64(e.key, prev_key));
         c1 = u32::ct_select(same_group, c1, 0);
         c2 = u32::ct_select(same_group, c2, 0);
-        let from_left = Choice::eq_u64(e.tid.into(), TableId::Left.as_u32().into());
+        let from_left = Choice::eq_u64(e.tid, TableId::Left.as_u32().into());
         c1 += (from_left.mask() & 1) as u32;
         c2 += (from_left.not().mask() & 1) as u32;
-        e.alpha1 = c1;
-        e.alpha2 = c2;
+        *out = e.augment(c1, c2);
         prev_key = e.key;
         have_prev = Choice::TRUE;
     }
+    drop(sorted);
 
     // Backward pass: propagate each group's final counts (held by its last
     // entry) to the whole group, accumulating m = Σ α₁·α₂ at the boundaries.
@@ -144,7 +156,7 @@ fn fill_dimensions<S: TraceSink, P: Payload>(
         have_next = Choice::TRUE;
     }
 
-    m
+    (tc, m)
 }
 
 #[cfg(test)]

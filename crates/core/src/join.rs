@@ -5,9 +5,16 @@
 //!   1. Augment-Tables      — T_C sorted by (j, tid, d), dimensions α₁, α₂, size m
 //!   2. Oblivious-Expand    — S₁: α₂ copies of every T₁ entry of T_C
 //!   3. Oblivious-Expand    — S₂: α₁ copies of every T₂ entry of T_C
-//!   4. Align-Table S₂      — reorder S₂ to line up with S₁
+//!   4. Align-Table S₂      — S₂'s data values, sorted into S₁'s row order
 //!   5. zip                 — output rows (S₁[i].d, S₂[i].d)
 //! ```
+//!
+//! Each sort moves a record of its own, carrying only the words it orders
+//! and the next phase reads: the augment sort `(j, tid, d)`
+//! ([`AugmentRecord`], 24 bytes with the one-word payload), the align sort
+//! `(slot, d₂)` ([`AlignRecord`], 16 bytes).
+//! The expansions move the 40-byte [`AugRecord`] that Fill-Dimensions
+//! writes.
 //!
 //! The total cost is `O(n log² n + m log² m)` with `n = n₁ + n₂` — one
 //! sorting network over `n` records (augment) and one over `m` (align) —
@@ -37,7 +44,7 @@ use obliv_trace::{NullSink, OpCounters, TraceSink, Tracer, TrackedBuffer};
 
 use crate::align::align_table;
 use crate::augment::augment_combined;
-use crate::record::{AugRecord, JoinRow, Payload, TableId};
+use crate::record::{AlignRecord, AugRecord, AugmentRecord, JoinRow, Payload, TableId};
 use crate::stats::{JoinStats, Phase};
 use crate::table::Table;
 
@@ -92,10 +99,13 @@ pub fn oblivious_join_with_tracer<S: TraceSink>(
     t1: &Table,
     t2: &Table,
 ) -> JoinResult {
-    let combined: Vec<AugRecord> = t1
+    let combined: Vec<AugmentRecord> = t1
         .iter()
-        .map(|&e| AugRecord::from_entry(e, TableId::Left))
-        .chain(t2.iter().map(|&e| AugRecord::from_entry(e, TableId::Right)))
+        .map(|e| AugmentRecord::new(e.key, e.value, TableId::Left))
+        .chain(
+            t2.iter()
+                .map(|e| AugmentRecord::new(e.key, e.value, TableId::Right)),
+        )
         .collect();
     oblivious_join_combined(tracer, combined, t1.len(), t2.len())
 }
@@ -112,12 +122,12 @@ pub fn oblivious_join_payloads<S: TraceSink, P: Payload>(
     t1: &[(u64, P)],
     t2: &[(u64, P)],
 ) -> JoinResult<P> {
-    let combined: Vec<AugRecord<P>> = t1
+    let combined: Vec<AugmentRecord<P>> = t1
         .iter()
-        .map(|&(k, v)| AugRecord::from_parts(k, v, TableId::Left))
+        .map(|&(k, v)| AugmentRecord::new(k, v, TableId::Left))
         .chain(
             t2.iter()
-                .map(|&(k, v)| AugRecord::from_parts(k, v, TableId::Right)),
+                .map(|&(k, v)| AugmentRecord::new(k, v, TableId::Right)),
         )
         .collect();
     oblivious_join_combined(tracer, combined, t1.len(), t2.len())
@@ -127,7 +137,7 @@ pub fn oblivious_join_payloads<S: TraceSink, P: Payload>(
 /// `T₁`, `n2` from `T₂`).
 fn oblivious_join_combined<S: TraceSink, P: Payload>(
     tracer: &Tracer<S>,
-    combined: Vec<AugRecord<P>>,
+    combined: Vec<AugmentRecord<P>>,
     n1: usize,
     n2: usize,
 ) -> JoinResult<P> {
@@ -161,14 +171,14 @@ fn oblivious_join_combined<S: TraceSink, P: Payload>(
     debug_assert_eq!(s2.total, m);
     finish_phase(Phase::ExpandRight, &mut stats, tracer);
 
-    // Phase 4: align S₂ with S₁.
+    // Phase 4: align S₂ with S₁; S₂ is freed once its index pass has read
+    // it.
     let s1 = s1.table;
-    let mut s2 = s2.table;
-    align_table(&mut s2, tracer);
+    let aligned = align_table(s2.table, tracer);
     finish_phase(Phase::Align, &mut stats, tracer);
 
     // Phase 5: zip the data values together (Algorithm 1, lines 6–9).
-    let (rows, keys) = zip_output(tracer, &s1, &s2);
+    let (rows, keys) = zip_output(tracer, &s1, &aligned);
     finish_phase(Phase::Zip, &mut stats, tracer);
 
     JoinResult { rows, keys, stats }
@@ -205,8 +215,9 @@ fn traced_copy<T: Copy + Default, S: TraceSink>(
     copy
 }
 
-/// The final linear pass: `TD[i] ← (S₁[i].d, S₂[i].d)` (the join value is
-/// carried alongside for downstream operators).
+/// The final linear pass: `TD[i] ← (S₁[i].d, S₂[i].d)`, with `S₂`'s data
+/// values read from the aligned buffer (the join value is carried alongside
+/// for downstream operators, from `S₁`).
 ///
 /// The pass is a fixed left-to-right scan of all three arrays, so its
 /// accesses are emitted as three coalesced runs (`read_run` on each input,
@@ -216,22 +227,22 @@ fn traced_copy<T: Copy + Default, S: TraceSink>(
 fn zip_output<S: TraceSink, P: Payload>(
     tracer: &Tracer<S>,
     s1: &TrackedBuffer<AugRecord<P>, S>,
-    s2: &TrackedBuffer<AugRecord<P>, S>,
+    aligned: &TrackedBuffer<AlignRecord<P>, S>,
 ) -> (Vec<JoinRow<P>>, Vec<crate::record::JoinKey>) {
-    debug_assert_eq!(s1.len(), s2.len());
+    debug_assert_eq!(s1.len(), aligned.len());
     let m = s1.len();
     let mut td = tracer.alloc_from(vec![(0u64, JoinRow::<P>::default()); m]);
     tracer.bump_linear_steps(m as u64);
     {
         let left_rows = s1.read_run(0, m);
-        let right_rows = s2.read_run(0, m);
+        let right_rows = aligned.read_run(0, m);
         let out = td.write_run(0, m);
         for i in 0..m {
             let left = left_rows[i];
             let right = right_rows[i];
             debug_assert_eq!(
-                left.key, right.key,
-                "aligned tables disagree on the join value at row {i}"
+                right.slot, i as u64,
+                "the aligned buffer is not in S₁'s row order at row {i}"
             );
             out[i] = (left.key, JoinRow::new(left.value, right.value));
         }

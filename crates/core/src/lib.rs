@@ -75,7 +75,9 @@ pub use join::{
     oblivious_join, oblivious_join_payloads, oblivious_join_with_tracer, reference_join,
     sorted_rows, JoinResult,
 };
-pub use record::{AugRecord, DataValue, Entry, JoinKey, JoinRow, Payload, TableId};
+pub use record::{
+    AlignRecord, AugRecord, AugmentRecord, DataValue, Entry, JoinKey, JoinRow, Payload, TableId,
+};
 pub use schema::{Column, ColumnType, Schema, SchemaError, Value, WideTable};
 pub use stats::{JoinStats, Phase, PhaseStats};
 pub use table::Table;

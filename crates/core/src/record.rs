@@ -1,4 +1,15 @@
-//! Table entries and the augmented records used internally by the join.
+//! Table entries and the three records the join moves.
+//!
+//! Every sorting gate and routing hop moves two whole records, so each
+//! phase moves a record that carries only the words that phase and the next
+//! one read:
+//!
+//! * [`AugmentRecord`] — `(j, tid, d)`, the sort over `T_C` in
+//!   Augment-Tables; 24 bytes with the one-word payload.
+//! * [`AugRecord`] — `(j, d, dest, α₁, α₂, tid, live)`, written by
+//!   Fill-Dimensions and moved by both expansions; 40 bytes.
+//! * [`AlignRecord`] — `(slot, d)`, the sort over `m` in Align-Table;
+//!   16 bytes.
 
 use obliv_primitives::{Choice, CtSelect, Routable};
 
@@ -125,17 +136,113 @@ impl TableId {
     }
 }
 
-/// The augmented record `(j, d, tid, α₁, α₂, …)` that flows through every
-/// stage of the join.
+/// The record the augment sort moves: the row's join value, table id and
+/// data value, sorted by `(j, tid, d)`.
+///
+/// The group dimensions, the routing destination and the validity flag are
+/// not known before the sort, so they do not ride through it:
+/// Fill-Dimensions reads the sorted run and writes the [`AugRecord`]s.
+/// `tid` takes a whole word so the record has no padding: 16 + 8W bytes,
+/// 24 with the one-word payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct AugmentRecord<P: Payload = DataValue> {
+    /// Join attribute `j`.
+    pub key: JoinKey,
+    /// Originating table id (1 or 2).
+    pub tid: u64,
+    /// Data attribute `d`.
+    pub value: P,
+}
+
+impl<P: Payload> AugmentRecord<P> {
+    /// The record of one input row.
+    pub fn new(key: JoinKey, value: P, tid: TableId) -> Self {
+        AugmentRecord {
+            key,
+            tid: tid.as_u32().into(),
+            value,
+        }
+    }
+
+    /// The augment sort's key, `(j, tid, d)`.
+    #[inline(always)]
+    pub fn sort_key(&self) -> (JoinKey, u64, P) {
+        (self.key, self.tid, self.value)
+    }
+
+    /// The live [`AugRecord`] of this row, carrying the group dimensions
+    /// `(α₁, α₂)`.
+    #[inline(always)]
+    pub fn augment(self, alpha1: u32, alpha2: u32) -> AugRecord<P> {
+        AugRecord {
+            key: self.key,
+            value: self.value,
+            dest: 1, // a harmless non-zero placeholder; set properly before routing
+            alpha1,
+            alpha2,
+            tid: self.tid as u32,
+            live: 1,
+        }
+    }
+}
+
+impl<P: Payload> CtSelect for AugmentRecord<P> {
+    #[inline(always)]
+    fn ct_select(c: Choice, a: Self, b: Self) -> Self {
+        AugmentRecord {
+            key: u64::ct_select(c, a.key, b.key),
+            tid: u64::ct_select(c, a.tid, b.tid),
+            value: P::ct_select(c, a.value, b.value),
+        }
+    }
+}
+
+/// The record the align sort moves: a row of `S₂`'s data value and the slot
+/// of `S₁` it must line up with.
+///
+/// The slots of an expanded `S₂` are a permutation of `0..m`, so the sort
+/// key is the one word `slot`, without ties; the join value stays behind in
+/// `S₁`, which the zip reads it from.  8 + 8W bytes, 16 with the one-word
+/// payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct AlignRecord<P: Payload = DataValue> {
+    /// The 0-based row of `S₁` this data value is paired with.
+    pub slot: u64,
+    /// Data attribute `d₂`.
+    pub value: P,
+}
+
+impl<P: Payload> Default for AlignRecord<P> {
+    fn default() -> Self {
+        AlignRecord {
+            slot: 0,
+            value: P::zero(),
+        }
+    }
+}
+
+impl<P: Payload> CtSelect for AlignRecord<P> {
+    #[inline(always)]
+    fn ct_select(c: Choice, a: Self, b: Self) -> Self {
+        AlignRecord {
+            slot: u64::ct_select(c, a.slot, b.slot),
+            value: P::ct_select(c, a.value, b.value),
+        }
+    }
+}
+
+/// The augmented record `(j, d, tid, α₁, α₂, …)` that Fill-Dimensions
+/// writes and both expansions move.
 ///
 /// On top of the paper's attributes it carries the routing destination used
-/// by oblivious expansion (`dest`, which Algorithm 5 reuses for its
-/// alignment index) and a validity flag (`live`) so that null padding
-/// entries are representable.  Every conditional assignment to a record
-/// goes through [`CtSelect`].
+/// by oblivious expansion (`dest`) and a validity flag (`live`) so that null
+/// padding entries are representable.  Every conditional assignment to a
+/// record goes through [`CtSelect`].
 ///
-/// Every sorting gate and routing hop moves two whole records, so the
-/// layout is as narrow as the public sizes allow: `α₁ ≤ n₁`, `α₂ ≤ n₂`,
+/// Every routing hop moves two whole records, so the layout is as narrow
+/// as the public sizes allow: `α₁ ≤ n₁`, `α₂ ≤ n₂`,
 /// `tid` and `live` are `u32` — the join asserts `n₁ + n₂ < 2³²` — while
 /// `dest` stays a full word because `m` can reach `n₁·n₂`.  With the
 /// one-word payload that is 40 bytes, five words.  Operators that want
@@ -156,10 +263,7 @@ pub struct AugRecord<P: Payload = DataValue> {
     /// Data attribute `d`.
     pub value: P,
     /// 1-based routing destination during oblivious expansion; 0 in null
-    /// records (`f̂(∅) = 0`).  Once expansion has placed a record its
-    /// destination is dead, and `Align-Table` stores the alignment index
-    /// `ii` of Algorithm 5 in the same word
-    /// ([`align_idx`](AugRecord::align_idx)).
+    /// records (`f̂(∅) = 0`).
     pub dest: u64,
     /// Group dimension `α₁(j)`: how many entries of `T₁` carry this key.
     pub alpha1: u32,
@@ -174,7 +278,7 @@ pub struct AugRecord<P: Payload = DataValue> {
 impl AugRecord {
     /// Build a live, un-augmented record from an input entry.
     pub fn from_entry(entry: Entry, tid: TableId) -> Self {
-        AugRecord::from_parts(entry.key, entry.value, tid)
+        AugmentRecord::new(entry.key, entry.value, tid).augment(0, 0)
     }
 
     /// The `(d₁, d₂)`-producing projection used by the final zip is handled
@@ -199,34 +303,9 @@ impl<P: Payload> Default for AugRecord<P> {
 }
 
 impl<P: Payload> AugRecord<P> {
-    /// Build a live, un-augmented record from a key, payload and table id.
-    pub fn from_parts(key: JoinKey, value: P, tid: TableId) -> Self {
-        AugRecord {
-            key,
-            value,
-            dest: 1, // a harmless non-zero placeholder; set properly before routing
-            alpha1: 0,
-            alpha2: 0,
-            tid: tid.as_u32(),
-            live: 1,
-        }
-    }
-
     /// Whether the record is a real entry (as opposed to null padding).
     pub fn is_live(&self) -> bool {
         self.live == 1
-    }
-
-    /// The alignment index `ii` of Algorithm 5 (shares `dest`'s word).
-    #[inline]
-    pub fn align_idx(&self) -> u64 {
-        self.dest
-    }
-
-    /// Store the alignment index `ii` of Algorithm 5 (shares `dest`'s word).
-    #[inline]
-    pub fn set_align_idx(&mut self, ii: u64) {
-        self.dest = ii;
     }
 }
 
@@ -301,11 +380,22 @@ mod tests {
     }
 
     #[test]
-    fn align_idx_shares_the_destination_word() {
-        let mut r = AugRecord::from_entry(Entry::new(1, 2), TableId::Right);
-        r.set_align_idx(1 << 40);
-        assert_eq!(r.align_idx(), 1 << 40);
-        assert_eq!(r.dest(), 1 << 40);
+    fn sort_records_carry_only_their_words() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<AugmentRecord<u64>>(), 24);
+        assert_eq!(size_of::<AugmentRecord<[u64; 4]>>(), 48);
+        assert_eq!(size_of::<AlignRecord<u64>>(), 16);
+        assert_eq!(size_of::<AlignRecord<[u64; 4]>>(), 40);
+    }
+
+    #[test]
+    fn augment_record_sorts_by_key_then_table_then_value() {
+        let r = AugmentRecord::new(7, 70u64, TableId::Right);
+        assert_eq!(r.sort_key(), (7, 2, 70));
+        assert!(AugmentRecord::new(7, 99u64, TableId::Left).sort_key() < r.sort_key());
+        let b = AugmentRecord::new(1, 10u64, TableId::Left);
+        assert_eq!(AugmentRecord::ct_select(Choice::TRUE, r, b), r);
+        assert_eq!(AugmentRecord::ct_select(Choice::FALSE, r, b), b);
     }
 
     #[test]

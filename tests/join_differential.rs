@@ -5,6 +5,11 @@
 //! `d₂` order (`(d₁, d₂)`-lexicographic wherever a group's `d₁` are distinct)
 //! — whatever the kernel does internally to get there (one sort over `T_C`,
 //! expansion straight from it).
+//!
+//! The same cases run a second time through `oblivious_join_payloads` with
+//! three-word payloads, so the kernel's records are checked at a width
+//! other than one word: the wide rows must project back to the `u64`
+//! join's, row for row.
 
 use obliv_join_suite::join::sorted_rows;
 use obliv_join_suite::prelude::*;
@@ -132,6 +137,64 @@ fn kernel_output_equals_sort_merge_in_multiset_and_order() {
             // ... and the whole of it as what a sort-merge join over
             // (j, d)-sorted inputs emits, row for row.
             assert_eq!(result.rows, baseline, "row-for-row: {label}");
+        }
+    }
+}
+
+/// A three-word payload whose words are distinct functions of `d`; the
+/// first word is `d` itself, so the payloads order as the `d` they carry.
+fn widen(d: u64) -> [u64; 3] {
+    [d, d.wrapping_mul(0x9E37_79B9_7F4A_7C15), !d.rotate_left(17)]
+}
+
+#[test]
+fn wide_payload_kernel_keeps_the_order_contract() {
+    let mut rng = Rng(0x5eed_0017);
+    for round in 0..40 {
+        for shape in 0..9 {
+            let (label, left, right) = case(shape, &mut rng);
+            let label = format!(
+                "{label}, round {round}, n1={} n2={}",
+                left.len(),
+                right.len()
+            );
+            let narrow = oblivious_join(&left, &right);
+            let wide_side = |t: &Table| -> Vec<(u64, [u64; 3])> {
+                t.iter().map(|e| (e.key, widen(e.value))).collect()
+            };
+            let tracer = Tracer::new(NullSink);
+            let wide = obliv_join_suite::join::oblivious_join_payloads(
+                &tracer,
+                &wide_side(&left),
+                &wide_side(&right),
+            );
+
+            assert_eq!(wide.stats.output_size, narrow.stats.output_size, "{label}");
+            assert_eq!(wide.keys, narrow.keys, "keys: {label}");
+            // Every word of a row travels with the row ...
+            assert!(
+                wide.rows
+                    .iter()
+                    .all(|r| r.left == widen(r.left[0]) && r.right == widen(r.right[0])),
+                "words: {label}"
+            );
+            // ... the first words are the u64 join's rows, row for row, so
+            // the wide kernel keeps its order contract ...
+            let projected: Vec<JoinRow> = wide
+                .rows
+                .iter()
+                .map(|r| JoinRow::new(r.left[0], r.right[0]))
+                .collect();
+            assert_eq!(projected, narrow.rows, "row-for-row: {label}");
+            // ... which, stated on the wide rows alone, starts with groups
+            // by j ascending and each group's T₁ rows in d₁ order.
+            let outer: Vec<(u64, [u64; 3])> = wide
+                .keys
+                .iter()
+                .zip(&wide.rows)
+                .map(|(&j, row)| (j, row.left))
+                .collect();
+            assert!(outer.windows(2).all(|w| w[0] <= w[1]), "order: {label}");
         }
     }
 }
